@@ -18,7 +18,7 @@ from .linalg import (
     partial_trace,
     tensor,
 )
-from .objects import DensityOperator, Povm
+from .objects import DensityOperator, Loss, Povm
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ class Assemblage:
 
     def entry(self, a: int, x: int) -> np.ndarray:
         return self.blocks[x][a]
-
-    def reduced_state(self) -> np.ndarray:
-        """The common outcome sum (the unmeasured party's reduced state)."""
-        return sum(self.blocks[0])
 
     def to_document(self) -> dict:
         entries = []
@@ -146,17 +142,9 @@ def apply_loss_to_assemblage(sigma: Assemblage, eta: float) -> Assemblage:
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    d = sigma.dim
-    blocks = []
-    for row in sigma.blocks:
-        out_row = []
-        for mat in row:
-            out = np.zeros((d + 1, d + 1), dtype=complex)
-            out[:d, :d] = eta * mat
-            out[d, d] = (1.0 - eta) * np.trace(mat)
-            out_row.append(out)
-        blocks.append(tuple(out_row))
-    return Assemblage(tuple(blocks), d + 1, sigma.settings)
+    loss = Loss(eta, sigma.dim)
+    blocks = tuple(tuple(loss.apply_to_matrix(mat) for mat in row) for row in sigma.blocks)
+    return Assemblage(blocks, sigma.dim + 1, sigma.settings)
 
 
 def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:

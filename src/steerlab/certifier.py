@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import sqrtm
 from scipy.optimize import linprog
 
 from .covariant import HaarSampler, ResponseFunctionModel
-from .linalg import dagger, frobenius
+from .linalg import dagger, frobenius, inv_sqrt
 from .lossy import NoiseParams, noisify_povm
 from .objects import Povm
 
@@ -89,10 +88,7 @@ def parent_from_states(states: np.ndarray, d: int, seed: int | None = None) -> D
     n_atoms = states.shape[0]
     # sum of |z><z| has entries sum_n z[j] conj(z[k])
     raw_sum = (d / n_atoms) * (states.T @ states.conj())
-    evals = np.linalg.eigvalsh((raw_sum + dagger(raw_sum)) / 2.0)
-    if evals[0] <= 1e-12:
-        raise ValueError("raw atom sum is singular; retry with more atoms")
-    correction = np.linalg.inv(sqrtm(raw_sum))
+    correction = inv_sqrt(raw_sum)
     correction = (correction + dagger(correction)) / 2.0
     corrected = np.einsum("ij,nj,nk,kl->nil", correction, states * (d / n_atoms),
                           states.conj(), correction)

@@ -47,10 +47,6 @@ def _cmd_phase_diagram(args) -> int:
     return 0
 
 
-def _matrix_doc(mat: np.ndarray, dims) -> dict:
-    return {"dims": list(dims), "entries": matrix_to_entries(mat)}
-
-
 def _cmd_state(args) -> int:
     rho = objects.one_way_state(args.d, args.eta, args.p)
     evals = np.linalg.eigvalsh(rho.mat)
@@ -66,8 +62,8 @@ def _cmd_state(args) -> int:
                 np.linalg.norm(reduced_a - np.eye(args.d) / args.d)
             ),
         },
-        "reduced_a": _matrix_doc(reduced_a, [args.d]),
-        "reduced_b": _matrix_doc(reduced_b, [args.d + 1]),
+        "reduced_a": objects.DensityOperator(reduced_a, (args.d,)).to_document(),
+        "reduced_b": objects.DensityOperator(reduced_b, (args.d + 1,)).to_document(),
     }
     _emit(doc, args.emit)
     return 0

@@ -34,12 +34,9 @@ def default_workers() -> int:
         if n < 1:
             raise ValueError(f"STEERLAB_THREADS must be >= 1, got {env}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _shard_counts(n: int, workers: int) -> list[int]:
-    base, extra = divmod(n, workers)
-    return [base + (1 if i < extra else 0) for i in range(workers)]
 
 
 @dataclass(frozen=True)
@@ -96,11 +93,6 @@ class HaarSampler:
 
     def states(self, n: int) -> list[PureState]:
         return [PureState(row, (self.d,)) for row in self.sample_array(n)]
-
-
-def sample_haar(sampler: HaarSampler, n: int) -> list[PureState]:
-    """n i.i.d. Haar-distributed pure states from the sampler's stream."""
-    return sampler.states(n)
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +177,32 @@ class EffectEstimate:
         return worst
 
 
-def _accumulate_moments(sampler, t, phi, count, shard):
-    rng = np.random.default_rng([sampler.seed, shard])
-    d = sampler.d
-    s_a = s_a2 = s_t = 0.0
-    done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        z = sampler._draw(rng, m)
-        overlap = np.abs(z @ phi.conj()) ** 2
-        hit = overlap >= t
-        xa = d * overlap[hit]
-        s_a += float(xa.sum())
-        s_a2 += float((xa**2).sum())
-        s_t += float(hit.sum()) * d
-        done += m
-    # x_t takes values 0 or d, so its square sums to d * s_t
-    return s_a, s_a2, s_t, d * s_t
+def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -> list:
+    """Sums of ``accumulate(z)`` over ``n`` Haar samples ``z``, drawn in shards.
+
+    The samples are split into ceil(n / _CHUNK) shards whose sizes differ
+    by at most one; shard k draws from ``default_rng([seed, k])``. Threads
+    only schedule shards and the results are summed in shard order, so the
+    sums depend on the seed and n but not on the worker count.
+    """
+    workers = default_workers() if workers is None else workers
+    shards = -(-n // _CHUNK)
+    base, extra = divmod(n, shards)
+
+    def run(k: int):
+        rng = np.random.default_rng([sampler.seed, k])
+        return accumulate(sampler._draw(rng, base + (k < extra)))
+
+    with ThreadPoolExecutor(max_workers=min(workers, shards)) as pool:
+        results = list(pool.map(run, range(shards)))
+    return [sum(parts) for parts in zip(*results)]
+
+
+def _accumulate_moments(d, t, z):
+    overlap = np.abs(z[:, 0]) ** 2
+    hit = overlap >= t
+    xa = d * overlap[hit]
+    return float(xa.sum()), float((xa**2).sum()), float(hit.sum()) * d
 
 
 def mc_response_moments(
@@ -214,32 +215,16 @@ def mc_response_moments(
 ) -> MomentEstimate:
     """Monte Carlo estimate of the aligned-weight and trace moments.
 
-    Deterministic for fixed (seed, worker count): shard results are merged
-    in shard order regardless of completion order.
+    Deterministic for a fixed seed, whatever the worker count: see
+    :func:`_run_shards`.
     """
     _check_dt(d, t)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    workers = default_workers() if workers is None else workers
     sampler = HaarSampler(d=d, method=method, seed=seed)
-    phi = np.zeros(d, dtype=complex)
-    phi[0] = 1.0
-    counts = _shard_counts(n, workers)
-    jobs = [(i, c) for i, c in enumerate(counts) if c > 0]
-    if len(jobs) == 1:
-        results = [_accumulate_moments(sampler, t, phi, jobs[0][1], jobs[0][0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _accumulate_moments(sampler, t, phi, job[1], job[0]),
-                    jobs,
-                )
-            )
-    s_a = sum(r[0] for r in results)
-    s_a2 = sum(r[1] for r in results)
-    s_t = sum(r[2] for r in results)
-    s_t2 = sum(r[3] for r in results)
+    s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda z: _accumulate_moments(d, t, z))
+    # x_t takes values 0 or d, so its square sums to d * s_t
+    s_t2 = d * s_t
     mean_a = s_a / n
     mean_t = s_t / n
     var_a = max(s_a2 / n - mean_a**2, 0.0)
@@ -253,25 +238,11 @@ def mc_response_moments(
     )
 
 
-def _accumulate_effect(sampler, t, phi, count, shard):
-    rng = np.random.default_rng([sampler.seed, shard])
-    d = sampler.d
-    s1 = np.zeros((d, d), dtype=complex)
-    s2_re = np.zeros((d, d))
-    s2_im = np.zeros((d, d))
-    done = 0
-    while done < count:
-        m = min(_CHUNK, count - done)
-        z = sampler._draw(rng, m)
-        hit = (np.abs(z @ phi.conj()) ** 2) >= t
-        zh = z[hit]
-        if zh.shape[0]:
-            proj = np.einsum("ni,nj->nij", zh, zh.conj())
-            s1 += d * proj.sum(axis=0)
-            s2_re += d * d * (proj.real**2).sum(axis=0)
-            s2_im += d * d * (proj.imag**2).sum(axis=0)
-        done += m
-    return s1, s2_re, s2_im
+def _accumulate_effect(d, t, phi, z):
+    zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
+    proj = np.einsum("ni,nj->nij", zh, zh.conj())
+    return (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
+            d * d * (proj.imag**2).sum(axis=0))
 
 
 def mc_effect(
@@ -288,30 +259,18 @@ def mc_effect(
     Estimates the average of ``d * |z><z|`` over Haar samples accepted by
     the threshold response function. Converges to
     ``aligned_weight * |phi><phi| + orthogonal_weight * (I - |phi><phi|)/(d-1)``.
+    Deterministic for a fixed seed, whatever the worker count.
     """
     _check_dt(d, t)
     if phi.dim != d:
         raise ValueError(f"target state has dim {phi.dim}, expected {d}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    workers = default_workers() if workers is None else workers
     sampler = HaarSampler(d=d, method=method, seed=seed)
     target = np.asarray(phi.vec)
-    counts = _shard_counts(n, workers)
-    jobs = [(i, c) for i, c in enumerate(counts) if c > 0]
-    if len(jobs) == 1:
-        results = [_accumulate_effect(sampler, t, target, jobs[0][1], jobs[0][0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda job: _accumulate_effect(sampler, t, target, job[1], job[0]),
-                    jobs,
-                )
-            )
-    s1 = sum(r[0] for r in results)
-    s2_re = sum(r[1] for r in results)
-    s2_im = sum(r[2] for r in results)
+    s1, s2_re, s2_im = _run_shards(
+        sampler, n, workers, lambda z: _accumulate_effect(d, t, target, z)
+    )
     mean = s1 / n
     var_re = np.maximum(s2_re / n - mean.real**2, 0.0)
     var_im = np.maximum(s2_im / n - mean.imag**2, 0.0)
@@ -323,13 +282,20 @@ def mc_effect(
     )
 
 
+def _simulated_piece(d: int, t: float, alpha: float, vec: np.ndarray) -> np.ndarray:
+    """Simulated effect of one rank-one piece ``alpha |phi><phi|``:
+    ``(alpha/d) (aligned P + orthogonal (I - P)/(d-1))`` with P = |phi><phi|."""
+    proj = np.outer(vec, vec.conj())
+    return (alpha / d) * (
+        aligned_weight(d, t) * proj
+        + orthogonal_weight(d, t) * (np.eye(d, dtype=complex) - proj) / (d - 1)
+    )
+
+
 def analytic_effect(d: int, t: float, phi: PureState) -> np.ndarray:
     """Closed form of the single-target simulated effect."""
     _check_dt(d, t)
-    proj = phi.projector()
-    return aligned_weight(d, t) * proj + orthogonal_weight(d, t) * (
-        np.eye(d) - proj
-    ) / (d - 1)
+    return _simulated_piece(d, t, d, phi.vec)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +327,8 @@ def simulate_rank1_povm(
         total += alpha * np.outer(vec, vec.conj())
     if frobenius(total - np.eye(d)) > 1e-10:
         raise ValueError("targets do not resolve the identity within 1e-10")
-    if labels is None:
-        labels = list(range(len(targets)))
-    a_w = aligned_weight(d, t)
-    b_w = orthogonal_weight(d, t)
-    eye = np.eye(d, dtype=complex)
-    effects = []
-    for label, (alpha, vec) in zip(labels, targets):
-        vec = np.asarray(vec, dtype=complex).ravel()
-        proj = np.outer(vec, vec.conj())
-        effects.append((label, (alpha / d) * (a_w * proj + b_w * (eye - proj) / (d - 1))))
-    no_click = eye - sum(mat for _, mat in effects)
-    effects.append((NO_CLICK, (no_click + no_click.conj().T) / 2.0))
-    return Povm(tuple(effects), d)
+    labels = tuple(range(len(targets)) if labels is None else labels)
+    return ResponseFunctionModel(d, t, tuple(targets), labels, labels).reconstruct_povm()
 
 
 @dataclass(frozen=True)
@@ -424,14 +379,7 @@ class ResponseFunctionModel:
 
     def simulated_fine_effects(self) -> list[np.ndarray]:
         """Analytic simulated effect of each rank-one piece (before mixing)."""
-        a_w = aligned_weight(self.d, self.t)
-        b_w = orthogonal_weight(self.d, self.t)
-        eye = np.eye(self.d, dtype=complex)
-        out = []
-        for alpha, vec in self.targets:
-            proj = np.outer(vec, vec.conj())
-            out.append((alpha / self.d) * (a_w * proj + b_w * (eye - proj) / (self.d - 1)))
-        return out
+        return [_simulated_piece(self.d, self.t, alpha, vec) for alpha, vec in self.targets]
 
     def reconstruct_povm(self) -> Povm:
         """Coarse-grain the simulated pieces back to the target's outcomes

@@ -2,7 +2,8 @@
 
 Matrices and vectors are plain ``numpy.ndarray`` objects with dtype
 ``complex128``; everything here is a pure function of its inputs.
-All matrices in this package are small (42x42 at most), so no sparse
+All matrices in this package are small and dense (the largest routine
+one is the (d(d+1))x(d(d+1)) lossy state, 272x272 at d=16), so no sparse
 or accelerated paths are provided.
 """
 
@@ -142,3 +143,22 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         phase = col[j] / abs(col[j])
         evecs[:, i] = col / phase
     return evals, evecs
+
+
+def inv_sqrt(m: np.ndarray) -> np.ndarray:
+    """Inverse square root of a Hermitian positive-definite matrix.
+
+    Computed from one eigendecomposition of the Hermitian part of ``m``.
+
+    Raises
+    ------
+    ValueError
+        If the smallest eigenvalue is at most 1e-12 (singular input).
+    """
+    evals, evecs = np.linalg.eigh((m + dagger(m)) / 2.0)
+    if evals[0] <= 1e-12:
+        raise ValueError(
+            f"matrix is singular (smallest eigenvalue {evals[0]:.2e}); "
+            "no inverse square root"
+        )
+    return (evecs / np.sqrt(evals)) @ dagger(evecs)

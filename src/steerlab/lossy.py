@@ -55,6 +55,13 @@ class LossyDecomposition:
         object.__setattr__(self, "vacuum_dist", q)
 
 
+def _noisify_effect(mat: np.ndarray, params: NoiseParams) -> np.ndarray:
+    """One effect under white noise and loss: eta*p*M + eta*(1-p)*tr(M)*I/d."""
+    d, eta, p = params.d, params.eta, params.p
+    eye = np.eye(d, dtype=complex)
+    return eta * p * mat + eta * (1.0 - p) * np.trace(mat).real * eye / d
+
+
 def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
     """Imperfect version of a POVM under white noise and loss.
 
@@ -65,14 +72,9 @@ def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
         raise ValueError("input POVM already has a no-click outcome")
     if m.dim != params.d:
         raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
-    d, eta, p = params.d, params.eta, params.p
-    eye = np.eye(d, dtype=complex)
-    effects = [
-        (label, eta * p * mat + eta * (1.0 - p) * np.trace(mat).real * eye / d)
-        for label, mat in m.effects
-    ]
-    effects.append((NO_CLICK, (1.0 - eta) * eye))
-    return Povm(tuple(effects), d)
+    effects = [(label, _noisify_effect(mat, params)) for label, mat in m.effects]
+    effects.append((NO_CLICK, (1.0 - params.eta) * np.eye(params.d, dtype=complex)))
+    return Povm(tuple(effects), params.d)
 
 
 def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecomposition:
@@ -102,14 +104,12 @@ def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecompo
         reconstructed.append((label, chain.dual(mat)))
     reduced_povm = Povm(tuple(reduced), d)
     reconstructed_povm = Povm(tuple(reconstructed), d)
-    # noisified reduced effects, computed inline: the reduced labels are
+    # noisified reduced effects, computed per effect: the reduced labels are
     # pass-through names and may themselves include the no-click label
-    eye = np.eye(d, dtype=complex)
-    eta, p = params.eta, params.p
-    no_click = (1.0 - eta) * eye
+    no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)
     residual = 0.0
     for (_, image), (_, red), qa in zip(reconstructed, reduced, q):
-        noisified = eta * p * red + eta * (1.0 - p) * np.trace(red).real * eye / d
+        noisified = _noisify_effect(red, params)
         residual = max(residual, frobenius(image - (noisified + qa * no_click)))
     return LossyDecomposition(
         reduced_povm=reduced_povm,
@@ -143,7 +143,7 @@ def embed_with_vacuum(m: Povm) -> Povm:
 def coarse_grain(m: Povm, groups: dict) -> Povm:
     """Merge outcomes: ``groups`` maps each new label to the old labels it absorbs."""
     covered = [label for labels in groups.values() for label in labels]
-    if sorted(map(str, covered)) != sorted(map(str, m.labels)):
+    if len(set(covered)) != len(covered) or set(covered) != set(m.labels):
         raise ValueError("groups must partition the outcome labels")
     effects = []
     for new_label, old_labels in groups.items():

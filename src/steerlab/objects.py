@@ -184,10 +184,12 @@ class Povm:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Povm":
+        effects = doc.get("effects") if isinstance(doc, dict) else None
+        if not isinstance(effects, list) or not all(isinstance(e, dict) for e in effects):
+            raise ValueError("a POVM document must be an object with a list of effect objects")
         dim = int(doc["dim"])
         effects = tuple(
-            (e["label"], entries_to_matrix(e["entries"], dim, dim))
-            for e in doc["effects"]
+            (e["label"], entries_to_matrix(e["entries"], dim, dim)) for e in effects
         )
         return cls(effects, dim)
 
@@ -282,11 +284,8 @@ class WhiteNoise(Channel):
             raise ValueError("operator dimension does not match channel")
         return self.p * m + (1.0 - self.p) * np.trace(m) * np.eye(self.d) / self.d
 
-    def dual(self, effect: np.ndarray) -> np.ndarray:
-        effect = as_complex_matrix(effect)
-        if effect.shape != (self.d, self.d):
-            raise ValueError("effect dimension does not match channel")
-        return self.p * effect + (1.0 - self.p) * np.trace(effect) * np.eye(self.d) / self.d
+    # the channel is self-dual
+    dual = apply_to_matrix
 
     def __repr__(self):
         return f"WhiteNoise(p={self.p}, d={self.d})"
@@ -405,7 +404,11 @@ def lossy_noisy_channel(d: int, eta: float, p: float) -> Composition:
 
 
 def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> DensityOperator:
-    """Apply a channel to one subsystem of a (possibly multipartite) state."""
+    """Apply a channel to one subsystem of a (possibly multipartite) state.
+
+    Uses the channel's own :meth:`Channel.apply_to_matrix`, so closed-form
+    channels never expand into Kraus sums here.
+    """
     dims = rho.dims
     if not 0 <= on_subsystem < len(dims):
         raise ValueError(f"subsystem index {on_subsystem} out of range for dims {dims}")
@@ -413,27 +416,17 @@ def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> Densit
         raise ValueError(
             f"subsystem dimension {dims[on_subsystem]} does not match channel input {c.in_dim}"
         )
-    before = int(np.prod(dims[:on_subsystem], dtype=int)) if on_subsystem else 1
-    after = (
-        int(np.prod(dims[on_subsystem + 1:], dtype=int))
-        if on_subsystem + 1 < len(dims)
-        else 1
-    )
-    side_out = before * c.out_dim * after
-    out = np.zeros((side_out, side_out), dtype=complex)
-    eye_before = np.eye(before, dtype=complex)
-    eye_after = np.eye(after, dtype=complex)
-    for k in c.kraus_operators():
-        k_full = tensor(tensor(eye_before, k), eye_after)
-        out += k_full @ rho.mat @ dagger(k_full)
-    new_dims = dims[:on_subsystem] + (c.out_dim,) + dims[on_subsystem + 1:]
-    return DensityOperator(out, new_dims)
-
-
-def dual_apply(c: Channel, effect: np.ndarray) -> np.ndarray:
-    """Heisenberg-picture image of an effect; pairs with apply_channel under
-    tr[rho . dual_apply(c, E)] = tr[apply(c, rho) . E]."""
-    return c.dual(effect)
+    before = int(np.prod(dims[:on_subsystem], dtype=int))
+    after = int(np.prod(dims[on_subsystem + 1:], dtype=int))
+    n, m = c.in_dim, c.out_dim
+    # one (n x n) block per pair of basis states of the other factors; the
+    # channel is linear, so it maps each block on its own
+    blocks = rho.mat.reshape(before, n, after, before, n, after).transpose(0, 2, 3, 5, 1, 4)
+    mapped = np.stack([c.apply_to_matrix(b) for b in blocks.reshape(-1, n, n)])
+    out = mapped.reshape(before, after, before, after, m, m).transpose(0, 4, 1, 2, 5, 3)
+    new_dims = dims[:on_subsystem] + (m,) + dims[on_subsystem + 1:]
+    side_out = before * m * after
+    return DensityOperator(out.reshape(side_out, side_out), new_dims)
 
 
 # ---------------------------------------------------------------------------

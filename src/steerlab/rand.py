@@ -8,10 +8,9 @@ generic POVMs (rank-one ones when the Gram factors are vectors).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import sqrtm
 
-from .linalg import dagger
-from .objects import DensityOperator, Povm, PureState
+from .linalg import dagger, inv_sqrt
+from .objects import DensityOperator, Povm
 
 
 def rng_from(seed) -> np.random.Generator:
@@ -33,27 +32,12 @@ def random_unitary(d: int, rng) -> np.ndarray:
     return q * phases
 
 
-def random_pure(d: int, rng, dims: tuple[int, ...] | None = None) -> PureState:
-    """Haar-distributed pure state (normalized Ginibre vector)."""
-    rng = rng_from(rng)
-    v = _ginibre(rng, d, 1).ravel()
-    return PureState(v / np.linalg.norm(v), dims if dims is not None else (d,))
-
-
 def random_density(d: int, rng, dims: tuple[int, ...] | None = None) -> DensityOperator:
     """Full-rank random density matrix from a normalized Gram matrix."""
     rng = rng_from(rng)
     a = _ginibre(rng, d, d)
     g = a @ dagger(a)
     return DensityOperator(g / np.trace(g), dims if dims is not None else (d,))
-
-
-def _inv_sqrt(s: np.ndarray) -> np.ndarray:
-    evals = np.linalg.eigvalsh(s)
-    if evals[0] <= 1e-12:
-        raise ValueError("Gram sum is singular; draw more outcomes")
-    root = sqrtm(s)
-    return np.linalg.inv(root)
 
 
 def random_povm(d: int, n_outcomes: int, rng) -> Povm:
@@ -63,9 +47,9 @@ def random_povm(d: int, n_outcomes: int, rng) -> Povm:
     for _ in range(n_outcomes):
         a = _ginibre(rng, d, d)
         grams.append(a @ dagger(a))
-    s_inv_root = _inv_sqrt(sum(grams))
+    s_inv_root = inv_sqrt(sum(grams))
     effects = [s_inv_root @ g @ dagger(s_inv_root) for g in grams]
-    # symmetrize away sqrtm roundoff
+    # symmetrize away roundoff
     effects = [(e + dagger(e)) / 2.0 for e in effects]
     return Povm.from_matrices(effects, dim=d)
 
@@ -80,7 +64,7 @@ def random_rank1_targets(d: int, n_outcomes: int, rng) -> list[tuple[float, np.n
         raise ValueError("need at least d rank-one effects to resolve the identity")
     rng = rng_from(rng)
     vecs = [_ginibre(rng, d, 1).ravel() for _ in range(n_outcomes)]
-    s_inv_root = _inv_sqrt(sum(np.outer(v, v.conj()) for v in vecs))
+    s_inv_root = inv_sqrt(sum(np.outer(v, v.conj()) for v in vecs))
     targets = []
     for v in vecs:
         w = s_inv_root @ v
@@ -88,8 +72,3 @@ def random_rank1_targets(d: int, n_outcomes: int, rng) -> list[tuple[float, np.n
         targets.append((alpha, w / np.linalg.norm(w)))
     return targets
 
-
-def random_rank1_povm(d: int, n_outcomes: int, rng) -> Povm:
-    """Generic rank-one POVM built from :func:`random_rank1_targets`."""
-    targets = random_rank1_targets(d, n_outcomes, rng)
-    return Povm.from_matrices([a * np.outer(v, v.conj()) for a, v in targets], dim=d)

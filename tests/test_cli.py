@@ -103,6 +103,16 @@ def test_jm_certify_targets_file(tmp_path, capsys):
     assert json.loads(out)["status"] == "feasible"
 
 
+def test_jm_certify_malformed_targets_file(tmp_path, capsys):
+    targets_path = tmp_path / "targets.json"
+    for docs in ([5], [{"dim": 2, "effects": 5}]):
+        targets_path.write_text(json.dumps(docs))
+        code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
+                     "--atoms", "100", "--targets", str(targets_path)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+
 def test_jm_certify_missing_file(capsys):
     code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
                  "--atoms", "100", "--targets", "/nonexistent.json"])

@@ -13,7 +13,6 @@ from steerlab.covariant import (
     model_reconstruction_residual,
     noise_params_from_threshold,
     orthogonal_weight,
-    sample_haar,
     simulate_rank1_povm,
 )
 from steerlab.linalg import dagger, frobenius
@@ -40,13 +39,13 @@ def test_sampler_unit_norm_and_determinism():
 
 def test_sampler_d1_degenerate():
     for method in ("gaussian-normalize", "angle-parametrization"):
-        states = sample_haar(HaarSampler(d=1, method=method, seed=0), 5)
+        states = HaarSampler(d=1, method=method, seed=0).states(5)
         for psi in states:
             assert np.allclose(psi.vec, [1.0])
 
 
 def test_sample_haar_returns_pure_states():
-    states = sample_haar(HaarSampler(d=3, seed=1), 50)
+    states = HaarSampler(d=3, seed=1).states(50)
     assert len(states) == 50
     assert all(psi.dims == (3,) for psi in states)
 
@@ -148,6 +147,15 @@ def test_mc_moments_deterministic_per_worker_count():
     a = mc_response_moments(3, 0.4, 50_000, seed=9, workers=3)
     b = mc_response_moments(3, 0.4, 50_000, seed=9, workers=3)
     assert a.aligned == b.aligned and a.trace == b.trace
+    # several shards: the estimates must not depend on the worker count
+    moments = [mc_response_moments(3, 0.4, 200_000, seed=9, workers=w) for w in (1, 2, 3)]
+    assert all(m == moments[0] for m in moments)
+    effects = [mc_effect(2, 0.3, _basis_state(2), 100_000, seed=7, workers=w)
+               for w in (1, 2, 3)]
+    for e in effects[1:]:
+        assert np.array_equal(e.estimate, effects[0].estimate)
+        assert np.array_equal(e.stderr_real, effects[0].stderr_real)
+        assert np.array_equal(e.stderr_imag, effects[0].stderr_imag)
 
 
 def test_worker_count_env_override(monkeypatch):

@@ -199,3 +199,10 @@ def test_coarse_grain_requires_partition():
     povm = _z_basis()
     with pytest.raises(ValueError):
         coarse_grain(povm, {"u": (0,)})
+    with pytest.raises(ValueError):
+        coarse_grain(povm, {"u": (0, 1), "v": (1,)})
+    # labels compare as themselves, not as their string forms
+    mixed = Povm((("1", np.diag([1.0, 0.0])), (2, np.diag([0.0, 1.0]))), 2)
+    with pytest.raises(ValueError):
+        coarse_grain(mixed, {"a": [1, 2]})
+    assert coarse_grain(mixed, {"a": ["1", 2]}).labels == ("a",)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.linalg import frobenius, is_psd, tensor
 from steerlab.objects import (
@@ -12,7 +14,6 @@ from steerlab.objects import (
     PureState,
     WhiteNoise,
     apply_channel,
-    dual_apply,
     lossy_noisy_channel,
     mub_pair,
     one_way_state,
@@ -124,7 +125,7 @@ def test_closed_forms_match_kraus():
 
 def test_dual_unitality():
     for chan in (WhiteNoise(0.3, 3), Loss(0.7, 2), lossy_noisy_channel(3, 0.4, 0.6)):
-        out = dual_apply(chan, np.eye(chan.out_dim))
+        out = chan.dual(np.eye(chan.out_dim))
         assert frobenius(out - np.eye(chan.in_dim)) < 1e-12
 
 
@@ -171,6 +172,47 @@ def test_apply_channel_updates_dims():
     assert out.dims == (3, 4)
     with pytest.raises(ValueError):
         apply_channel(Loss(0.5, 2), rho, on_subsystem=1)
+
+
+def _random_kraus_channel(d: int, out_dim: int, rng) -> KrausChannel:
+    # Kraus operators are the blocks of a random isometry
+    n_ops = -(-d // out_dim) + 1
+    a = rng.standard_normal((n_ops * out_dim, d)) + 1j * rng.standard_normal((n_ops * out_dim, d))
+    q, _ = np.linalg.qr(a)
+    return KrausChannel([q[i * out_dim:(i + 1) * out_dim] for i in range(n_ops)])
+
+
+@pytest.mark.parametrize("n_parties, on_subsystem", [(2, 0), (2, 1), (3, 1)])
+@settings(max_examples=25, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    kind=st.sampled_from(["white-noise", "loss", "lossy-noisy", "kraus"]),
+    eta=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    out_dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_apply_channel_matches_kraus_sum(n_parties, on_subsystem, dims, kind, eta, p,
+                                         out_dim, seed):
+    dims = tuple(dims[:n_parties])
+    d = dims[on_subsystem]
+    rng = np.random.default_rng(seed)
+    chan = {
+        "white-noise": lambda: WhiteNoise(p, d),
+        "loss": lambda: Loss(eta, d),
+        "lossy-noisy": lambda: lossy_noisy_channel(d, eta, p),
+        "kraus": lambda: _random_kraus_channel(d, out_dim, rng),
+    }[kind]()
+    rho = random_density(int(np.prod(dims)), rng, dims=dims)
+    before = np.eye(int(np.prod(dims[:on_subsystem])))
+    after = np.eye(int(np.prod(dims[on_subsystem + 1:])))
+    oracle = 0
+    for k in chan.kraus_operators():
+        k_full = np.kron(np.kron(before, k), after)
+        oracle = oracle + k_full @ rho.mat @ k_full.conj().T
+    out = apply_channel(chan, rho, on_subsystem)
+    assert out.dims == dims[:on_subsystem] + (chan.out_dim,) + dims[on_subsystem + 1:]
+    assert np.max(np.abs(out.mat - oracle)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from steerlab.linalg import frobenius
 from steerlab.lossy import NoiseParams, embed_with_vacuum, noisify_povm
 from steerlab.objects import (
     Povm,
-    dual_apply,
     lossy_noisy_channel,
     mub_pair,
     one_way_state,
@@ -30,7 +29,7 @@ def test_steered_assemblage_is_transposed_dual():
     sigma = steer(rho, povms, measured_side=1)
     for x, povm in enumerate(povms):
         for a, (_, effect) in enumerate(povm.effects):
-            pulled = dual_apply(chain, effect)
+            pulled = chain.dual(effect)
             assert frobenius(sigma.entry(a, x) - pulled.T / d) < 1e-12
 
 
@@ -60,7 +59,7 @@ def test_unsteerable_assemblage_has_explicit_lhs_model():
     sigma = steer(rho, bob_povms, measured_side=1)
 
     pulled_back = [
-        Povm(tuple((label, dual_apply(chain, mat)) for label, mat in povm.effects), d)
+        Povm(tuple((label, chain.dual(mat)) for label, mat in povm.effects), d)
         for povm in bob_povms
     ]
     parent = discretize_parent(d, 1500, seed=2)
@@ -90,7 +89,7 @@ def test_model_conditionals_give_lhs_model_directly():
     target = noisify_povm(m, params)
     chain = lossy_noisy_channel(d, eta, p)
     for a, (label, mat) in enumerate(embedded.effects):
-        assert frobenius(dual_apply(chain, mat) - target.effect(label)) < 1e-12
+        assert frobenius(chain.dual(mat) - target.effect(label)) < 1e-12
 
     # hidden-state ensemble from the model's fine-grained simulated parent
     fine = jm_model.simulated_fine_effects()
