@@ -40,13 +40,19 @@ def p_threshold_two_mubs(d: int) -> float:
     return ((d + rd - 1.0) * rdm1 - 1.0) / ((d - 1.0) * (rdm1 + 1.0))
 
 
-def eta_unsteerable_bound(d: int, p: float) -> float:
+def _check_unit(name: str, x) -> None:
+    """Reject any value outside [0, 1] (NaN included)."""
+    x = np.asarray(x)
+    if np.any(~((x >= 0.0) & (x <= 1.0))):
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
+
+
+def eta_unsteerable_bound(d: int, p):
     """Transmission below which the lossy-noisy side is unsteerable: (1-p)^(d-1).
-    The inequality is non-strict."""
+    The inequality is non-strict. ``p`` may be a float or an array."""
     if d < 2:
         raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    _check_unit("p", p)
     return (1.0 - p) ** (d - 1)
 
 
@@ -57,14 +63,27 @@ def eta_unsteerable_bound(d: int, p: float) -> float:
 _BOUND_RTOL = 1e-12
 
 
-def certified_unsteerable(d: int, eta: float, p: float) -> bool:
-    """Does the transmission satisfy eta <= (1-p)^(d-1) (boundary included)?"""
+def certified_unsteerable(d: int, eta, p):
+    """Does the transmission satisfy eta <= (1-p)^(d-1) (boundary included)?
+    Broadcasts over arrays of ``eta`` and ``p``."""
     return eta <= eta_unsteerable_bound(d, p) * (1.0 + _BOUND_RTOL)
 
 
-def certified_d_steerable(d: int, eta: float, p: float) -> bool:
-    """Strict visibility threshold plus a positive transmission for the filter."""
-    return p > p_threshold_all(d) and eta > 0.0
+def certified_d_steerable(d: int, eta, p):
+    """Strict visibility threshold plus a positive transmission for the filter.
+    Broadcasts over arrays of ``eta`` and ``p``."""
+    return (p > p_threshold_all(d)) & (eta > 0.0)
+
+
+#: The decision table: labels indexed by 2 * d-steerable + unsteerable.
+_REGIONS = np.array(
+    [RegionLabel.UNDETERMINED, RegionLabel.UNSTEERABLE_B_TO_A_ONLY,
+     RegionLabel.D_STEERABLE_ONLY, RegionLabel.UNLIMITED_ONE_WAY], dtype=object)
+
+
+def _region(d: int, eta, p):
+    """Label of each point (or array of points) from both sufficient conditions."""
+    return _REGIONS[2 * certified_d_steerable(d, eta, p) + certified_unsteerable(d, eta, p)]
 
 
 @dataclass(frozen=True)
@@ -101,19 +120,9 @@ def classify(d: int, eta: float, p: float) -> RegionLabel:
     unsteerability certificate needs ``eta <= (1-p)^(d-1)``. Points
     satisfying neither are UNDETERMINED, not declared anything.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    d_steer = certified_d_steerable(d, eta, p)
-    unsteer = certified_unsteerable(d, eta, p)
-    if d_steer and unsteer:
-        return RegionLabel.UNLIMITED_ONE_WAY
-    if d_steer:
-        return RegionLabel.D_STEERABLE_ONLY
-    if unsteer:
-        return RegionLabel.UNSTEERABLE_B_TO_A_ONLY
-    return RegionLabel.UNDETERMINED
+    _check_unit("eta", eta)
+    _check_unit("p", p)
+    return _region(d, eta, p)
 
 
 def eta_grid(d: int, grid_n: int) -> np.ndarray:
@@ -142,26 +151,13 @@ def phase_diagram(d: int, grid_n: int) -> list[tuple[float, float, RegionLabel]]
         raise ValueError(f"dimension must be >= 2, got {d}")
     etas = eta_grid(d, grid_n)
     ps = np.linspace(0.0, 1.0, grid_n + 1)
-    p_thresh = p_threshold_all(d)
-    bounds = (1.0 - ps) ** (d - 1) * (1.0 + _BOUND_RTOL)
-    d_steer_row = ps > p_thresh
-    rows: list[tuple[float, float, RegionLabel]] = []
-    none_unlimited = True
-    for eta in etas:
-        unsteer = eta <= bounds
-        d_steer = d_steer_row & (eta > 0.0)
-        for j, p in enumerate(ps):
-            if d_steer[j] and unsteer[j]:
-                label = RegionLabel.UNLIMITED_ONE_WAY
-                none_unlimited = False
-            elif d_steer[j]:
-                label = RegionLabel.D_STEERABLE_ONLY
-            elif unsteer[j]:
-                label = RegionLabel.UNSTEERABLE_B_TO_A_ONLY
-            else:
-                label = RegionLabel.UNDETERMINED
-            rows.append((float(eta), float(p), label))
-    if none_unlimited and d <= 16 and grid_n >= 200:
+    labels = _region(d, etas[:, None], ps[None, :])
+    rows = [
+        (float(eta), float(p), label)
+        for eta, row in zip(etas, labels)
+        for p, label in zip(ps, row)
+    ]
+    if d <= 16 and grid_n >= 200 and not np.any(labels == RegionLabel.UNLIMITED_ONE_WAY):
         raise RuntimeError(
             f"no UNLIMITED_ONE_WAY cell found for d={d} at grid {grid_n}; "
             "this contradicts the guaranteed nonempty overlap"

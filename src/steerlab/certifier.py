@@ -10,7 +10,7 @@ incompatibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -38,8 +38,8 @@ class SolverFailure(RuntimeError):
 class DiscreteParent:
     """Finite parent POVM, optionally built from weighted pure-state atoms.
 
-    For Haar discretizations, ``states``/``weights`` hold the sampled atoms
-    and ``correction`` the operator C with effects ``C (w d |z><z|) C``
+    For Haar discretizations, ``states`` holds the sampled atoms and
+    ``correction`` the operator C with effects ``C ((d/n) |z><z|) C``
     making the sum exactly the identity. Parents given directly by their
     effects (for example the fine-grained simulated effects of an explicit
     model) leave the atom fields empty.
@@ -48,7 +48,6 @@ class DiscreteParent:
     d: int
     effects: np.ndarray
     states: np.ndarray | None = None
-    weights: np.ndarray | None = None
     correction: np.ndarray | None = None
     seed: int | None = None
 
@@ -95,14 +94,8 @@ def parent_from_states(states: np.ndarray, d: int, seed: int | None = None) -> D
     corrected = (corrected + np.transpose(corrected.conj(), (0, 2, 1))) / 2.0
     # absorb the final roundoff in the sum into the last atom
     corrected[-1] += np.eye(d) - corrected.sum(axis=0)
-    weights = np.full(n_atoms, 1.0 / n_atoms)
     return DiscreteParent(
-        d=d,
-        effects=corrected,
-        states=states,
-        weights=weights,
-        correction=correction,
-        seed=seed,
+        d=d, effects=corrected, states=states, correction=correction, seed=seed
     )
 
 
@@ -133,7 +126,6 @@ class JmCertificate:
     residual: float
     status: str
     tol: float
-    target_labels: tuple[tuple, ...] = field(default=())
 
     def __post_init__(self):
         conds = []
@@ -175,18 +167,49 @@ def _reconstruction_residual(
     return residual
 
 
+def _hermitian_components(mats) -> np.ndarray:
+    """The d^2 real coordinates of each (..., d, d) Hermitian matrix.
+
+    Real parts of the upper triangle (diagonal included, row-major), then
+    imaginary parts of the strict upper triangle.
+    """
+    mats = np.asarray(mats)
+    rows, cols = np.triu_indices(mats.shape[-1])
+    strict = rows != cols
+    return np.concatenate(
+        [mats[..., rows, cols].real, mats[..., rows[strict], cols[strict]].imag], axis=-1
+    )
+
+
+def _certificate(parent, conditionals, targets, tol) -> JmCertificate:
+    """Certificate whose status is decided by the recomputed residual."""
+    residual = _reconstruction_residual(parent, conditionals, targets)
+    status = FEASIBLE if residual <= tol else INFEASIBLE_AT_TOLERANCE
+    return JmCertificate(parent=parent, conditionals=tuple(conditionals),
+                         residual=residual, status=status, tol=tol)
+
+
 def lp_feasibility(
     targets: list[Povm], parent: DiscreteParent, tol: float = DEFAULT_TOL
 ) -> JmCertificate:
     """Best post-processing of the parent into the targets, by linear program.
 
-    Minimizes the largest entrywise deviation s subject to
-    ``|(sum_lam p(a|x,lam) E_lam - M_(a|x))_ij| <= s`` for all real and
-    imaginary parts, with the p(a|x,.) columns forming distributions.
-    The certificate's recorded residual is the Frobenius-norm worst case
-    recomputed from the cleaned conditionals; status is ``feasible`` iff it
-    is at most ``tol``. Feasibility certifies joint measurability;
-    infeasibility at tolerance proves nothing (the parent is fixed).
+    Minimizes the largest deviation s over the d^2 Hermitian coordinates of
+    ``sum_lam p(a|x,lam) E_lam - M_(a|x)`` (see :func:`_hermitian_components`),
+    with the p(a|x,.) columns forming distributions. The variables are the
+    conditionals, stacked target by target and outcome by outcome, each an
+    n-vector over atoms, then s. With C the (d^2, n) coordinates of the
+    parent atoms, S the rows of C and -C interleaved, and t the coordinates
+    of all N target effects in the same order, the LP is the block build
+
+        A_ub = [I_N (x) S | -1],   b_ub = t and -t interleaved,
+        A_eq = [blockdiag_x(1_(n_x)^T (x) I_n) | 0],   b_eq = 1,
+
+    where I_N (x) S is blockdiag_x(I_(n_x) (x) S). The certificate's
+    recorded residual is the Frobenius-norm worst case recomputed from the
+    cleaned conditionals; status is ``feasible`` iff it is at most ``tol``.
+    Feasibility certifies joint measurability; infeasibility at tolerance
+    proves nothing (the parent is fixed).
 
     Raises
     ------
@@ -195,94 +218,35 @@ def lp_feasibility(
     """
     if not targets:
         raise ValueError("at least one target POVM is required")
-    d = parent.d
+    d, n = parent.d, parent.n_atoms
     for x, povm in enumerate(targets):
         if povm.dim != d:
             raise ValueError(f"target {x} acts on dim {povm.dim}, parent on dim {d}")
-    n = parent.n_atoms
-    outcome_counts = [p.n_outcomes for p in targets]
-    offsets = np.concatenate([[0], np.cumsum([c * n for c in outcome_counts])])
-    n_p = int(offsets[-1])
-    s_col = n_p  # the single objective variable
-
-    # scalar components of the parent effects, per (i, j) entry
-    iu, ju = np.triu_indices(d)
-    strict = iu != ju
-    comp_cols = []  # (coefficient vector over atoms, target value extractor)
-    for i, j in zip(iu, ju):
-        comp_cols.append(("re", i, j, parent.effects[:, i, j].real))
-    for i, j in zip(iu[strict], ju[strict]):
-        comp_cols.append(("im", i, j, parent.effects[:, i, j].imag))
-
-    rows, cols, vals = [], [], []
-    b_ub = []
-    row = 0
-    for x, povm in enumerate(targets):
-        for a in range(outcome_counts[x]):
-            var0 = int(offsets[x]) + a * n
-            mat = povm.effects[a][1]
-            for part, i, j, coeff in comp_cols:
-                target_val = float(mat[i, j].real if part == "re" else mat[i, j].imag)
-                idx = np.arange(var0, var0 + n)
-                # + deviation <= s
-                rows.extend([row] * (n + 1))
-                cols.extend(idx.tolist() + [s_col])
-                vals.extend(coeff.tolist() + [-1.0])
-                b_ub.append(target_val)
-                row += 1
-                # - deviation <= s
-                rows.extend([row] * (n + 1))
-                cols.extend(idx.tolist() + [s_col])
-                vals.extend((-coeff).tolist() + [-1.0])
-                b_ub.append(-target_val)
-                row += 1
-    a_ub = sparse.coo_matrix((vals, (rows, cols)), shape=(row, n_p + 1)).tocsr()
-
-    eq_rows, eq_cols = [], []
-    r = 0
-    for x in range(len(targets)):
-        for lam in range(n):
-            for a in range(outcome_counts[x]):
-                eq_rows.append(r)
-                eq_cols.append(int(offsets[x]) + a * n + lam)
-            r += 1
-    a_eq = sparse.coo_matrix(
-        (np.ones(len(eq_rows)), (eq_rows, eq_cols)), shape=(r, n_p + 1)
-    ).tocsr()
-    b_eq = np.ones(r)
-
-    c = np.zeros(n_p + 1)
-    c[s_col] = 1.0
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.array(b_ub),
-        A_eq=a_eq,
-        b_eq=b_eq,
-        bounds=(0, None),
-        method="highs",
-    )
+    counts = [p.n_outcomes for p in targets]
+    comps = _hermitian_components(parent.effects).T
+    signed = np.stack([comps, -comps], axis=1).reshape(-1, n)  # S: C and -C interleaved
+    t = _hermitian_components(np.concatenate([p.matrices() for p in targets]))
+    b_ub = np.stack([t, -t], axis=-1).ravel()
+    a_ub = sparse.hstack([sparse.kron(sparse.identity(len(t)), signed),
+                          np.full((b_ub.size, 1), -1.0)], format="csr")
+    grouping = sparse.block_diag([np.ones((1, k)) for k in counts])
+    a_eq = sparse.hstack([sparse.kron(grouping, sparse.identity(n)),
+                          sparse.csr_matrix((grouping.shape[0] * n, 1))], format="csr")
+    c = np.zeros(a_ub.shape[1])
+    c[-1] = 1.0
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+                  bounds=(0, None), method="highs")
     if not res.success:
         raise SolverFailure(f"LP solver failed: {res.message}")
 
     conditionals = []
-    for x, count in enumerate(outcome_counts):
-        table = res.x[int(offsets[x]): int(offsets[x]) + count * n].reshape(count, n)
+    for table in np.split(res.x[:-1].reshape(-1, n), np.cumsum(counts)[:-1]):
         table = np.clip(table, 0.0, None)
         col_sums = table.sum(axis=0)
         if np.any(col_sums < 0.5):
             raise SolverFailure("solver returned degenerate conditionals")
         conditionals.append(table / col_sums)
-    residual = _reconstruction_residual(parent, conditionals, targets)
-    status = FEASIBLE if residual <= tol else INFEASIBLE_AT_TOLERANCE
-    return JmCertificate(
-        parent=parent,
-        conditionals=tuple(conditionals),
-        residual=residual,
-        status=status,
-        tol=tol,
-        target_labels=tuple(p.labels for p in targets),
-    )
+    return _certificate(parent, conditionals, targets, tol)
 
 
 def verify_certificate(cert: JmCertificate, targets: list[Povm]) -> float:
@@ -324,15 +288,7 @@ def exact_certificate(
         table[labels.index(label), piece] = keep
         table[-1, piece] = model.vacuum_mix
     table[-1, len(fine)] = 1.0
-    residual = _reconstruction_residual(parent, [table], [target])
-    return JmCertificate(
-        parent=parent,
-        conditionals=(table,),
-        residual=residual,
-        status=FEASIBLE if residual <= DEFAULT_TOL else INFEASIBLE_AT_TOLERANCE,
-        tol=DEFAULT_TOL,
-        target_labels=(target.labels,),
-    )
+    return _certificate(parent, [table], [target], DEFAULT_TOL)
 
 
 def response_conditionals(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import certified_unsteerable, eta_unsteerable_bound
 from .linalg import eig_hermitian, frobenius
 from .lossy import NoiseParams, noisify_povm
 from .objects import NO_CLICK, Label, Povm, PureState
@@ -128,7 +129,7 @@ def noise_params_from_threshold(d: int, t: float) -> NoiseParams:
     """Noise pair reproduced by the construction at threshold t:
     eta = (1-t)^(d-1), p = t."""
     _check_dt(d, t)
-    return NoiseParams(d=d, eta=(1.0 - t) ** (d - 1), p=t)
+    return NoiseParams(d=d, eta=eta_unsteerable_bound(d, t), p=t)
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +421,16 @@ def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
     Refines each effect into rank-one pieces, runs the covariant
     construction at threshold t = p, and mixes extra no-click noise when
     the requested transmission sits strictly below the exact point
-    ``(1-p)^(d-1)``. Refuses transmissions above that bound, where no such
+    ``(1-p)^(d-1)``. Refuses exactly the points where
+    :func:`~steerlab.analysis.certified_unsteerable` fails, where no such
     model exists in this construction.
     """
     if m.has_no_click:
         raise ValueError("the target POVM must not already have a no-click outcome")
     if m.dim != params.d:
         raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
-    exact_eta = (1.0 - params.p) ** (params.d - 1)
-    if params.eta > exact_eta + 1e-12:
+    exact_eta = eta_unsteerable_bound(params.d, params.p)
+    if not certified_unsteerable(params.d, params.eta, params.p):
         raise ValueError(
             f"transmission eta={params.eta} exceeds the compatibility bound "
             f"(1-p)^(d-1)={exact_eta}; no covariant model is available"

@@ -187,10 +187,15 @@ class Povm:
         effects = doc.get("effects") if isinstance(doc, dict) else None
         if not isinstance(effects, list) or not all(isinstance(e, dict) for e in effects):
             raise ValueError("a POVM document must be an object with a list of effect objects")
-        dim = int(doc["dim"])
-        effects = tuple(
-            (e["label"], entries_to_matrix(e["entries"], dim, dim)) for e in effects
-        )
+        if not all(isinstance(e.get("label"), (int, str)) for e in effects):
+            raise ValueError("effect labels must be integers or strings")
+        try:
+            dim = int(doc["dim"])
+            effects = tuple(
+                (e["label"], entries_to_matrix(e["entries"], dim, dim)) for e in effects
+            )
+        except TypeError as exc:
+            raise ValueError(f"malformed POVM document: {exc}") from exc
         return cls(effects, dim)
 
 

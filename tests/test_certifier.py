@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from steerlab import certifier
 from steerlab.certifier import (
     DEFAULT_TOL,
     FEASIBLE,
     INFEASIBLE_AT_TOLERANCE,
     DiscreteParent,
     JmCertificate,
+    _hermitian_components,
     discretize_parent,
     exact_certificate,
     lp_feasibility,
@@ -154,6 +158,52 @@ def test_lp_rejects_dimension_mismatch():
     parent = discretize_parent(2, 50, seed=8)
     with pytest.raises(ValueError):
         lp_feasibility([random_povm(3, 2, np.random.default_rng(0))], parent)
+
+
+class _Captured(Exception):
+    pass
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n_atoms=st.integers(9, 16),
+    outcomes=st.lists(st.integers(2, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    parent = discretize_parent(d, n_atoms, seed=seed)
+    targets = [random_povm(d, k, rng) for k in outcomes]
+    captured = {}
+
+    def fake_linprog(c, **kwargs):
+        captured.update(kwargs)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "linprog", fake_linprog)
+        with pytest.raises(_Captured):
+            lp_feasibility(targets, parent)
+    a_ub, b_ub, a_eq = captured["A_ub"], captured["b_ub"], captured["A_eq"]
+
+    # column-stochastic conditionals, stacked target by target, outcome by outcome
+    tables = [rng.random((k, n_atoms)) for k in outcomes]
+    tables = [t / t.sum(axis=0) for t in tables]
+    vec = np.concatenate([t.ravel() for t in tables])
+    devs = np.concatenate([
+        np.einsum("an,nij->aij", t, parent.effects) - m.matrices()
+        for t, m in zip(tables, targets)
+    ])
+    comps = _hermitian_components(devs)
+    # the d^2 coordinates carry the whole matrix: off-diagonal ones count twice
+    weights = 2.0 - _hermitian_components(np.eye(d))
+    assert np.allclose(comps**2 @ weights, np.linalg.norm(devs, axis=(1, 2))**2,
+                       rtol=0, atol=1e-12)
+    want = np.stack([comps, -comps], axis=-1).ravel()
+    assert np.max(np.abs(a_ub[:, :-1] @ vec - b_ub - want)) < 1e-12
+    assert np.max(np.abs(a_eq @ np.append(vec, rng.random()) - 1.0)) < 1e-12
+    assert np.max(np.abs(a_ub[:, [-1]].toarray() + 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

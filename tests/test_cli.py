@@ -105,7 +105,11 @@ def test_jm_certify_targets_file(tmp_path, capsys):
 
 def test_jm_certify_malformed_targets_file(tmp_path, capsys):
     targets_path = tmp_path / "targets.json"
-    for docs in ([5], [{"dim": 2, "effects": 5}]):
+    list_label = {"label": [0], "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+    for docs in ([5], [{"dim": 2, "effects": 5}],
+                 [{"dim": 2, "effects": [{"label": 0, "entries": 5}]}],
+                 [{"dim": [2], "effects": []}],
+                 [{"dim": 2, "effects": [list_label]}]):
         targets_path.write_text(json.dumps(docs))
         code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
                      "--atoms", "100", "--targets", str(targets_path)])
@@ -137,13 +141,20 @@ def test_appendix_c_check_command(capsys):
 
 
 def test_console_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import steerlab
+
+    src = str(Path(steerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "steerlab.cli", "thresholds", "--d", "3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 3

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
 from steerlab.covariant import (
     HaarSampler,
     ResponseFunctionModel,
@@ -318,6 +319,18 @@ def test_build_jm_model_refuses_above_bound():
     m = random_povm(3, 3, rng)
     with pytest.raises(ValueError):
         build_jm_model(m, NoiseParams(d=3, eta=0.9, p=0.5))
+
+
+def test_build_jm_model_refuses_where_unsteerability_is_uncertified():
+    # an absolute slack of 1e-12 accepts both points; at d=13, p=0.9 it is
+    # as large as the bound itself
+    for d, p, eta in ((13, 0.9, 2e-12), (5, 0.6, eta_unsteerable_bound(5, 0.6) + 5e-13)):
+        assert not certified_unsteerable(d, eta, p)
+        with pytest.raises(ValueError):
+            build_jm_model(mub_pair(d)[0], NoiseParams(d=d, eta=eta, p=p))
+        bound = eta_unsteerable_bound(d, p)
+        model = build_jm_model(mub_pair(d)[0], NoiseParams(d=d, eta=bound, p=p))
+        assert model.vacuum_mix == 0.0
 
 
 def test_build_jm_model_sampling_dist():
