@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .covariant import HaarSampler, ResponseFunctionModel
 from .linalg import dagger, frobenius, inv_sqrt
@@ -32,6 +30,13 @@ DEFAULT_TOL = 1e-6
 
 class SolverFailure(RuntimeError):
     """The LP solver did not converge; distinct from infeasibility at tolerance."""
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on call so that only the LP loads scipy."""
+    from scipy import optimize
+
+    return optimize.linprog(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -216,6 +221,8 @@ def lp_feasibility(
     SolverFailure
         If the LP solver does not converge.
     """
+    from scipy import sparse
+
     if not targets:
         raise ValueError("at least one target POVM is required")
     d, n = parent.d, parent.n_atoms

@@ -1,6 +1,8 @@
 """Command-line surface tying the library together.
 
 Exit codes: 0 on success, 2 on validation errors, 3 on solver failures.
+Only ``jm-certify`` needs scipy, loaded on its first linear program; every
+other command runs on numpy alone.
 The STEERLAB_THREADS environment variable caps the Monte Carlo worker
 count (default: available parallelism).
 """

@@ -111,13 +111,13 @@ def _check_dt(d: int, t: float) -> None:
 def aligned_weight(d: int, t: float) -> float:
     """<phi| N |phi> of the single-target simulated effect: (1-t)^(d-1)((d-1)t+1)."""
     _check_dt(d, t)
-    return (1.0 - t) ** (d - 1) * ((d - 1) * t + 1.0)
+    return eta_unsteerable_bound(d, t) * ((d - 1) * t + 1.0)
 
 
 def effect_trace(d: int, t: float) -> float:
     """tr N of the single-target simulated effect: d(1-t)^(d-1)."""
     _check_dt(d, t)
-    return d * (1.0 - t) ** (d - 1)
+    return d * eta_unsteerable_bound(d, t)
 
 
 def orthogonal_weight(d: int, t: float) -> float:
@@ -240,10 +240,18 @@ def mc_response_moments(
 
 
 def _accumulate_effect(d, t, phi, z):
+    """Sums over accepted samples of d |z><z| and of its entries' squared real
+    and imaginary parts, by matrix products: with z = x + iy,
+    Re(z_i z_j*) = x_i x_j + y_i y_j and Im(z_i z_j*) = y_i x_j - x_i y_j."""
     zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
-    proj = np.einsum("ni,nj->nij", zh, zh.conj())
-    return (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
-            d * d * (proj.imag**2).sum(axis=0))
+    x2, y2, xy = zh.real**2, zh.imag**2, zh.real * zh.imag
+    first = zh.T @ zh.conj()
+    cross = 2.0 * (xy.T @ xy)
+    mixed = y2.T @ x2
+    sq_im = mixed + mixed.T - cross
+    np.fill_diagonal(sq_im, 0.0)  # the diagonal of |z><z| is real
+    return (d * (first + first.conj().T) / 2, d * d * (x2.T @ x2 + y2.T @ y2 + cross),
+            d * d * sq_im)
 
 
 def mc_effect(

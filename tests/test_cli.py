@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import steerlab
 from steerlab.cli import main
 from steerlab.objects import mub_pair
 
@@ -140,21 +145,44 @@ def test_appendix_c_check_command(capsys):
     assert doc["max_decomposition_residual"] < 1e-12
 
 
-def test_console_entry_point():
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import steerlab
-
+def _child_env():
+    """The environment with this package's ``src`` directory on PYTHONPATH."""
     src = str(Path(steerlab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "steerlab.cli", "thresholds", "--d", "3"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["d"] == 3
+
+
+def test_commands_without_the_lp_run_without_scipy(tmp_path):
+    child = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from steerlab import cli
+commands = [
+    ["thresholds", "--d", "3"],
+    ["state", "--d", "2", "--eta", "0.5", "--p", "0.7"],
+    ["phase-diagram", "--d", "2", "--grid", "20", "--out", sys.argv[1]],
+    ["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "1000", "--seed", "1"],
+    ["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "5"],
+    ["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
+]
+codes = [cli.main(argv) for argv in commands]
+assert codes == [0] * len(commands), codes
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", child, str(tmp_path / "pd.csv")],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr

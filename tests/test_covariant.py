@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
 from steerlab.covariant import (
     HaarSampler,
     ResponseFunctionModel,
+    _accumulate_effect,
     aligned_weight,
     analytic_effect,
     build_jm_model,
@@ -180,6 +183,32 @@ def _basis_state(d, k=0):
     v = np.zeros(d, dtype=complex)
     v[k] = 1.0
     return PureState(v, (d,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    t=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    shard=st.integers(0, 20),
+)
+def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
+    sampler = HaarSampler(d=d, seed=seed)
+    z = sampler.sample_array(n, shard=shard)
+    phi = sampler.sample_array(1, shard=shard + 1)[0]
+    zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
+    proj = np.einsum("ni,nj->nij", zh, zh.conj())
+    want = (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
+            d * d * (proj.imag**2).sum(axis=0))
+    sums = _accumulate_effect(d, t, phi, z)
+    for got, ref in zip(sums, want):
+        assert got.shape == (d, d)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    # Hermitian, with an exactly real diagonal, as every |z><z| is
+    first, _, sq_im = sums
+    assert np.array_equal(first, first.conj().T)
+    assert not np.any(first.imag.diagonal()) and not np.any(sq_im.diagonal())
 
 
 def test_mc_effect_t0_is_identity():
