@@ -46,8 +46,8 @@ class DiscreteParent:
     For Haar discretizations, ``states`` holds the sampled atoms and
     ``correction`` the operator C with effects ``C ((d/n) |z><z|) C``
     making the sum exactly the identity. Parents given directly by their
-    effects (for example the fine-grained simulated effects of an explicit
-    model) leave the atom fields empty.
+    effects (for example the parent effects of an explicit model) leave the
+    atom fields empty.
     """
 
     d: int
@@ -221,6 +221,8 @@ def lp_feasibility(
     SolverFailure
         If the LP solver does not converge.
     """
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
     from scipy import sparse
 
     if not targets:
@@ -278,24 +280,16 @@ def exact_certificate(
 ) -> JmCertificate:
     """Exact finite certificate for one noisified target, from its model.
 
-    The parent is the model's own fine-grained simulated POVM (the
-    rank-one pieces' effects plus the no-click remainder); the
-    conditionals are the deterministic relabeling the model prescribes.
-    The reconstruction then matches the noisified target analytically.
+    The parent is the model's :meth:`~ResponseFunctionModel.parent_effects`
+    and the conditionals its :meth:`~ResponseFunctionModel.relabelling`, so
+    the reconstruction matches the noisified target analytically.
     """
-    fine = model.simulated_fine_effects()
-    eye = np.eye(model.d, dtype=complex)
-    effects = np.stack(fine + [eye - sum(fine)])
-    parent = DiscreteParent(d=model.d, effects=effects)
-    target = noisify_povm(m, params)
-    labels = list(target.labels)
-    table = np.zeros((len(labels), len(fine) + 1))
-    keep = 1.0 - model.vacuum_mix
-    for piece, label in enumerate(model.piece_labels):
-        table[labels.index(label), piece] = keep
-        table[-1, piece] = model.vacuum_mix
-    table[-1, len(fine)] = 1.0
-    return _certificate(parent, [table], [target], DEFAULT_TOL)
+    if model.target_labels != m.labels:
+        raise ValueError(
+            f"model outcome labels {model.target_labels} differ from the target's {m.labels}"
+        )
+    parent = DiscreteParent(d=model.d, effects=model.parent_effects())
+    return _certificate(parent, [model.relabelling()], [noisify_povm(m, params)], DEFAULT_TOL)
 
 
 def response_conditionals(

@@ -23,7 +23,7 @@ _DEFAULT_ATOM_SEED = 0
 
 
 def _emit(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, ensure_ascii=False)
+    text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -77,6 +77,7 @@ def _cmd_simulate_povm(args) -> int:
     )
     est = covariant.mc_effect(args.d, args.t, phi, args.samples, seed=args.seed)
     analytic = covariant.analytic_effect(args.d, args.t, phi)
+    deviation = est.max_sigma_deviation(analytic)
     doc = {
         "d": args.d,
         "t": args.t,
@@ -87,7 +88,8 @@ def _cmd_simulate_povm(args) -> int:
             "imag": est.stderr_imag.ravel().tolist(),
         },
         "analytic": matrix_to_entries(analytic),
-        "max_sigma_deviation": est.max_sigma_deviation(analytic),
+        # infinite when an entry with zero stderr deviates; JSON has no infinity
+        "max_sigma_deviation": deviation if np.isfinite(deviation) else None,
     }
     _emit(doc, None)
     return 0

@@ -18,7 +18,7 @@ import numpy as np
 
 from .analysis import certified_unsteerable, eta_unsteerable_bound
 from .linalg import eig_hermitian, frobenius
-from .lossy import NoiseParams, noisify_povm
+from .lossy import NoiseParams
 from .objects import NO_CLICK, Label, Povm, PureState
 
 _HAAR_METHODS = ("gaussian-normalize", "angle-parametrization")
@@ -211,7 +211,6 @@ def mc_response_moments(
     t: float,
     n: int,
     seed: int = 0,
-    method: str = "gaussian-normalize",
     workers: int | None = None,
 ) -> MomentEstimate:
     """Monte Carlo estimate of the aligned-weight and trace moments.
@@ -222,7 +221,7 @@ def mc_response_moments(
     _check_dt(d, t)
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    sampler = HaarSampler(d=d, method=method, seed=seed)
+    sampler = HaarSampler(d=d, seed=seed)
     s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda z: _accumulate_moments(d, t, z))
     # x_t takes values 0 or d, so its square sums to d * s_t
     s_t2 = d * s_t
@@ -260,7 +259,6 @@ def mc_effect(
     phi: PureState,
     n: int,
     seed: int = 0,
-    method: str = "gaussian-normalize",
     workers: int | None = None,
 ) -> EffectEstimate:
     """Monte Carlo estimate of the simulated effect for one target state.
@@ -275,7 +273,7 @@ def mc_effect(
         raise ValueError(f"target state has dim {phi.dim}, expected {d}")
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    sampler = HaarSampler(d=d, method=method, seed=seed)
+    sampler = HaarSampler(d=d, seed=seed)
     target = np.asarray(phi.vec)
     s1, s2_re, s2_im = _run_shards(
         sampler, n, workers, lambda z: _accumulate_effect(d, t, target, z)
@@ -312,11 +310,7 @@ def analytic_effect(d: int, t: float, phi: PureState) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def simulate_rank1_povm(
-    targets: list[tuple[float, np.ndarray]],
-    t: float,
-    labels: list[Label] | None = None,
-) -> Povm:
+def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Povm:
     """Analytic POVM produced by simulating a rank-one target POVM.
 
     ``targets`` lists (weight, unit vector) pairs resolving the identity.
@@ -336,20 +330,23 @@ def simulate_rank1_povm(
         total += alpha * np.outer(vec, vec.conj())
     if frobenius(total - np.eye(d)) > 1e-10:
         raise ValueError("targets do not resolve the identity within 1e-10")
-    labels = tuple(range(len(targets)) if labels is None else labels)
+    labels = tuple(range(len(targets)))
     return ResponseFunctionModel(d, t, tuple(targets), labels, labels).reconstruct_povm()
 
 
 @dataclass(frozen=True)
 class ResponseFunctionModel:
-    """Joint-measurability model for one noisy-lossy POVM.
+    """Joint-measurability model for one noisy-lossy POVM: a parent POVM and
+    one relabelling table.
 
-    The parent is the covariant continuous measurement; the response keeps
-    a proposed rank-one piece when the parent outcome overlaps its target
-    state by at least ``t``, reports the piece's original outcome label,
-    and additionally relabels clicks to no-click with probability
-    ``vacuum_mix`` (the extra noise needed below the exact-transmission
-    point).
+    The response keeps a proposed rank-one piece when the covariant parent's
+    outcome overlaps its target state by at least ``t``. Grouping parent
+    outcomes by the accepted piece, plus the never-accepted remainder, gives
+    :meth:`parent_effects`; :meth:`relabelling` reports each piece's outcome
+    label, turned into no-click with probability ``vacuum_mix`` (the extra
+    noise needed below the exact-transmission point). The reconstructed
+    POVM, the responses at parent outcomes and the exact certificate are all
+    derived from this pair.
     """
 
     d: int
@@ -386,23 +383,31 @@ class ResponseFunctionModel:
         """Distribution from which the output proposal is drawn."""
         return np.array([alpha for alpha, _ in self.targets]) / self.d
 
-    def simulated_fine_effects(self) -> list[np.ndarray]:
-        """Analytic simulated effect of each rank-one piece (before mixing)."""
-        return [_simulated_piece(self.d, self.t, alpha, vec) for alpha, vec in self.targets]
+    def parent_effects(self) -> np.ndarray:
+        """The parent POVM: the simulated effect of each rank-one piece, then
+        the never-accepted remainder ``I - sum``, as an (n_pieces + 1, d, d) array."""
+        pieces = [_simulated_piece(self.d, self.t, alpha, vec) for alpha, vec in self.targets]
+        return np.stack(pieces + [np.eye(self.d, dtype=complex) - sum(pieces)])
+
+    def relabelling(self) -> np.ndarray:
+        """The post-processing p(outcome | parent outcome) of the parent.
+
+        Rows are ``target_labels`` then no-click; columns are the pieces then
+        the remainder. A piece reports its label with probability
+        ``1 - vacuum_mix`` and no-click otherwise; the remainder reports no-click.
+        """
+        n = len(self.targets)
+        table = np.zeros((len(self.target_labels) + 1, n + 1))
+        rows = [self.target_labels.index(label) for label in self.piece_labels]
+        table[rows, np.arange(n)] = 1.0 - self.vacuum_mix
+        table[-1, :n] = self.vacuum_mix
+        table[-1, n] = 1.0
+        return table
 
     def reconstruct_povm(self) -> Povm:
-        """Coarse-grain the simulated pieces back to the target's outcomes
-        and apply the no-click mixing."""
-        fine = self.simulated_fine_effects()
-        eye = np.eye(self.d, dtype=complex)
-        keep = 1.0 - self.vacuum_mix
-        sums = {label: np.zeros((self.d, self.d), dtype=complex) for label in self.target_labels}
-        for label, mat in zip(self.piece_labels, fine):
-            sums[label] += mat
-        effects = [(label, keep * sums[label]) for label in self.target_labels]
-        clicked = sum(mat for _, mat in effects)
-        effects.append((NO_CLICK, eye - clicked))
-        return Povm(tuple(effects), self.d)
+        """The relabelled parent: one effect per target label, then no-click."""
+        effects = np.einsum("an,nij->aij", self.relabelling(), self.parent_effects())
+        return Povm(tuple(zip(self.target_labels + (NO_CLICK,), effects)), self.d)
 
     def response_probabilities(self, states: np.ndarray) -> np.ndarray:
         """Outcome probabilities of the model at given parent outcomes.
@@ -412,15 +417,9 @@ class ResponseFunctionModel:
         outcome.
         """
         states = np.asarray(states, dtype=complex)
-        n = states.shape[0]
-        probs = np.zeros((len(self.target_labels) + 1, n))
-        keep = 1.0 - self.vacuum_mix
-        index = {label: i for i, label in enumerate(self.target_labels)}
-        for label, (alpha, vec) in zip(self.piece_labels, self.targets):
-            hit = (np.abs(states @ vec.conj()) ** 2) >= self.t
-            probs[index[label]] += keep * (alpha / self.d) * hit
-        probs[-1] = 1.0 - probs[:-1].sum(axis=0)
-        return probs
+        vecs = np.array([vec for _, vec in self.targets])
+        hits = self.sampling_dist[:, None] * (np.abs(vecs.conj() @ states.T) ** 2 >= self.t)
+        return self.relabelling() @ np.vstack([hits, 1.0 - hits.sum(axis=0)])
 
 
 def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
@@ -459,14 +458,4 @@ def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
         piece_labels=tuple(piece_labels),
         target_labels=m.labels,
         vacuum_mix=mix,
-    )
-
-
-def model_reconstruction_residual(model: ResponseFunctionModel, m: Povm, params: NoiseParams) -> float:
-    """Largest Frobenius deviation of the model's reconstruction from the
-    noisified target."""
-    want = noisify_povm(m, params)
-    got = model.reconstruct_povm()
-    return max(
-        frobenius(got.effect(label) - want.effect(label)) for label in want.labels
     )

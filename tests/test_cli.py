@@ -74,6 +74,36 @@ def test_simulate_povm_command(capsys):
     assert len(doc["analytic"]) == 4
 
 
+def _strict_json(text):
+    """Parse JSON, refusing the non-standard constants NaN and Infinity."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_simulate_povm_reports_infinite_deviation_as_null(capsys):
+    # no sample passes t=0.99, so every stderr is 0 while the analytic
+    # effect is not: the deviation is infinite
+    code, out = _run(capsys, "simulate-povm", "--d", "5", "--t", "0.99",
+                     "--samples", "10", "--seed", "1")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["max_sigma_deviation"] is None
+    assert doc["estimate"] == [[0.0, 0.0]] * 25
+
+
+def test_jm_certify_requires_nonnegative_tol(capsys):
+    argv = ["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "50",
+            "--targets", "builtin:mubs", "--tol"]
+    for tol in ("nan", "-1"):
+        assert main([*argv, tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tol must be >= 0" in captured.err
+    code, out = _run(capsys, *argv, "0")
+    assert code == 0
+    assert _strict_json(out)["tol"] == 0.0
+
+
 def test_jm_certify_builtin_mubs(capsys):
     code, out = _run(capsys, "jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
                      "--atoms", "300", "--targets", "builtin:mubs", "--tol", "1e-4")

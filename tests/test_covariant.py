@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
+from steerlab.certifier import exact_certificate
 from steerlab.covariant import (
     HaarSampler,
     ResponseFunctionModel,
@@ -14,7 +15,6 @@ from steerlab.covariant import (
     effect_trace,
     mc_effect,
     mc_response_moments,
-    model_reconstruction_residual,
     noise_params_from_threshold,
     orthogonal_weight,
     simulate_rank1_povm,
@@ -316,7 +316,7 @@ def test_build_jm_model_projective_exact_point():
     model = build_jm_model(comp, params)
     assert model.vacuum_mix == 0.0
     assert model.t == p
-    assert model_reconstruction_residual(model, comp, params) < 1e-12
+    assert exact_certificate(model, comp, params).residual < 1e-12
 
 
 def test_build_jm_model_single_outcome():
@@ -329,7 +329,7 @@ def test_build_jm_model_single_outcome():
                 continue
             params = NoiseParams(d=d, eta=eta, p=p)
             model = build_jm_model(trivial, params)
-            assert model_reconstruction_residual(model, trivial, params) < 1e-12
+            assert exact_certificate(model, trivial, params).residual < 1e-12
 
 
 def test_build_jm_model_extra_noise():
@@ -340,7 +340,7 @@ def test_build_jm_model_extra_noise():
     params = NoiseParams(d=d, eta=eta, p=p)
     model = build_jm_model(m, params)
     assert 0.0 < model.vacuum_mix < 1.0
-    assert model_reconstruction_residual(model, m, params) < 1e-12
+    assert exact_certificate(model, m, params).residual < 1e-12
 
 
 def test_build_jm_model_refuses_above_bound():
@@ -399,3 +399,35 @@ def test_response_probabilities_normalized():
     assert probs.shape == (4, 500)
     assert np.all(probs >= -1e-12)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    labels=st.lists(st.integers(0, 3) | st.sampled_from(["0", "1", "2", "x"]),
+                    min_size=1, max_size=4, unique=True),
+    p=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    scale=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
+    # every view of the model comes from parent_effects() and relabelling()
+    rng = np.random.default_rng(seed)
+    m = Povm(tuple(zip(labels, random_povm(d, len(labels), rng).matrices())), d)
+    params = NoiseParams(d=d, eta=scale * eta_unsteerable_bound(d, p), p=p)
+    model = build_jm_model(m, params)
+
+    table = model.relabelling()
+    assert table.shape == (len(labels) + 1, len(model.parent_effects()))
+    assert np.all(table >= 0.0)
+    assert np.max(np.abs(table.sum(axis=0) - 1.0)) <= 1e-12
+
+    rebuilt, want = model.reconstruct_povm(), noisify_povm(m, params)
+    assert rebuilt.labels == m.labels + (NO_CLICK,)
+    assert np.max(np.linalg.norm(rebuilt.matrices() - want.matrices(), axis=(1, 2))) <= 1e-12
+    assert exact_certificate(model, m, params).residual <= 1e-12
+
+    probs = model.response_probabilities(HaarSampler(d=d, seed=seed).sample_array(200))
+    assert probs.shape == (len(labels) + 1, 200)
+    assert np.all(probs >= -1e-12)
+    assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12

@@ -5,7 +5,7 @@ explicit hidden-state model assembled from a joint-measurability certificate.
 import numpy as np
 
 from steerlab.assemblage import lhs_model_residual, steer
-from steerlab.certifier import discretize_parent, lp_feasibility
+from steerlab.certifier import discretize_parent, exact_certificate, lp_feasibility
 from steerlab.covariant import build_jm_model
 from steerlab.linalg import frobenius
 from steerlab.lossy import NoiseParams, embed_with_vacuum, noisify_povm
@@ -91,20 +91,9 @@ def test_model_conditionals_give_lhs_model_directly():
     for a, (label, mat) in enumerate(embedded.effects):
         assert frobenius(chain.dual(mat) - target.effect(label)) < 1e-12
 
-    # hidden-state ensemble from the model's fine-grained simulated parent
-    fine = jm_model.simulated_fine_effects()
-    fine.append(np.eye(d) - sum(fine))
-    labels = list(target.labels)
-    model = []
-    for piece, effect in enumerate(fine):
-        tr = float(np.trace(effect).real)
-        if tr <= 1e-14:
-            continue
-        response = np.zeros(len(labels))
-        if piece < len(jm_model.piece_labels):
-            response[labels.index(jm_model.piece_labels[piece])] = 1.0
-        else:
-            response[-1] = 1.0
-        model.append((tr / d, effect.T / tr, [response]))
+    # hidden-state ensemble from the parent and relabelling of the model's
+    # exact certificate
+    cert = exact_certificate(jm_model, m, params)
+    model = _lhs_model_from_certificate(cert.parent, cert, d)
     residual = lhs_model_residual(sigma, model)
     assert residual < 1e-12
