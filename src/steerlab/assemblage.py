@@ -9,14 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL,
+    dagger,
     entries_to_matrix,
-    freeze_array,
     frobenius,
     is_psd,
     matrix_to_entries,
-    partial_trace,
-    tensor,
+    psd_stack,
 )
 from .objects import DensityOperator, Loss, Povm
 
@@ -26,37 +24,34 @@ class Assemblage:
     """Subnormalized conditional states sigma_{a|x} indexed by
     (outcome a, setting x).
 
-    ``blocks[x][a]`` is the conditional state for outcome ``a`` of setting
-    ``x``; settings may have different outcome counts. Valid assemblages
-    are nonsignaling: the outcome sum is one common unit-trace state for
-    every setting.
+    ``blocks[x]`` is a read-only complex (n_x, dim, dim) array whose entry
+    ``a`` is the conditional state for outcome ``a`` of setting ``x``;
+    settings may have different outcome counts. Valid assemblages are
+    nonsignaling: the outcome sum is one common unit-trace state for every
+    setting.
     """
 
-    blocks: tuple[tuple[np.ndarray, ...], ...]
+    blocks: tuple[np.ndarray, ...]
     dim: int
     settings: tuple
 
     def __post_init__(self):
         dim = int(self.dim)
-        blocks = []
-        for x, row in enumerate(self.blocks):
-            mats = []
-            for a, mat in enumerate(row):
-                mat = np.asarray(mat, dtype=complex)
-                if mat.shape != (dim, dim):
-                    raise ValueError(
-                        f"entry (a={a}, x={x}) has shape {mat.shape}, expected ({dim}, {dim})"
-                    )
-                if not is_psd(mat, HERMITICITY_TOL):
-                    raise ValueError(f"entry (a={a}, x={x}) is not PSD within 1e-10")
-                mats.append(freeze_array(mat))
-            blocks.append(tuple(mats))
-        if not blocks:
+        rows = [np.asarray(row, dtype=complex) for row in self.blocks]
+        if not rows:
             raise ValueError("assemblage needs at least one setting")
+        for x, row in enumerate(rows):
+            if row.ndim != 3 or row.shape[1:] != (dim, dim):
+                raise ValueError(
+                    f"setting {x} has shape {row.shape}, expected (n, {dim}, {dim})"
+                )
         settings = tuple(self.settings)
-        if len(settings) != len(blocks):
+        if len(settings) != len(rows):
             raise ValueError("settings list does not match number of blocks")
-        sums = [sum(row) for row in blocks]
+        names = [f"a={a}, x={x}" for x, row in enumerate(rows) for a in range(len(row))]
+        stack = psd_stack(np.concatenate(rows), names, "entry", sums_to_identity=False)
+        blocks = tuple(np.split(stack, np.cumsum([len(row) for row in rows])[:-1]))
+        sums = [row.sum(axis=0) for row in blocks]
         for x in range(1, len(sums)):
             if frobenius(sums[x] - sums[0]) > 1e-10:
                 raise ValueError(
@@ -64,7 +59,7 @@ class Assemblage:
                 )
         if abs(np.trace(sums[0]).real - 1.0) > 1e-10:
             raise ValueError("outcome sum of the assemblage does not have unit trace")
-        object.__setattr__(self, "blocks", tuple(blocks))
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "settings", settings)
 
@@ -107,7 +102,8 @@ def steer(
 ) -> Assemblage:
     """Assemblage prepared on the unmeasured side by measuring the other.
 
-    ``sigma_{a|x} = tr_measured[(effect on measured side (x) identity) rho]``.
+    ``sigma_{a|x} = tr_measured[(effect on measured side (x) identity) rho]``,
+    one ``einsum`` over the effect stack of each setting.
     """
     if len(rho.dims) != 2:
         raise ValueError("steer requires a bipartite state")
@@ -115,21 +111,17 @@ def steer(
         raise ValueError(f"measured_side must be 0 or 1, got {measured_side}")
     d_meas = rho.dims[measured_side]
     d_keep = rho.dims[1 - measured_side]
+    # rho as a (d0, d1, d0, d1) tensor; E_a contracts with the measured factor
+    rho_t = rho.mat.reshape(rho.dims * 2)
+    contraction = "aim,mjil->ajl" if measured_side == 0 else "ajm,imkj->aik"
     blocks = []
     for x, povm in enumerate(measurements):
         if povm.dim != d_meas:
             raise ValueError(
                 f"measurement {x} acts on dim {povm.dim}, measured side has dim {d_meas}"
             )
-        row = []
-        for _, effect in povm.effects:
-            if measured_side == 0:
-                op = tensor(effect, np.eye(d_keep))
-            else:
-                op = tensor(np.eye(d_keep), effect)
-            sigma = partial_trace(op @ rho.mat, rho.dims, keep=1 - measured_side)
-            row.append((sigma + sigma.conj().T) / 2.0)
-        blocks.append(tuple(row))
+        sigma = np.einsum(contraction, povm.effects, rho_t)
+        blocks.append((sigma + dagger(sigma)) / 2.0)
     return Assemblage(tuple(blocks), d_keep, tuple(range(len(measurements))))
 
 
@@ -159,27 +151,23 @@ def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
     d = sigma_lossy.dim - 1
     if d < 1:
         raise ValueError("lossy assemblage must have dimension at least 2")
-    blocks = []
     for x, row in enumerate(sigma_lossy.blocks):
-        out_row = []
-        for a, mat in enumerate(row):
-            coherence = max(
-                float(np.max(np.abs(mat[:d, d]))), float(np.max(np.abs(mat[d, :d])))
+        coherence = np.maximum(np.abs(row[:, :d, d]).max(axis=1),
+                               np.abs(row[:, d, :d]).max(axis=1))
+        bad = np.flatnonzero(coherence > 1e-8)
+        if bad.size:
+            a = bad[0]
+            raise ValueError(
+                f"entry (a={a}, x={x}) has signal-vacuum coherence {coherence[a]:.2e}; "
+                "input is not of lossy form"
             )
-            if coherence > 1e-8:
-                raise ValueError(
-                    f"entry (a={a}, x={x}) has signal-vacuum coherence {coherence:.2e}; "
-                    "input is not of lossy form"
-                )
-            out_row.append(mat[:d, :d] / eta)
-        blocks.append(tuple(out_row))
-    total = sum(blocks[0])
-    if abs(np.trace(total).real - 1.0) > 1e-8:
+    blocks = tuple(row[:, :d, :d] / eta for row in sigma_lossy.blocks)
+    if abs(np.trace(blocks[0].sum(axis=0)).real - 1.0) > 1e-8:
         raise ValueError(
             "filtered assemblage does not renormalize to unit trace; "
             "eta does not match the input's loss"
         )
-    return Assemblage(tuple(blocks), d, sigma_lossy.settings)
+    return Assemblage(blocks, d, sigma_lossy.settings)
 
 
 def lhs_model_residual(sigma: Assemblage, model) -> float:

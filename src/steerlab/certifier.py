@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariant import HaarSampler, ResponseFunctionModel
-from .linalg import dagger, frobenius, inv_sqrt
+from .linalg import dagger, inv_sqrt, psd_stack
 from .lossy import NoiseParams, noisify_povm
 from .objects import Povm
 
@@ -62,16 +62,9 @@ class DiscreteParent:
             raise ValueError(
                 f"effects must have shape (n, {self.d}, {self.d}), got {effects.shape}"
             )
-        total = effects.sum(axis=0)
-        if frobenius(total - np.eye(self.d)) > 1e-10:
-            raise ValueError("parent effects do not sum to the identity within 1e-10")
-        herm_dev = np.max(np.abs(effects - np.transpose(effects.conj(), (0, 2, 1))))
-        if herm_dev > 1e-10:
-            raise ValueError("parent effects are not Hermitian within 1e-10")
-        min_eig = np.min(np.linalg.eigvalsh(effects))
-        if min_eig < -1e-10:
-            raise ValueError(f"parent effect has negative eigenvalue {min_eig:.2e}")
-        object.__setattr__(self, "effects", effects)
+        object.__setattr__(
+            self, "effects", psd_stack(effects, range(len(effects)), "parent effect")
+        )
 
     @property
     def n_atoms(self) -> int:
@@ -96,7 +89,7 @@ def parent_from_states(states: np.ndarray, d: int, seed: int | None = None) -> D
     correction = (correction + dagger(correction)) / 2.0
     corrected = np.einsum("ij,nj,nk,kl->nil", correction, states * (d / n_atoms),
                           states.conj(), correction)
-    corrected = (corrected + np.transpose(corrected.conj(), (0, 2, 1))) / 2.0
+    corrected = (corrected + dagger(corrected)) / 2.0
     # absorb the final roundoff in the sum into the last atom
     corrected[-1] += np.eye(d) - corrected.sum(axis=0)
     return DiscreteParent(
@@ -167,7 +160,7 @@ def _reconstruction_residual(
     residual = 0.0
     for table, povm in zip(conditionals, targets):
         built = np.einsum("an,nij->aij", np.asarray(table, dtype=float), parent.effects)
-        devs = np.linalg.norm(built - povm.matrices(), axis=(1, 2))
+        devs = np.linalg.norm(built - povm.effects, axis=(1, 2))
         residual = max(residual, float(devs.max()))
     return residual
 
@@ -221,8 +214,8 @@ def lp_feasibility(
     SolverFailure
         If the LP solver does not converge.
     """
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     from scipy import sparse
 
     if not targets:
@@ -234,7 +227,7 @@ def lp_feasibility(
     counts = [p.n_outcomes for p in targets]
     comps = _hermitian_components(parent.effects).T
     signed = np.stack([comps, -comps], axis=1).reshape(-1, n)  # S: C and -C interleaved
-    t = _hermitian_components(np.concatenate([p.matrices() for p in targets]))
+    t = _hermitian_components(np.concatenate([p.effects for p in targets]))
     b_ub = np.stack([t, -t], axis=-1).ravel()
     a_ub = sparse.hstack([sparse.kron(sparse.identity(len(t)), signed),
                           np.full((b_ub.size, 1), -1.0)], format="csr")

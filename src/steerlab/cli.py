@@ -156,6 +156,14 @@ def _cmd_appendix_c_check(args) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """The argparse type of the count and dimension flags: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steerlab",
@@ -165,17 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("thresholds", help="certification thresholds for one dimension")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.set_defaults(func=_cmd_thresholds)
 
     p = sub.add_parser("phase-diagram", help="label the (eta, p) plane into a CSV")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--grid", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
+    p.add_argument("--grid", type=positive_int, required=True)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_phase_diagram)
 
     p = sub.add_parser("state", help="construct and validate the state family member")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--emit", type=str, default=None, help="also write the JSON here")
@@ -185,9 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate-povm",
         help="Monte Carlo vs analytic simulated effect for the target |0>",
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--samples", type=int, required=True)
+    p.add_argument("--samples", type=positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_simulate_povm)
 
@@ -195,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
         "jm-certify",
         help="LP joint-measurability certificate for noisified targets",
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--atoms", type=int, required=True)
+    p.add_argument("--atoms", type=positive_int, required=True)
     p.add_argument(
         "--targets",
         type=str,
@@ -214,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lemma1-roundtrip",
         help="verify that loss on random assemblages is undone by the filter",
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_lemma1_roundtrip)
@@ -223,10 +231,10 @@ def build_parser() -> argparse.ArgumentParser:
         "appendixC-check",
         help="verify the dual-channel decomposition on random enlarged POVMs",
     )
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--trials", type=positive_int, required=True)
     p.set_defaults(func=_cmd_appendix_c_check)
 
     return parser

@@ -407,7 +407,7 @@ class ResponseFunctionModel:
     def reconstruct_povm(self) -> Povm:
         """The relabelled parent: one effect per target label, then no-click."""
         effects = np.einsum("an,nij->aij", self.relabelling(), self.parent_effects())
-        return Povm(tuple(zip(self.target_labels + (NO_CLICK,), effects)), self.d)
+        return Povm(effects, self.target_labels + (NO_CLICK,))
 
     def response_probabilities(self, states: np.ndarray) -> np.ndarray:
         """Outcome probabilities of the model at given parent outcomes.
@@ -444,7 +444,7 @@ def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
         )
     pieces = []
     piece_labels = []
-    for label, mat in m.effects:
+    for label, mat in zip(m.labels, m.effects):
         evals, evecs = eig_hermitian(mat)
         for i, lam in enumerate(evals):
             if lam > 1e-12:

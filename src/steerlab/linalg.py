@@ -50,8 +50,8 @@ def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
+    """Conjugate transpose of a matrix, or of each matrix of a (..., d, d) stack."""
+    return np.swapaxes(np.asarray(m).conj(), -1, -2)
 
 
 def frobenius(m: np.ndarray) -> float:
@@ -113,6 +113,36 @@ def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
         return False
     evals = np.linalg.eigvalsh((m + dagger(m)) / 2.0)
     return bool(evals[0] >= -tol)
+
+
+def psd_stack(mats, labels, what: str, sums_to_identity: bool = True) -> np.ndarray:
+    """Read-only complex (n, d, d) copy of a validated stack of PSD matrices.
+
+    Each matrix must be Hermitian within ``HERMITICITY_TOL`` and have no
+    eigenvalue of its Hermitian part below ``-HERMITICITY_TOL`` (one
+    ``eigvalsh`` over the whole stack). With ``sums_to_identity`` the
+    stack must also sum to the identity within 1e-10 in Frobenius norm.
+    Errors name the offending matrix as ``what`` followed by its entry of
+    ``labels``; comparisons are written so that NaN entries fail them.
+    """
+    stack = np.array(mats, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or len(stack) == 0:
+        raise ValueError(f"{what}s must form a nonempty (n, d, d) stack, got shape {stack.shape}")
+    herm_dev = np.max(np.abs(stack - dagger(stack)), axis=(1, 2))
+    bad = np.flatnonzero(~(herm_dev <= HERMITICITY_TOL))
+    if bad.size:
+        raise ValueError(f"{what} {labels[bad[0]]!r} is not Hermitian within 1e-10")
+    min_eig = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[:, 0]
+    bad = np.flatnonzero(~(min_eig >= -HERMITICITY_TOL))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"{what} {labels[k]!r} is not PSD within 1e-10 (eigenvalue {min_eig[k]:.2e})"
+        )
+    if sums_to_identity and frobenius(stack.sum(axis=0) - np.eye(stack.shape[1])) > 1e-10:
+        raise ValueError(f"{what}s do not sum to the identity within 1e-10")
+    stack.setflags(write=False)
+    return stack
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

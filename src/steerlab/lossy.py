@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import frobenius
 from .objects import NO_CLICK, Povm, lossy_noisy_channel
 
 
@@ -55,11 +54,13 @@ class LossyDecomposition:
         object.__setattr__(self, "vacuum_dist", q)
 
 
-def _noisify_effect(mat: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """One effect under white noise and loss: eta*p*M + eta*(1-p)*tr(M)*I/d."""
+def _noisify(mats: np.ndarray, params: NoiseParams) -> np.ndarray:
+    """A (n, d, d) stack of effects under white noise and loss:
+    eta*p*M + eta*(1-p)*tr(M)*I/d for each effect M."""
     d, eta, p = params.d, params.eta, params.p
     eye = np.eye(d, dtype=complex)
-    return eta * p * mat + eta * (1.0 - p) * np.trace(mat).real * eye / d
+    traces = np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    return eta * p * mats + eta * (1.0 - p) * traces * eye / d
 
 
 def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
@@ -72,9 +73,9 @@ def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
         raise ValueError("input POVM already has a no-click outcome")
     if m.dim != params.d:
         raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
-    effects = [(label, _noisify_effect(mat, params)) for label, mat in m.effects]
-    effects.append((NO_CLICK, (1.0 - params.eta) * np.eye(params.d, dtype=complex)))
-    return Povm(tuple(effects), params.d)
+    no_click = (1.0 - params.eta) * np.eye(params.d, dtype=complex)
+    return Povm(np.concatenate([_noisify(m.effects, params), no_click[None]]),
+                m.labels + (NO_CLICK,))
 
 
 def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecomposition:
@@ -95,27 +96,18 @@ def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecompo
             f"expected a POVM on dimension {d + 1}, got dimension {m_prime.dim}"
         )
     chain = lossy_noisy_channel(d, params.eta, params.p)
-    reduced = []
-    q = []
-    reconstructed = []
-    for label, mat in m_prime.effects:
-        reduced.append((label, mat[:d, :d]))
-        q.append(float(mat[d, d].real))
-        reconstructed.append((label, chain.dual(mat)))
-    reduced_povm = Povm(tuple(reduced), d)
-    reconstructed_povm = Povm(tuple(reconstructed), d)
-    # noisified reduced effects, computed per effect: the reduced labels are
-    # pass-through names and may themselves include the no-click label
+    reduced = m_prime.effects[:, :d, :d]
+    q = m_prime.effects[:, d, d].real
+    images = np.stack([chain.dual(mat) for mat in m_prime.effects])
+    # noisified reduced effects, computed on the stack: the reduced labels
+    # are pass-through names and may themselves include the no-click label
     no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)
-    residual = 0.0
-    for (_, image), (_, red), qa in zip(reconstructed, reduced, q):
-        noisified = _noisify_effect(red, params)
-        residual = max(residual, frobenius(image - (noisified + qa * no_click)))
+    deviations = images - (_noisify(reduced, params) + q[:, None, None] * no_click)
     return LossyDecomposition(
-        reduced_povm=reduced_povm,
-        vacuum_dist=np.array(q),
-        reconstructed=reconstructed_povm,
-        identity_residual=residual,
+        reduced_povm=Povm(reduced, m_prime.labels),
+        vacuum_dist=q,
+        reconstructed=Povm(images, m_prime.labels),
+        identity_residual=float(np.max(np.linalg.norm(deviations, axis=(1, 2)))),
     )
 
 
@@ -129,15 +121,10 @@ def embed_with_vacuum(m: Povm) -> Povm:
     if m.has_no_click:
         raise ValueError("input POVM already has a no-click outcome")
     d = m.dim
-    effects = []
-    for label, mat in m.effects:
-        out = np.zeros((d + 1, d + 1), dtype=complex)
-        out[:d, :d] = mat
-        effects.append((label, out))
-    vac = np.zeros((d + 1, d + 1), dtype=complex)
-    vac[d, d] = 1.0
-    effects.append((NO_CLICK, vac))
-    return Povm(tuple(effects), d + 1)
+    effects = np.zeros((m.n_outcomes + 1, d + 1, d + 1), dtype=complex)
+    effects[:-1, :d, :d] = m.effects
+    effects[-1, d, d] = 1.0
+    return Povm(effects, m.labels + (NO_CLICK,))
 
 
 def coarse_grain(m: Povm, groups: dict) -> Povm:
@@ -145,7 +132,6 @@ def coarse_grain(m: Povm, groups: dict) -> Povm:
     covered = [label for labels in groups.values() for label in labels]
     if len(set(covered)) != len(covered) or set(covered) != set(m.labels):
         raise ValueError("groups must partition the outcome labels")
-    effects = []
-    for new_label, old_labels in groups.items():
-        effects.append((new_label, sum(m.effect(lab) for lab in old_labels)))
-    return Povm(tuple(effects), m.dim)
+    effects = [m.effects[[m.labels.index(label) for label in labels]].sum(axis=0)
+               for labels in groups.values()]
+    return Povm(effects, tuple(groups))

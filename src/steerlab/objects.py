@@ -23,6 +23,7 @@ from .linalg import (
     is_psd,
     matrix_to_entries,
     partial_trace,
+    psd_stack,
     tensor,
 )
 
@@ -112,62 +113,38 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class Povm:
-    """Finite list of labelled positive effects summing to the identity.
+    """Labelled positive effects summing to the identity.
 
-    The label ``ø`` is reserved for the no-click outcome.
+    ``effects`` is one read-only complex (n, d, d) array and ``labels`` the
+    outcome labels in the same order, 0..n-1 unless given. The label ``ø``
+    is reserved for the no-click outcome.
     """
 
-    effects: tuple[tuple[Label, np.ndarray], ...]
-    dim: int
+    effects: np.ndarray
+    labels: tuple[Label, ...] | None = None
 
     def __post_init__(self):
-        dim = int(self.dim)
-        effects = []
-        labels = []
-        for label, mat in self.effects:
-            mat = as_complex_matrix(mat)
-            if mat.shape != (dim, dim):
-                raise ValueError(
-                    f"effect '{label}' has shape {mat.shape}, expected ({dim}, {dim})"
-                )
-            if not is_psd(mat, HERMITICITY_TOL):
-                raise ValueError(f"effect '{label}' is not PSD within 1e-10")
-            effects.append((label, freeze_array(mat)))
-            labels.append(label)
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate outcome labels: {labels}")
-        total = sum(mat for _, mat in effects)
-        if frobenius(total - np.eye(dim)) > 1e-10:
-            raise ValueError("effects do not sum to the identity within 1e-10")
-        object.__setattr__(self, "effects", tuple(effects))
-        object.__setattr__(self, "dim", dim)
-
-    @classmethod
-    def from_matrices(cls, mats, dim: int | None = None, labels=None) -> "Povm":
-        mats = [as_complex_matrix(m) for m in mats]
-        if dim is None:
-            dim = mats[0].shape[0]
-        if labels is None:
-            labels = list(range(len(mats)))
-        return cls(tuple(zip(labels, mats)), dim)
+        n = len(self.effects)
+        labels = tuple(range(n)) if self.labels is None else tuple(self.labels)
+        if len(labels) != n:
+            raise ValueError(f"{len(labels)} labels given for {n} effects")
+        if len(set(labels)) != n:
+            raise ValueError(f"duplicate outcome labels: {list(labels)}")
+        object.__setattr__(self, "effects", psd_stack(self.effects, labels, "effect"))
+        object.__setattr__(self, "labels", labels)
 
     @property
-    def labels(self) -> tuple[Label, ...]:
-        return tuple(label for label, _ in self.effects)
+    def dim(self) -> int:
+        return self.effects.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.effects)
+        return len(self.labels)
 
     def effect(self, label: Label) -> np.ndarray:
-        for lab, mat in self.effects:
-            if lab == label:
-                return mat
-        raise KeyError(f"no outcome labelled {label!r}")
-
-    def matrices(self) -> np.ndarray:
-        """All effects stacked into one (n, dim, dim) array."""
-        return np.stack([mat for _, mat in self.effects])
+        if label not in self.labels:
+            raise KeyError(f"no outcome labelled {label!r}")
+        return self.effects[self.labels.index(label)]
 
     @property
     def has_no_click(self) -> bool:
@@ -178,7 +155,7 @@ class Povm:
             "dim": self.dim,
             "effects": [
                 {"label": label, "entries": matrix_to_entries(mat)}
-                for label, mat in self.effects
+                for label, mat in zip(self.labels, self.effects)
             ],
         }
 
@@ -191,12 +168,10 @@ class Povm:
             raise ValueError("effect labels must be integers or strings")
         try:
             dim = int(doc["dim"])
-            effects = tuple(
-                (e["label"], entries_to_matrix(e["entries"], dim, dim)) for e in effects
-            )
+            mats = [entries_to_matrix(e["entries"], dim, dim) for e in effects]
         except TypeError as exc:
             raise ValueError(f"malformed POVM document: {exc}") from exc
-        return cls(effects, dim)
+        return cls(mats, [e["label"] for e in effects])
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +486,8 @@ def mub_pair(d: int) -> tuple[Povm, Povm]:
     """
     if not _is_prime(d):
         raise ValueError(f"mub_pair requires a prime dimension, got {d}")
-    comp = Povm.from_matrices(
-        [np.diag([1.0 + 0j if i == k else 0j for i in range(d)]) for k in range(d)]
-    )
+    comp = np.zeros((d, d, d), dtype=complex)
+    comp[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     omega = np.exp(2j * np.pi / d)
-    fourier = []
-    for j in range(d):
-        v = np.array([omega ** (j * k) for k in range(d)], dtype=complex) / np.sqrt(d)
-        fourier.append(np.outer(v, v.conj()))
-    return comp, Povm.from_matrices(fourier)
+    fourier = omega ** np.outer(np.arange(d), np.arange(d)) / np.sqrt(d)
+    return Povm(comp), Povm(fourier[:, :, None] * fourier.conj()[:, None, :])

@@ -43,15 +43,14 @@ def random_density(d: int, rng, dims: tuple[int, ...] | None = None) -> DensityO
 def random_povm(d: int, n_outcomes: int, rng) -> Povm:
     """Generic full-rank POVM with ``n_outcomes`` effects on dimension ``d``."""
     rng = rng_from(rng)
-    grams = []
-    for _ in range(n_outcomes):
-        a = _ginibre(rng, d, d)
-        grams.append(a @ dagger(a))
-    s_inv_root = inv_sqrt(sum(grams))
-    effects = [s_inv_root @ g @ dagger(s_inv_root) for g in grams]
+    # real then imaginary part of each Ginibre factor in turn, as _ginibre draws them
+    parts = rng.standard_normal((n_outcomes, 2, d, d))
+    factors = parts[:, 0] + 1j * parts[:, 1]
+    grams = factors @ dagger(factors)
+    s_inv_root = inv_sqrt(grams.sum(axis=0))
+    effects = s_inv_root @ grams @ dagger(s_inv_root)
     # symmetrize away roundoff
-    effects = [(e + dagger(e)) / 2.0 for e in effects]
-    return Povm.from_matrices(effects, dim=d)
+    return Povm((effects + dagger(effects)) / 2.0)
 
 
 def random_rank1_targets(d: int, n_outcomes: int, rng) -> list[tuple[float, np.ndarray]]:

@@ -65,9 +65,7 @@ def test_criterion_1_simulation_identity():
             targets = random_rank1_targets(d, d + int(rng.integers(0, 3)), rng)
             t = float(rng.random())
             sim = simulate_rank1_povm(targets, t)
-            ideal = Povm.from_matrices(
-                [a * np.outer(v, v.conj()) for a, v in targets], dim=d
-            )
+            ideal = Povm([a * np.outer(v, v.conj()) for a, v in targets])
             noisy = noisify_povm(ideal, noise_params_from_threshold(d, t))
             dev = max(
                 frobenius(sim.effect(lab) - noisy.effect(lab)) for lab in noisy.labels

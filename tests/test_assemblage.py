@@ -21,7 +21,7 @@ def _random_assemblage(d, n_settings, n_outcomes, rng):
 
 def test_steer_perfect_correlations():
     rho = phi_plus(2).to_density()
-    z_basis = Povm.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    z_basis = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     sigma = steer(rho, [z_basis], measured_side=1)
     assert frobenius(sigma.entry(0, 0) - np.diag([0.5, 0.0])) < 1e-12
     assert frobenius(sigma.entry(1, 0) - np.diag([0.0, 0.5])) < 1e-12
@@ -34,7 +34,7 @@ def test_steer_product_state_gives_scaled_marginal():
     rho = DensityOperator(tensor(rho_a.mat, rho_b.mat), (2, 2))
     povm = random_povm(2, 3, rng)
     sigma = steer(rho, [povm], measured_side=1)
-    for a, (_, effect) in enumerate(povm.effects):
+    for a, effect in enumerate(povm.effects):
         prob = np.trace(rho_b.mat @ effect).real
         assert frobenius(sigma.entry(a, 0) - prob * rho_a.mat) < 1e-12
 
@@ -160,7 +160,7 @@ def test_lhs_residual_product_state():
     povms = [random_povm(2, 2, rng) for _ in range(2)]
     sigma = steer(rho, povms, measured_side=1)
     probs = [
-        [np.trace(rho_b.mat @ e).real for _, e in povm.effects] for povm in povms
+        [np.trace(rho_b.mat @ e).real for e in povm.effects] for povm in povms
     ]
     model = [(1.0, rho_a.mat, probs)]
     assert lhs_model_residual(sigma, model) < 1e-12

@@ -87,7 +87,7 @@ def test_single_povm_coarse_graining_of_parent():
     parent = discretize_parent(2, 40, seed=2)
     half = parent.effects[:20].sum(axis=0)
     rest = parent.effects[20:].sum(axis=0)
-    target = Povm.from_matrices([half, rest], dim=2)
+    target = Povm([half, rest])
     cert = lp_feasibility([target], parent, tol=1e-6)
     assert cert.status == FEASIBLE
     assert cert.residual < 1e-9
@@ -192,7 +192,7 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
     tables = [t / t.sum(axis=0) for t in tables]
     vec = np.concatenate([t.ravel() for t in tables])
     devs = np.concatenate([
-        np.einsum("an,nij->aij", t, parent.effects) - m.matrices()
+        np.einsum("an,nij->aij", t, parent.effects) - m.effects
         for t, m in zip(tables, targets)
     ])
     comps = _hermitian_components(devs)

@@ -5,9 +5,13 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import steerlab
+from steerlab import certifier
+from steerlab.certifier import JmCertificate, discretize_parent, verify_certificate
 from steerlab.cli import main
+from steerlab.lossy import NoiseParams, noisify_povm
 from steerlab.objects import mub_pair
 
 
@@ -92,13 +96,15 @@ def test_simulate_povm_reports_infinite_deviation_as_null(capsys):
     assert doc["estimate"] == [[0.0, 0.0]] * 25
 
 
-def test_jm_certify_requires_nonnegative_tol(capsys):
+def test_jm_certify_requires_nonnegative_tol(capsys, monkeypatch):
     argv = ["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "50",
             "--targets", "builtin:mubs", "--tol"]
-    for tol in ("nan", "-1"):
-        assert main([*argv, tol]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "tol must be >= 0" in captured.err
+    with monkeypatch.context() as mp:
+        mp.setattr(certifier, "linprog", lambda *a, **k: pytest.fail("linprog was called"))
+        for tol in ("nan", "-1", "inf"):
+            assert main([*argv, tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "tol must be >= 0" in captured.err
     code, out = _run(capsys, *argv, "0")
     assert code == 0
     assert _strict_json(out)["tol"] == 0.0
@@ -126,6 +132,27 @@ def test_jm_certify_emit_conditionals(capsys):
     table = np.array(doc["conditionals"][0])
     assert table.shape == (3, 150)
     assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
+
+
+def test_jm_certificate_verifies_after_json_roundtrip(capsys):
+    # the printed conditionals and a parent rebuilt from (d, atoms, seed)
+    # reproduce the printed residual exactly
+    d, atoms, seed = 2, 300, 3
+    for eta, p, status in ((0.5, 0.5, "feasible"), (0.9, 0.9, "infeasible-at-tolerance")):
+        code, out = _run(capsys, "jm-certify", "--d", str(d), "--eta", str(eta),
+                         "--p", str(p), "--atoms", str(atoms), "--seed", str(seed),
+                         "--targets", "builtin:mubs", "--tol", "1e-4",
+                         "--emit-conditionals")
+        assert code == 0
+        doc = _strict_json(out)
+        assert doc["status"] == status
+        cert = JmCertificate(
+            parent=discretize_parent(d, atoms, seed),
+            conditionals=tuple(np.array(table) for table in doc["conditionals"]),
+            residual=doc["residual"], status=doc["status"], tol=doc["tol"],
+        )
+        targets = [noisify_povm(b, NoiseParams(d=d, eta=eta, p=p)) for b in mub_pair(d)]
+        assert verify_certificate(cert, targets) == doc["verified_residual"]
 
 
 def test_jm_certify_targets_file(tmp_path, capsys):
@@ -173,6 +200,29 @@ def test_appendix_c_check_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["max_decomposition_residual"] < 1e-12
+
+
+def test_count_and_dimension_flags_must_be_positive(tmp_path, capsys):
+    cases = [
+        (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "0"],
+         "--trials"),
+        (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "-3"],
+         "--trials"),
+        (["lemma1-roundtrip", "--d", "0", "--eta", "0.3", "--seed", "7"], "--d"),
+        (["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "0", "--seed", "1"],
+         "--samples"),
+        (["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "-1",
+          "--targets", "builtin:mubs"], "--atoms"),
+        (["phase-diagram", "--d", "2", "--grid", "0", "--out", str(tmp_path / "pd.csv")],
+         "--grid"),
+        (["state", "--d", "-2", "--eta", "0.5", "--p", "0.5"], "--d"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"argument {flag}: must be >= 1" in captured.err
 
 
 def _child_env():

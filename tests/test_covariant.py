@@ -268,9 +268,7 @@ def test_simulate_equals_noisify():
             t = float(rng.random())
             sim = simulate_rank1_povm(targets, t)
             params = noise_params_from_threshold(d, t)
-            ideal = Povm.from_matrices(
-                [a * np.outer(v, v.conj()) for a, v in targets], dim=d
-            )
+            ideal = Povm([a * np.outer(v, v.conj()) for a, v in targets])
             noisy = noisify_povm(ideal, params)
             dev = max(
                 frobenius(sim.effect(lab) - noisy.effect(lab)) for lab in noisy.labels
@@ -321,7 +319,7 @@ def test_build_jm_model_projective_exact_point():
 
 def test_build_jm_model_single_outcome():
     d = 3
-    trivial = Povm.from_matrices([np.eye(d)], dim=d)
+    trivial = Povm([np.eye(d)])
     for p in (0.0, 0.5, 0.9):
         for scale in (1.0, 0.5):
             eta = scale * (1 - p) ** (d - 1)
@@ -413,7 +411,7 @@ def test_response_probabilities_normalized():
 def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
     # every view of the model comes from parent_effects() and relabelling()
     rng = np.random.default_rng(seed)
-    m = Povm(tuple(zip(labels, random_povm(d, len(labels), rng).matrices())), d)
+    m = Povm(random_povm(d, len(labels), rng).effects, labels)
     params = NoiseParams(d=d, eta=scale * eta_unsteerable_bound(d, p), p=p)
     model = build_jm_model(m, params)
 
@@ -424,7 +422,7 @@ def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
 
     rebuilt, want = model.reconstruct_povm(), noisify_povm(m, params)
     assert rebuilt.labels == m.labels + (NO_CLICK,)
-    assert np.max(np.linalg.norm(rebuilt.matrices() - want.matrices(), axis=(1, 2))) <= 1e-12
+    assert np.max(np.linalg.norm(rebuilt.effects - want.effects, axis=(1, 2))) <= 1e-12
     assert exact_certificate(model, m, params).residual <= 1e-12
 
     probs = model.response_probabilities(HaarSampler(d=d, seed=seed).sample_array(200))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.linalg import (
     dagger,
@@ -7,8 +9,10 @@ from steerlab.linalg import (
     frobenius,
     is_psd,
     partial_trace,
+    psd_stack,
     tensor,
 )
+from steerlab.rand import random_povm
 
 
 def _rand_complex(rng, rows, cols):
@@ -111,6 +115,46 @@ def test_is_psd():
         assert is_psd(dagger(a) @ a, 1e-10)
     # non-Hermitian is never PSD
     assert not is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]), 1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(2, 4),
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["none", "negative-eigenvalue", "anti-hermitian", "off-identity",
+                          "nan"]),
+    size=st.floats(2e-10, 1e-1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_stack_agrees_with_per_matrix_oracle(d, n, kind, size, seed):
+    # oracle: is_psd on each matrix plus a Frobenius test of the sum
+    rng = np.random.default_rng(seed)
+    effects = np.array(random_povm(d, n, rng).effects)
+    labels = [f"out{k}" for k in range(n)]
+    k = int(rng.integers(n))
+    i, j = rng.choice(d, 2, replace=False)
+    if kind == "negative-eigenvalue":
+        evals, evecs = np.linalg.eigh(effects[k])
+        effects[k] -= (evals[0] + size) * np.outer(evecs[:, 0], evecs[:, 0].conj())
+    elif kind == "anti-hermitian":
+        effects[k, i, j] += size
+    elif kind == "off-identity":
+        effects[k, i, i] += size  # stays Hermitian and PSD
+    elif kind == "nan":
+        effects[k, i, j] = np.nan
+    oracle_ok = (all(is_psd(e, 1e-10) for e in effects)
+                 and frobenius(effects.sum(axis=0) - np.eye(d)) <= 1e-10)
+    assert oracle_ok == (kind == "none")
+    if oracle_ok:
+        assert np.array_equal(psd_stack(effects, labels, "effect"), effects)
+        return
+    with pytest.raises(ValueError) as exc:
+        psd_stack(effects, labels, "effect")
+    if kind == "off-identity":
+        # a sum off the identity belongs to no single effect
+        assert "do not sum to the identity" in str(exc.value)
+    else:
+        assert f"effect {labels[k]!r} is not" in str(exc.value)
 
 
 def test_eig_hermitian_diagonal():

@@ -15,7 +15,7 @@ from steerlab.rand import random_povm
 
 
 def _z_basis():
-    return Povm.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+    return Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
 
 
 def test_noise_params_validation():
@@ -56,9 +56,9 @@ def test_noisify_always_valid_povm():
             povm = random_povm(d, n_out, rng)
             params = NoiseParams(d=d, eta=float(rng.random()), p=float(rng.random()))
             out = noisify_povm(povm, params)
-            total = sum(mat for _, mat in out.effects)
+            total = sum(mat for mat in out.effects)
             assert frobenius(total - np.eye(d)) < 1e-12
-            assert all(is_psd(mat, 1e-10) for _, mat in out.effects)
+            assert all(is_psd(mat, 1e-10) for mat in out.effects)
 
 
 def test_noisify_rejects_no_click_collision():
@@ -92,7 +92,7 @@ def test_reduce_projector_vacuum_povm():
     d = 3
     signal = np.diag([1.0, 1.0, 1.0, 0.0])
     vacuum = np.diag([0.0, 0.0, 0.0, 1.0])
-    m_prime = Povm.from_matrices([signal, vacuum], dim=4)
+    m_prime = Povm([signal, vacuum])
     for p in (0.0, 0.4, 1.0):
         params = NoiseParams(d=d, eta=0.6, p=p)
         decomp = reduce_through_loss_dual(m_prime, params)
@@ -135,7 +135,7 @@ def test_reduce_matches_brute_force_kraus_dual():
         m_prime = random_povm(d + 1, int(rng.integers(2, 5)), rng)
         chain = KrausChannel(lossy_noisy_channel(d, params.eta, params.p).kraus_operators())
         decomp = reduce_through_loss_dual(m_prime, params)
-        for label, mat in m_prime.effects:
+        for label, mat in zip(m_prime.labels, m_prime.effects):
             oracle = chain.dual(mat)
             assert frobenius(decomp.reconstructed.effect(label) - oracle) < 1e-12
 
@@ -189,7 +189,7 @@ def test_embed_with_vacuum_shapes():
 def test_embed_with_vacuum_validates():
     mubs = mub_pair(3)
     out = embed_with_vacuum(mubs[0])
-    total = sum(mat for _, mat in out.effects)
+    total = sum(mat for mat in out.effects)
     assert frobenius(total - np.eye(4)) < 1e-12
     with pytest.raises(ValueError):
         embed_with_vacuum(out)  # already has a no-click outcome
@@ -202,7 +202,7 @@ def test_coarse_grain_requires_partition():
     with pytest.raises(ValueError):
         coarse_grain(povm, {"u": (0, 1), "v": (1,)})
     # labels compare as themselves, not as their string forms
-    mixed = Povm((("1", np.diag([1.0, 0.0])), (2, np.diag([0.0, 1.0]))), 2)
+    mixed = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], ("1", 2))
     with pytest.raises(ValueError):
         coarse_grain(mixed, {"a": [1, 2]})
     assert coarse_grain(mixed, {"a": ["1", 2]}).labels == ("a",)

@@ -75,15 +75,18 @@ def test_density_operator_immutable():
 def test_povm_validation():
     eye = np.eye(2)
     with pytest.raises(ValueError):
-        Povm(((0, eye), (1, eye)), 2)  # sums to 2I
+        Povm([eye, eye])  # sums to 2I
     with pytest.raises(ValueError):
-        Povm(((0, np.diag([1.0, -0.1])), (1, np.diag([0.0, 1.1]))), 2)
-    povm = Povm.from_matrices([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+        Povm([np.diag([1.0, -0.1]), np.diag([0.0, 1.1])])
+    povm = Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
     assert povm.labels == (0, 1) and not povm.has_no_click
+    assert povm.effects.shape == (2, 2, 2) and povm.dim == 2
+    with pytest.raises(ValueError):
+        povm.effects[0, 0, 0] = 0.5  # read-only
     with pytest.raises(KeyError):
         povm.effect("missing")
     with pytest.raises(ValueError):
-        Povm(((0, np.diag([1.0, 0.0])), (0, np.diag([0.0, 1.0]))), 2)  # duplicate label
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (0, 0))  # duplicate label
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +122,7 @@ def test_closed_forms_match_kraus():
     for chan in (WhiteNoise(0.3, 3), Loss(0.6, 3)):
         generic = KrausChannel(chan.kraus_operators())
         assert frobenius(chan.apply_to_matrix(rho.mat) - generic.apply_to_matrix(rho.mat)) < 1e-12
-        effect = random_povm(chan.out_dim, 3, rng).effects[0][1]
+        effect = random_povm(chan.out_dim, 3, rng).effects[0]
         assert frobenius(chan.dual(effect) - generic.dual(effect)) < 1e-12
 
 
@@ -144,7 +147,7 @@ def test_duality_pairing():
     chan = lossy_noisy_channel(3, 0.35, 0.65)
     for _ in range(100):
         rho = random_density(3, rng)
-        effect = random_povm(4, 2, rng).effects[0][1]
+        effect = random_povm(4, 2, rng).effects[0]
         lhs = np.trace(rho.mat @ chan.dual(effect))
         rhs = np.trace(chan.apply_to_matrix(rho.mat) @ effect)
         assert abs(lhs - rhs) < 1e-12
@@ -154,7 +157,7 @@ def test_dual_maps_povm_to_povm():
     rng = np.random.default_rng(4)
     chan = lossy_noisy_channel(2, 0.55, 0.45)
     povm = random_povm(3, 4, rng)
-    images = [chan.dual(mat) for _, mat in povm.effects]
+    images = [chan.dual(mat) for mat in povm.effects]
     assert all(is_psd(img, 1e-10) for img in images)
     assert frobenius(sum(images) - np.eye(2)) < 1e-10
 

@@ -28,7 +28,7 @@ def test_steered_assemblage_is_transposed_dual():
     povms = [random_povm(d + 1, 3, rng) for _ in range(2)]
     sigma = steer(rho, povms, measured_side=1)
     for x, povm in enumerate(povms):
-        for a, (_, effect) in enumerate(povm.effects):
+        for a, effect in enumerate(povm.effects):
             pulled = chain.dual(effect)
             assert frobenius(sigma.entry(a, x) - pulled.T / d) < 1e-12
 
@@ -59,7 +59,7 @@ def test_unsteerable_assemblage_has_explicit_lhs_model():
     sigma = steer(rho, bob_povms, measured_side=1)
 
     pulled_back = [
-        Povm(tuple((label, chain.dual(mat)) for label, mat in povm.effects), d)
+        Povm([chain.dual(mat) for mat in povm.effects], povm.labels)
         for povm in bob_povms
     ]
     parent = discretize_parent(d, 1500, seed=2)
@@ -88,7 +88,7 @@ def test_model_conditionals_give_lhs_model_directly():
     sigma = steer(rho, [embedded], measured_side=1)
     target = noisify_povm(m, params)
     chain = lossy_noisy_channel(d, eta, p)
-    for a, (label, mat) in enumerate(embedded.effects):
+    for label, mat in zip(embedded.labels, embedded.effects):
         assert frobenius(chain.dual(mat) - target.effect(label)) < 1e-12
 
     # hidden-state ensemble from the parent and relabelling of the model's
