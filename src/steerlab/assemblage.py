@@ -19,7 +19,7 @@ from .linalg import (
 from .objects import DensityOperator, Loss, Povm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assemblage:
     """Subnormalized conditional states sigma_{a|x} indexed by
     (outcome a, setting x).

@@ -39,7 +39,7 @@ def linprog(*args, **kwargs):
     return optimize.linprog(*args, **kwargs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteParent:
     """Finite parent POVM, optionally built from weighted pure-state atoms.
 
@@ -109,7 +109,7 @@ def discretize_parent(d: int, n_atoms: int, seed: int = 0) -> DiscreteParent:
     return parent_from_states(sampler.sample_array(n_atoms), d, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JmCertificate:
     """Conditionals post-processing a fixed parent into the targets.
 
@@ -193,21 +193,29 @@ def lp_feasibility(
     """Best post-processing of the parent into the targets, by linear program.
 
     Minimizes the largest deviation s over the d^2 Hermitian coordinates of
-    ``sum_lam p(a|x,lam) E_lam - M_(a|x)`` (see :func:`_hermitian_components`),
-    with the p(a|x,.) columns forming distributions. The variables are the
-    conditionals, stacked target by target and outcome by outcome, each an
-    n-vector over atoms, then s. With C the (d^2, n) coordinates of the
-    parent atoms, S the rows of C and -C interleaved, and t the coordinates
-    of all N target effects in the same order, the LP is the block build
+    ``sum_lam p(a|x,lam) E_lam - M_(a|x)`` (see :func:`_hermitian_components`)
+    for all N outcomes, with the p(.|x,lam) distributions. Each target's
+    heaviest outcome e_x (largest trace, first on ties) is the slack of its
+    normalization: p(e_x|x,.) = 1 - sum of the rest is no variable, so the
+    start "every atom reports e_x" is feasible. The variables are the
+    conditionals p(a|x,.) of the f free outcomes a != e_x, in target and
+    outcome order, each an n-vector over atoms; their free deviations
+    D_(a|x) = C p(a|x,.) - t_(a|x); then s. With C and t the coordinates of
+    the parent atoms (d^2 by n) and of the target effects, the LP is
 
-        A_ub = [I_N (x) S | -1],   b_ub = t and -t interleaved,
-        A_eq = [blockdiag_x(1_(n_x)^T (x) I_n) | 0],   b_eq = 1,
+        A_eq = [I_f (x) C | -I | 0],                    b_eq = t of the free outcomes,
+        A_ub = [0 | G (x) I_(d^2) (x) (1, -1)^T | -1],  b_ub = -o and o interleaved,
+               [B (x) I_n | 0 | 0],                     b_ub = 1.
 
-    where I_N (x) S is blockdiag_x(I_(n_x) (x) S). The certificate's
-    recorded residual is the Frobenius-norm worst case recomputed from the
-    cleaned conditionals; status is ``feasible`` iff it is at most ``tol``.
-    Feasibility certifies joint measurability; infeasibility at tolerance
-    proves nothing (the parent is fixed).
+    G (N by f) maps the free deviations to those of all N outcomes: 1 at
+    each free outcome and -1 at its e_x, whose deviation is
+    r_x - sum_(a != e_x) D_(a|x), with r_x = C 1 - sum_a t_(a|x) (round-off
+    for valid POVMs) in o at e_x. B sums the free conditionals of each
+    target that has any; each eliminated row is rebuilt as clip(1 - B p, 0).
+    The certificate's recorded residual is the Frobenius-norm worst case
+    recomputed from the cleaned conditionals; status is ``feasible`` iff it
+    is at most ``tol``. Feasibility certifies joint measurability;
+    infeasibility at tolerance proves nothing (the parent is fixed).
 
     Raises
     ------
@@ -224,25 +232,42 @@ def lp_feasibility(
     for x, povm in enumerate(targets):
         if povm.dim != d:
             raise ValueError(f"target {x} acts on dim {povm.dim}, parent on dim {d}")
-    counts = [p.n_outcomes for p in targets]
-    comps = _hermitian_components(parent.effects).T
-    signed = np.stack([comps, -comps], axis=1).reshape(-1, n)  # S: C and -C interleaved
+    counts = np.array([p.n_outcomes for p in targets])
+    starts = np.cumsum(counts) - counts
+    heaviest = starts + [np.argmax(np.trace(p.effects, axis1=1, axis2=2).real) for p in targets]
+    kept = np.delete(np.arange(counts.sum()), heaviest)  # the f free outcomes
+    owner = np.repeat(np.arange(len(targets)), counts - 1)  # their targets
+    free = np.arange(kept.size)
+    comps = _hermitian_components(parent.effects).T  # C
     t = _hermitian_components(np.concatenate([p.effects for p in targets]))
-    b_ub = np.stack([t, -t], axis=-1).ravel()
-    a_ub = sparse.hstack([sparse.kron(sparse.identity(len(t)), signed),
-                          np.full((b_ub.size, 1), -1.0)], format="csr")
-    grouping = sparse.block_diag([np.ones((1, k)) for k in counts])
-    a_eq = sparse.hstack([sparse.kron(grouping, sparse.identity(n)),
-                          sparse.csr_matrix((grouping.shape[0] * n, 1))], format="csr")
+    offset = np.zeros_like(t)  # o
+    offset[heaviest] = comps.sum(axis=1) - np.add.reduceat(t, starts)
+    spread = sparse.csr_matrix(  # G
+        (np.repeat([1.0, -1.0], kept.size), (np.append(kept, heaviest[owner]), np.tile(free, 2))),
+        shape=(t.shape[0], kept.size))
+    grouping = sparse.csr_matrix((np.ones(kept.size), (owner, free)),
+                                 shape=(len(targets), kept.size))  # B
+    signed = sparse.kron(spread, sparse.kron(sparse.identity(d * d), [[1.0], [-1.0]]))
+    normalization = sparse.kron(grouping[counts > 1], sparse.identity(n))
+    a_ub = sparse.bmat([[None, signed, np.full((signed.shape[0], 1), -1.0)],
+                        [normalization, None, None]], format="csr")
+    b_ub = np.append(np.stack([-offset, offset], axis=-1), np.ones(normalization.shape[0]))
+    a_eq = sparse.hstack([sparse.kron(sparse.identity(kept.size), comps),
+                          -sparse.identity(kept.size * d * d),
+                          sparse.csr_matrix((kept.size * d * d, 1))], format="csr")
     c = np.zeros(a_ub.shape[1])
     c[-1] = 1.0
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
-                  bounds=(0, None), method="highs")
+    bounds = [(0, None)] * (kept.size * n) + [(None, None)] * (kept.size * d * d) + [(0, None)]
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=t[kept].ravel(), bounds=bounds,
+                  method="highs")
     if not res.success:
         raise SolverFailure(f"LP solver failed: {res.message}")
 
+    tables = np.empty((counts.sum(), n))
+    tables[kept] = res.x[: kept.size * n].reshape(-1, n)
+    tables[heaviest] = np.clip(1.0 - grouping @ tables[kept], 0.0, None)
     conditionals = []
-    for table in np.split(res.x[:-1].reshape(-1, n), np.cumsum(counts)[:-1]):
+    for table in np.split(tables, starts[1:]):
         table = np.clip(table, 0.0, None)
         col_sums = table.sum(axis=0)
         if np.any(col_sums < 0.5):

@@ -156,12 +156,21 @@ def _cmd_appendix_c_check(args) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    """The argparse type of the count and dimension flags: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def int_at_least(minimum: int):
+    """An argparse type accepting integers >= ``minimum``, so errors name the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+#: The type of the count and dimension flags.
+positive_int = int_at_least(1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-diagram", help="label the (eta, p) plane into a CSV")
     p.add_argument("--d", type=positive_int, required=True)
-    p.add_argument("--grid", type=positive_int, required=True)
+    p.add_argument("--grid", type=int_at_least(2), required=True)
     p.add_argument("--out", type=str, required=True)
     p.set_defaults(func=_cmd_phase_diagram)
 
@@ -196,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--samples", type=positive_int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int_at_least(0), required=True)
     p.set_defaults(func=_cmd_simulate_povm)
 
     p = sub.add_parser(
@@ -214,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="'builtin:mubs' or a path to a JSON array of POVM documents",
     )
     p.add_argument("--tol", type=float, default=certifier.DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=_DEFAULT_ATOM_SEED)
+    p.add_argument("--seed", type=int_at_least(0), default=_DEFAULT_ATOM_SEED)
     p.add_argument("--emit-conditionals", action="store_true")
     p.set_defaults(func=_cmd_jm_certify)
 
@@ -224,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--d", type=positive_int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=int_at_least(0), required=True)
     p.set_defaults(func=_cmd_lemma1_roundtrip)
 
     p = sub.add_parser(

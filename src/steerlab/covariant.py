@@ -148,7 +148,7 @@ class MomentEstimate:
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EffectEstimate:
     """Entrywise Monte Carlo estimate of a simulated effect.
 
@@ -334,7 +334,7 @@ def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Po
     return ResponseFunctionModel(d, t, tuple(targets), labels, labels).reconstruct_povm()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseFunctionModel:
     """Joint-measurability model for one noisy-lossy POVM: a parent POVM and
     one relabelling table.

@@ -32,7 +32,7 @@ class NoiseParams:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LossyDecomposition:
     """Split of a measurement pulled back through the noisy-lossy channel.
 

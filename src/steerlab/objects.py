@@ -33,7 +33,7 @@ NO_CLICK = "ø"
 Label = int | str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector on a tensor product of finite-dimensional factors."""
 
@@ -66,7 +66,7 @@ class PureState:
         return DensityOperator(self.projector(), self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive unit-trace operator carrying its subsystem dimensions."""
 
@@ -111,7 +111,7 @@ class DensityOperator:
         return cls(entries_to_matrix(doc["entries"], side, side), dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Labelled positive effects summing to the identity.
 

@@ -174,7 +174,12 @@ class _Captured(Exception):
 def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
     rng = np.random.default_rng(seed)
     parent = discretize_parent(d, n_atoms, seed=seed)
-    targets = [random_povm(d, k, rng) for k in outcomes]
+    targets = []
+    for k in outcomes:
+        effects = random_povm(d, k, rng).effects.copy()
+        # sum off the identity by 3e-11 (Povm allows 1e-10), so r_x exceeds round-off
+        effects[0] += 3e-11 * np.eye(d)
+        targets.append(Povm(effects))
     captured = {}
 
     def fake_linprog(c, **kwargs):
@@ -185,25 +190,66 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
         mp.setattr(certifier, "linprog", fake_linprog)
         with pytest.raises(_Captured):
             lp_feasibility(targets, parent)
-    a_ub, b_ub, a_eq = captured["A_ub"], captured["b_ub"], captured["A_eq"]
+    a_ub, b_ub, a_eq, b_eq = (captured[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq"))
 
-    # column-stochastic conditionals, stacked target by target, outcome by outcome
+    # column-stochastic conditionals; each target's heaviest outcome is eliminated
     tables = [rng.random((k, n_atoms)) for k in outcomes]
     tables = [t / t.sum(axis=0) for t in tables]
-    vec = np.concatenate([t.ravel() for t in tables])
-    devs = np.concatenate([
-        np.einsum("an,nij->aij", t, parent.effects) - m.effects
-        for t, m in zip(tables, targets)
-    ])
-    comps = _hermitian_components(devs)
+    heaviest = [np.argmax(np.trace(m.effects, axis1=1, axis2=2).real) for m in targets]
+    devs = [np.einsum("an,nij->aij", t, parent.effects) - m.effects
+            for t, m in zip(tables, targets)]
+    comps = _hermitian_components(np.concatenate(devs))
     # the d^2 coordinates carry the whole matrix: off-diagonal ones count twice
     weights = 2.0 - _hermitian_components(np.eye(d))
-    assert np.allclose(comps**2 @ weights, np.linalg.norm(devs, axis=(1, 2))**2,
-                       rtol=0, atol=1e-12)
-    want = np.stack([comps, -comps], axis=-1).ravel()
-    assert np.max(np.abs(a_ub[:, :-1] @ vec - b_ub - want)) < 1e-12
-    assert np.max(np.abs(a_eq @ np.append(vec, rng.random()) - 1.0)) < 1e-12
-    assert np.max(np.abs(a_ub[:, [-1]].toarray() + 1.0)) < 1e-12
+    assert np.allclose(comps**2 @ weights,
+                       np.linalg.norm(np.concatenate(devs), axis=(1, 2))**2, rtol=0, atol=1e-12)
+    # variables: free conditionals, then their deviation coordinates D, then s
+    s = rng.random()
+    vec = np.concatenate(
+        [np.delete(t, e, axis=0).ravel() for t, e in zip(tables, heaviest)]
+        + [np.delete(_hermitian_components(dev), e, axis=0).ravel()
+           for dev, e in zip(devs, heaviest)]
+        + [[s]])
+    assert np.max(np.abs(a_eq @ vec - b_eq)) < 1e-12
+    n_dev = 2 * comps.size  # +D and -D rows of every outcome, eliminated ones included
+    want = np.stack([comps, -comps], axis=-1).ravel() - s
+    assert np.max(np.abs(a_ub[:n_dev] @ vec - b_ub[:n_dev] - want)) < 1e-12
+    # the <= 1 rows: the free conditionals of each target sum to 1 - p(e_x|x, .)
+    slack = np.concatenate([1.0 - t[e] for t, e in zip(tables, heaviest)])
+    assert np.max(np.abs(a_ub[n_dev:] @ vec - slack)) < 1e-12
+    assert np.all(b_ub[n_dev:] == 1.0)
+    assert np.max(np.abs(a_ub[:n_dev, [-1]].toarray() + 1.0)) < 1e-12
+    assert a_ub[n_dev:, [-1]].nnz == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n_atoms=st.integers(9, 40),
+    outcomes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_certificate_attains_the_lp_optimum(d, n_atoms, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    parent = discretize_parent(d, n_atoms, seed=seed)
+    targets = [random_povm(d, k, rng) for k in outcomes]
+    results = []
+    solve = certifier.linprog
+
+    def recording_linprog(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "linprog", recording_linprog)
+        cert = lp_feasibility(targets, parent)
+    (res,) = results
+    devs = np.concatenate([np.einsum("an,nij->aij", table, parent.effects) - m.effects
+                           for table, m in zip(cert.conditionals, targets)])
+    assert abs(np.max(np.abs(_hermitian_components(devs))) - res.fun) < 1e-9
+    for table, k in zip(cert.conditionals, outcomes):
+        assert table.shape == (k, n_atoms)
+        assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -203,26 +203,33 @@ def test_appendix_c_check_command(capsys):
 
 
 def test_count_and_dimension_flags_must_be_positive(tmp_path, capsys):
+    pd_csv = str(tmp_path / "pd.csv")
     cases = [
         (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "0"],
-         "--trials"),
+         "--trials", 1),
         (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "-3"],
-         "--trials"),
-        (["lemma1-roundtrip", "--d", "0", "--eta", "0.3", "--seed", "7"], "--d"),
+         "--trials", 1),
+        (["lemma1-roundtrip", "--d", "0", "--eta", "0.3", "--seed", "7"], "--d", 1),
         (["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "0", "--seed", "1"],
-         "--samples"),
+         "--samples", 1),
         (["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "-1",
-          "--targets", "builtin:mubs"], "--atoms"),
-        (["phase-diagram", "--d", "2", "--grid", "0", "--out", str(tmp_path / "pd.csv")],
-         "--grid"),
-        (["state", "--d", "-2", "--eta", "0.5", "--p", "0.5"], "--d"),
+          "--targets", "builtin:mubs"], "--atoms", 1),
+        (["phase-diagram", "--d", "2", "--grid", "0", "--out", pd_csv], "--grid", 2),
+        (["state", "--d", "-2", "--eta", "0.5", "--p", "0.5"], "--d", 1),
+        # seeds may be 0 and a phase grid needs two points
+        (["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "10", "--seed", "-1"],
+         "--seed", 0),
+        (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "-1"], "--seed", 0),
+        (["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "50",
+          "--targets", "builtin:mubs", "--seed", "-1"], "--seed", 0),
+        (["phase-diagram", "--d", "2", "--grid", "1", "--out", pd_csv], "--grid", 2),
     ]
-    for argv, flag in cases:
+    for argv, flag, minimum in cases:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"argument {flag}: must be >= 1" in captured.err
+        assert captured.out == "" and f"argument {flag}: must be >= {minimum}" in captured.err
 
 
 def _child_env():

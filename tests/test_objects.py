@@ -3,7 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerlab.assemblage import steer
+from steerlab.certifier import discretize_parent, exact_certificate
+from steerlab.covariant import build_jm_model, mc_effect
 from steerlab.linalg import frobenius, is_psd, tensor
+from steerlab.lossy import NoiseParams, reduce_through_loss_dual
 from steerlab.objects import (
     NO_CLICK,
     Composition,
@@ -351,3 +355,26 @@ def test_povm_document_roundtrip():
 
 def test_no_click_label_reserved():
     assert NO_CLICK == "ø"
+
+
+def test_array_holding_objects_compare_by_identity():
+    # a field-wise == over array fields raises "truth value ... is ambiguous"
+    params = NoiseParams(d=2, eta=0.25, p=0.5)
+    rng = np.random.default_rng(3)
+    makers = [
+        lambda: phi_plus(2),
+        lambda: one_way_state(2, 0.5, 0.5),
+        lambda: mub_pair(2)[0],
+        lambda: steer(phi_plus(2).to_density(), list(mub_pair(2)), measured_side=0),
+        lambda: reduce_through_loss_dual(random_povm(3, 2, rng), params),
+        lambda: discretize_parent(2, 16, seed=1),
+        lambda: build_jm_model(mub_pair(2)[0], params),
+        lambda: exact_certificate(build_jm_model(mub_pair(2)[0], params), mub_pair(2)[0],
+                                  params),
+        lambda: mc_effect(2, 0.3, PureState(np.eye(2)[0], (2,)), 100, seed=0),
+    ]
+    for make in makers:
+        first, second = make(), make()
+        assert (first == first) is True
+        assert (first == second) is False
+        assert (first != second) is True
