@@ -81,9 +81,9 @@ _REGIONS = np.array(
      RegionLabel.D_STEERABLE_ONLY, RegionLabel.UNLIMITED_ONE_WAY], dtype=object)
 
 
-def _region(d: int, eta, p):
-    """Label of each point (or array of points) from both sufficient conditions."""
-    return _REGIONS[2 * certified_d_steerable(d, eta, p) + certified_unsteerable(d, eta, p)]
+def _region_code(d: int, eta, p):
+    """Index into :data:`_REGIONS` of each point (or array of points)."""
+    return 2 * certified_d_steerable(d, eta, p) + certified_unsteerable(d, eta, p)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def classify(d: int, eta: float, p: float) -> RegionLabel:
     """
     _check_unit("eta", eta)
     _check_unit("p", p)
-    return _region(d, eta, p)
+    return _REGIONS[_region_code(d, eta, p)]
 
 
 def eta_grid(d: int, grid_n: int) -> np.ndarray:
@@ -137,13 +137,47 @@ def eta_grid(d: int, grid_n: int) -> np.ndarray:
     return u ** (d - 1)
 
 
-def phase_diagram(d: int, grid_n: int) -> list[tuple[float, float, RegionLabel]]:
+@dataclass(frozen=True, eq=False)
+class PhaseDiagram:
+    """Region labels of the (eta, p) plane, held as its two axes and one code
+    per cell.
+
+    ``codes[i, j]`` indexes :data:`_REGIONS` (2 * d-steerable + unsteerable)
+    at ``(etas[i], ps[j])``. The diagram is also the sequence of its cells:
+    ``len()`` counts them and iteration yields ``(eta, p, RegionLabel)``
+    row-major in eta then p, with Python floats.
+    """
+
+    etas: np.ndarray
+    ps: np.ndarray
+    codes: np.ndarray
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __iter__(self):
+        labels = _REGIONS.tolist()
+        ps = self.ps.tolist()
+        for eta, row in zip(self.etas.tolist(), self.codes.tolist()):
+            for p, code in zip(ps, row):
+                yield eta, p, labels[code]
+
+    def cell_counts(self) -> dict[str, int]:
+        """Cells per label value, keyed in row-major order of first occurrence."""
+        flat = self.codes.ravel()
+        counts = np.bincount(flat, minlength=len(_REGIONS))
+        present = np.flatnonzero(counts).tolist()
+        present.sort(key=lambda code: np.argmax(flat == code))
+        return {_REGIONS[code].value: int(counts[code]) for code in present}
+
+
+def phase_diagram(d: int, grid_n: int) -> PhaseDiagram:
     """Label the (eta, p) plane on a (grid_n+1)^2 grid.
 
-    Rows are ordered row-major in eta then p. The p axis is the uniform
-    grid on [0, 1]; the eta axis is the power grid of :func:`eta_grid`.
-    For d <= 16 and grid_n >= 200 the tabulation is guaranteed to contain
-    at least one UNLIMITED_ONE_WAY cell, and that is checked.
+    The p axis is the uniform grid on [0, 1]; the eta axis is the power
+    grid of :func:`eta_grid`. For d <= 16 and grid_n >= 200 the tabulation
+    is guaranteed to contain at least one UNLIMITED_ONE_WAY cell, and that
+    is checked.
     """
     if grid_n < 2:
         raise ValueError(f"grid_n must be >= 2, got {grid_n}")
@@ -151,23 +185,26 @@ def phase_diagram(d: int, grid_n: int) -> list[tuple[float, float, RegionLabel]]
         raise ValueError(f"dimension must be >= 2, got {d}")
     etas = eta_grid(d, grid_n)
     ps = np.linspace(0.0, 1.0, grid_n + 1)
-    labels = _region(d, etas[:, None], ps[None, :])
-    rows = [
-        (float(eta), float(p), label)
-        for eta, row in zip(etas, labels)
-        for p, label in zip(ps, row)
-    ]
-    if d <= 16 and grid_n >= 200 and not np.any(labels == RegionLabel.UNLIMITED_ONE_WAY):
+    codes = _region_code(d, etas[:, None], ps[None, :])
+    # code 3: both conditions hold
+    if d <= 16 and grid_n >= 200 and not np.any(codes == 3):
         raise RuntimeError(
             f"no UNLIMITED_ONE_WAY cell found for d={d} at grid {grid_n}; "
             "this contradicts the guaranteed nonempty overlap"
         )
-    return rows
+    return PhaseDiagram(etas, ps, codes)
 
 
-def phase_diagram_csv(rows: list[tuple[float, float, RegionLabel]]) -> str:
-    """Render phase-diagram rows as CSV with 17 significant digits."""
-    lines = ["eta,p,label"]
-    for eta, p, label in rows:
-        lines.append(f"{eta:.17g},{p:.17g},{label.value}")
-    return "\n".join(lines) + "\n"
+def phase_diagram_csv(diagram: PhaseDiagram) -> str:
+    """Render a phase diagram as CSV with 17 significant digits.
+
+    Each axis value and label is formatted once; a line is the text of its
+    eta, its p and its label. Lines are joined one grid row at a time, so
+    only one row of line strings is alive at once.
+    """
+    eta_text = [f"{eta:.17g}," for eta in diagram.etas.tolist()]
+    p_text = [f"{p:.17g}," for p in diagram.ps.tolist()]
+    label_text = [f"{label.value}\n" for label in _REGIONS]
+    rows = ["".join([eta + p + label_text[code] for p, code in zip(p_text, row)])
+            for eta, row in zip(eta_text, diagram.codes.tolist())]
+    return "".join(["eta,p,label\n", *rows])

@@ -1,6 +1,7 @@
 """Command-line surface tying the library together.
 
-Exit codes: 0 on success, 2 on validation errors, 3 on solver failures.
+Exit codes: 0 on success, 2 on validation errors and inputs too large for
+memory, 3 on solver failures.
 Only ``jm-certify`` needs scipy, loaded on its first linear program; every
 other command runs on numpy alone.
 The STEERLAB_THREADS environment variable caps the Monte Carlo worker
@@ -37,15 +38,12 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_phase_diagram(args) -> int:
-    rows = analysis.phase_diagram(args.d, args.grid)
-    csv_text = analysis.phase_diagram_csv(rows)
+    diagram = analysis.phase_diagram(args.d, args.grid)
+    csv_text = analysis.phase_diagram_csv(diagram)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(csv_text)
-    counts: dict[str, int] = {}
-    for _, _, label in rows:
-        counts[label.value] = counts.get(label.value, 0) + 1
-    _emit({"d": args.d, "grid": args.grid, "rows": len(rows), "cells": counts,
-           "out": args.out}, None)
+    _emit({"d": args.d, "grid": args.grid, "rows": len(diagram),
+           "cells": diagram.cell_counts(), "out": args.out}, None)
     return 0
 
 
@@ -254,7 +252,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except certifier.SolverFailure as exc:

@@ -31,9 +31,12 @@ def default_workers() -> int:
     """Worker count: STEERLAB_THREADS if set, else available parallelism."""
     env = os.environ.get("STEERLAB_THREADS")
     if env is not None:
-        n = int(env)
+        try:
+            n = int(env)
+        except ValueError:
+            n = 0  # rejected below with the other invalid values
         if n < 1:
-            raise ValueError(f"STEERLAB_THREADS must be >= 1, got {env}")
+            raise ValueError(f"STEERLAB_THREADS must be an integer >= 1, got {env!r}")
         return n
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))

@@ -38,7 +38,7 @@ def freeze_array(arr: np.ndarray) -> np.ndarray:
 def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
     """Row-major [re, im] pairs, the wire format for matrices."""
     flat = np.asarray(m, dtype=complex).ravel()
-    return [[float(z.real), float(z.imag)] for z in flat]
+    return np.stack([flat.real, flat.imag], axis=-1).tolist()
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:

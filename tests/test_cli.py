@@ -1,14 +1,20 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steerlab
-from steerlab import certifier
+from steerlab import analysis, certifier
 from steerlab.certifier import JmCertificate, discretize_parent, verify_certificate
 from steerlab.cli import main
 from steerlab.lossy import NoiseParams, noisify_povm
@@ -45,6 +51,75 @@ def test_phase_diagram_command(tmp_path, capsys):
     assert len(lines) == 51 * 51 + 1
     doc = json.loads(out)
     assert doc["rows"] == 51 * 51
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 16), grid=st.integers(2, 60))
+@example(d=2, grid=2)
+@example(d=16, grid=60)  # eta spans 1e-27..1 at the largest d and grid
+def test_phase_diagram_matches_per_cell_oracle(d, grid):
+    diagram = analysis.phase_diagram(d, grid)
+    rows = list(diagram)
+    assert len(diagram) == len(rows) == (grid + 1) ** 2
+    etas = analysis.eta_grid(d, grid)
+    ps = np.linspace(0.0, 1.0, grid + 1)
+    counts = {}
+    for k, (eta, p, label) in enumerate(rows):
+        assert type(eta) is float and type(p) is float
+        assert eta == etas[k // (grid + 1)] and p == ps[k % (grid + 1)]
+        assert label is analysis.classify(d, eta, p)
+        counts[label.value] = counts.get(label.value, 0) + 1
+    oracle = "eta,p,label\n" + "".join(f"{e:.17g},{p:.17g},{lab.value}\n"
+                                        for e, p, lab in rows)
+    assert analysis.phase_diagram_csv(diagram) == oracle
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "pd.csv")
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["phase-diagram", "--d", str(d), "--grid", str(grid),
+                         "--out", out_path])
+        assert code == 0
+        with open(out_path, encoding="utf-8") as fh:
+            assert fh.read() == oracle
+    doc = json.loads(stdout.getvalue())
+    # keys in row-major order of first occurrence, as the per-cell count made them
+    assert list(doc["cells"].items()) == list(counts.items())
+
+
+@pytest.mark.parametrize("d, grid, digest", [
+    (7, 200, "764093849e3777f337820633d78ae6ba0e80c263ceaf9ac1da90e9c415442800"),
+    (2, 1000, "12e8e442d1a226db1188b71c059c13a925563a428c3dc3df3ff300db1059904c"),
+])
+def test_phase_diagram_csv_digest(tmp_path, capsys, d, grid, digest):
+    out_path = tmp_path / "pd.csv"
+    code, _ = _run(capsys, "phase-diagram", "--d", str(d), "--grid", str(grid),
+                   "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_phase_diagram_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def too_large(d, grid_n):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+    monkeypatch.setattr(analysis, "phase_diagram", too_large)
+    code = main(["phase-diagram", "--d", "2", "--grid", "100000",
+                 "--out", str(tmp_path / "pd.csv")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
+
+
+def test_worker_count_env_must_be_an_integer(capsys, monkeypatch):
+    monkeypatch.setenv("STEERLAB_THREADS", "abc")
+    code = main(["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "10",
+                 "--seed", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: STEERLAB_THREADS must be an integer >= 1, got 'abc'" in captured.err
 
 
 def test_state_command(tmp_path, capsys):
