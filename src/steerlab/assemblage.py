@@ -12,6 +12,7 @@ from .linalg import (
     dagger,
     entries_to_matrix,
     frobenius,
+    is_distribution,
     is_psd,
     matrix_to_entries,
     psd_stack,
@@ -135,7 +136,7 @@ def apply_loss_to_assemblage(sigma: Assemblage, eta: float) -> Assemblage:
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     loss = Loss(eta, sigma.dim)
-    blocks = tuple(tuple(loss.apply_to_matrix(mat) for mat in row) for row in sigma.blocks)
+    blocks = tuple(loss.apply_to_matrix(row) for row in sigma.blocks)
     return Assemblage(blocks, sigma.dim + 1, sigma.settings)
 
 
@@ -182,7 +183,7 @@ def lhs_model_residual(sigma: Assemblage, model) -> float:
     if not model:
         raise ValueError("model must contain at least one hidden state")
     weights = np.array([w for w, _, _ in model], dtype=float)
-    if np.any(weights < -1e-12) or abs(weights.sum() - 1.0) > 1e-10:
+    if not is_distribution(weights, 1e-10):
         raise ValueError("model weights do not form a probability distribution")
     d = sigma.dim
     for i, (_, state, response) in enumerate(model):
@@ -199,7 +200,7 @@ def lhs_model_residual(sigma: Assemblage, model) -> float:
                 raise ValueError(
                     f"response table {i} has wrong outcome count for setting {x}"
                 )
-            if np.any(row < -1e-12) or abs(row.sum() - 1.0) > 1e-10:
+            if not is_distribution(row, 1e-10):
                 raise ValueError(
                     f"response table {i}, setting {x} is not a conditional distribution"
                 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariant import HaarSampler, ResponseFunctionModel
-from .linalg import dagger, inv_sqrt, psd_stack
+from .linalg import dagger, inv_sqrt, is_distribution, psd_stack
 from .lossy import NoiseParams, noisify_povm
 from .objects import Povm
 
@@ -131,10 +131,8 @@ class JmCertificate:
             table = np.asarray(table, dtype=float)
             if table.ndim != 2 or table.shape[1] != self.parent.n_atoms:
                 raise ValueError(f"conditional table {x} has wrong shape {table.shape}")
-            if np.any(table < -1e-12):
-                raise ValueError(f"conditional table {x} has negative entries")
-            if np.max(np.abs(table.sum(axis=0) - 1.0)) > 1e-12:
-                raise ValueError(f"conditional table {x} columns do not sum to 1")
+            if not is_distribution(table, 1e-12):
+                raise ValueError(f"conditional table {x} columns are not distributions")
             conds.append(table)
         object.__setattr__(self, "conditionals", tuple(conds))
         if self.status not in (FEASIBLE, INFEASIBLE_AT_TOLERANCE):
@@ -161,8 +159,8 @@ def _reconstruction_residual(
     for table, povm in zip(conditionals, targets):
         built = np.einsum("an,nij->aij", np.asarray(table, dtype=float), parent.effects)
         devs = np.linalg.norm(built - povm.effects, axis=(1, 2))
-        residual = max(residual, float(devs.max()))
-    return residual
+        residual = np.maximum(residual, devs.max())  # carries a NaN forward
+    return float(residual)
 
 
 def _hermitian_components(mats) -> np.ndarray:

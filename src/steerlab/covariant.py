@@ -21,8 +21,6 @@ from .linalg import eig_hermitian, frobenius
 from .lossy import NoiseParams
 from .objects import NO_CLICK, Label, Povm, PureState
 
-_HAAR_METHODS = ("gaussian-normalize", "angle-parametrization")
-
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
 
@@ -45,48 +43,22 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class HaarSampler:
-    """Reproducible sampler of Haar-distributed pure states.
-
-    ``gaussian-normalize`` draws 2d standard normals per state and
-    normalizes. ``angle-parametrization`` inverts the marginals of the
-    invariant measure in hyperspherical coordinates: with x_i = sin^2
-    of the i-th polar angle, x_i = u^(1/(d-i)) for uniform u, and all
-    phases uniform. Both produce the same distribution; the second exists
-    so the coordinate form of the measure is itself testable.
-    """
+    """Reproducible sampler of Haar-distributed pure states: draws 2d
+    standard normals per state and normalizes."""
 
     d: int
-    method: str = "gaussian-normalize"
     seed: int = 0
 
     def __post_init__(self):
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.method not in _HAAR_METHODS:
-            raise ValueError(
-                f"method must be one of {_HAAR_METHODS}, got {self.method!r}"
-            )
 
     def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         d = self.d
         if d == 1:
             return np.ones((n, 1), dtype=complex)
-        if self.method == "gaussian-normalize":
-            z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-            return z / np.linalg.norm(z, axis=1, keepdims=True)
-        # angle parametrization
-        exponents = 1.0 / np.arange(d - 1, 0, -1)
-        x = rng.random((n, d - 1)) ** exponents
-        sin_t = np.sqrt(x)
-        cos_t = np.sqrt(1.0 - x)
-        phases = np.exp(2j * np.pi * rng.random((n, d - 1)))
-        prefix = np.cumprod(sin_t, axis=1)
-        z = np.empty((n, d), dtype=complex)
-        z[:, 0] = cos_t[:, 0]
-        for k in range(1, d - 1):
-            z[:, k] = phases[:, k - 1] * prefix[:, k - 1] * cos_t[:, k]
-        z[:, d - 1] = phases[:, d - 2] * prefix[:, d - 2]
-        return z
+        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent stream."""

@@ -145,6 +145,13 @@ def psd_stack(mats, labels, what: str, sums_to_identity: bool = True) -> np.ndar
     return stack
 
 
+def is_distribution(q, sum_tol: float) -> bool:
+    """True iff no entry of ``q`` is below -1e-12 and its sums along the first
+    axis (each column of a table) are within ``sum_tol`` of 1; NaN fails."""
+    q = np.asarray(q, dtype=float)
+    return bool(np.all(q >= -1e-12) and np.all(np.abs(q.sum(axis=0) - 1.0) <= sum_tol))
+
+
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 

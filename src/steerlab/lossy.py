@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import is_distribution
 from .objects import NO_CLICK, Povm, lossy_noisy_channel
 
 
@@ -49,7 +50,7 @@ class LossyDecomposition:
 
     def __post_init__(self):
         q = np.asarray(self.vacuum_dist, dtype=float)
-        if np.any(q < -1e-12) or abs(q.sum() - 1.0) > 1e-12:
+        if not is_distribution(q, 1e-12):
             raise ValueError("vacuum response is not a probability distribution")
         object.__setattr__(self, "vacuum_dist", q)
 
@@ -98,7 +99,7 @@ def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecompo
     chain = lossy_noisy_channel(d, params.eta, params.p)
     reduced = m_prime.effects[:, :d, :d]
     q = m_prime.effects[:, d, d].real
-    images = np.stack([chain.dual(mat) for mat in m_prime.effects])
+    images = chain.dual(m_prime.effects)
     # noisified reduced effects, computed on the stack: the reduced labels
     # are pass-through names and may themselves include the no-click label
     no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)

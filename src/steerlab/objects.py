@@ -179,12 +179,23 @@ class Povm:
 # ---------------------------------------------------------------------------
 
 
+def _operand(m, side: int) -> np.ndarray:
+    """``m`` as a complex (side, side) matrix or (..., side, side) stack."""
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim < 2 or arr.shape[-2:] != (side, side):
+        raise ValueError(
+            f"expected a ({side}, {side}) matrix or a stack of them, got shape {arr.shape}"
+        )
+    return arr
+
+
 class Channel:
     """Completely positive trace-preserving map given by Kraus operators.
 
-    Subclasses with closed-form action override :meth:`apply_to_matrix`
-    and :meth:`dual`; the Kraus list stays available for independent
-    cross-checks (complete positivity, brute-force duals).
+    :meth:`apply_to_matrix` and :meth:`dual` take one matrix or a
+    (..., n, n) stack and map each matrix of it. Subclasses with
+    closed-form action override both; the Kraus list stays available for
+    independent cross-checks (complete positivity, brute-force duals).
     """
 
     in_dim: int
@@ -195,38 +206,26 @@ class Channel:
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
         """Schroedinger picture: sum_k K m K^dag."""
-        m = as_complex_matrix(m)
-        if m.shape != (self.in_dim, self.in_dim):
-            raise ValueError(
-                f"operator side {m.shape[0]} does not match channel input {self.in_dim}"
-            )
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
+        m = _operand(m, self.in_dim)
+        out = np.zeros(m.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
         for k in self.kraus_operators():
             out += k @ m @ dagger(k)
         return out
 
     def dual(self, effect: np.ndarray) -> np.ndarray:
         """Heisenberg picture: sum_k K^dag E K."""
-        effect = as_complex_matrix(effect)
-        if effect.shape != (self.out_dim, self.out_dim):
-            raise ValueError(
-                f"effect side {effect.shape[0]} does not match channel output {self.out_dim}"
-            )
-        out = np.zeros((self.in_dim, self.in_dim), dtype=complex)
+        effect = _operand(effect, self.out_dim)
+        out = np.zeros(effect.shape[:-2] + (self.in_dim, self.in_dim), dtype=complex)
         for k in self.kraus_operators():
             out += dagger(k) @ effect @ k
         return out
 
     def choi(self) -> np.ndarray:
         """Choi matrix sum_ij |i><j| (x) C(|i><j|); PSD iff the map is CP."""
-        d = self.in_dim
-        out = np.zeros((d * self.out_dim, d * self.out_dim), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                eij = np.zeros((d, d), dtype=complex)
-                eij[i, j] = 1.0
-                out += tensor(eij, self.apply_to_matrix(eij))
-        return out
+        d, m = self.in_dim, self.out_dim
+        # entry (i, j) of the identity reshaped to (d, d, d, d) is |i><j|
+        images = self.apply_to_matrix(np.eye(d * d).reshape(d, d, d, d))
+        return images.transpose(0, 2, 1, 3).reshape(d * m, d * m)
 
     def kraus_closure_residual(self) -> float:
         """Frobenius distance of sum_k K^dag K from the identity."""
@@ -259,10 +258,9 @@ class WhiteNoise(Channel):
         return ops
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
-        m = as_complex_matrix(m)
-        if m.shape != (self.d, self.d):
-            raise ValueError("operator dimension does not match channel")
-        return self.p * m + (1.0 - self.p) * np.trace(m) * np.eye(self.d) / self.d
+        m = _operand(m, self.d)
+        traces = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+        return self.p * m + (1.0 - self.p) * traces * np.eye(self.d) / self.d
 
     # the channel is self-dual
     dual = apply_to_matrix
@@ -298,21 +296,18 @@ class Loss(Channel):
         return ops
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
-        m = as_complex_matrix(m)
+        m = _operand(m, self.d)
         d = self.d
-        if m.shape != (d, d):
-            raise ValueError("operator dimension does not match channel")
-        out = np.zeros((d + 1, d + 1), dtype=complex)
-        out[:d, :d] = self.eta * m
-        out[d, d] = (1.0 - self.eta) * np.trace(m)
+        out = np.zeros(m.shape[:-2] + (d + 1, d + 1), dtype=complex)
+        out[..., :d, :d] = self.eta * m
+        out[..., d, d] = (1.0 - self.eta) * np.trace(m, axis1=-2, axis2=-1)
         return out
 
     def dual(self, effect: np.ndarray) -> np.ndarray:
-        effect = as_complex_matrix(effect)
+        effect = _operand(effect, self.d + 1)
         d = self.d
-        if effect.shape != (d + 1, d + 1):
-            raise ValueError("effect dimension does not match channel output")
-        return self.eta * effect[:d, :d] + (1.0 - self.eta) * effect[d, d] * np.eye(d)
+        vacuum = effect[..., d, d, None, None]
+        return self.eta * effect[..., :d, :d] + (1.0 - self.eta) * vacuum * np.eye(d)
 
     def __repr__(self):
         return f"Loss(eta={self.eta}, d={self.d})"
@@ -386,8 +381,9 @@ def lossy_noisy_channel(d: int, eta: float, p: float) -> Composition:
 def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> DensityOperator:
     """Apply a channel to one subsystem of a (possibly multipartite) state.
 
-    Uses the channel's own :meth:`Channel.apply_to_matrix`, so closed-form
-    channels never expand into Kraus sums here.
+    Maps every block in one call to the channel's own
+    :meth:`Channel.apply_to_matrix`, so closed-form channels never expand
+    into Kraus sums here.
     """
     dims = rho.dims
     if not 0 <= on_subsystem < len(dims):
@@ -402,7 +398,7 @@ def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> Densit
     # one (n x n) block per pair of basis states of the other factors; the
     # channel is linear, so it maps each block on its own
     blocks = rho.mat.reshape(before, n, after, before, n, after).transpose(0, 2, 3, 5, 1, 4)
-    mapped = np.stack([c.apply_to_matrix(b) for b in blocks.reshape(-1, n, n)])
+    mapped = c.apply_to_matrix(blocks.reshape(-1, n, n))
     out = mapped.reshape(before, after, before, after, m, m).transpose(0, 4, 1, 2, 5, 3)
     new_dims = dims[:on_subsystem] + (m,) + dims[on_subsystem + 1:]
     side_out = before * m * after

@@ -183,6 +183,10 @@ def test_lhs_residual_rejects_malformed():
         lhs_model_residual(sigma, [(1.0, np.eye(2), [[0.5, 0.5]])])  # trace 2
     with pytest.raises(ValueError):
         lhs_model_residual(sigma, [(1.0, np.eye(2) / 2, [[0.5, 0.2]])])  # not normalized
+    with pytest.raises(ValueError):
+        lhs_model_residual(sigma, [(np.nan, np.eye(2) / 2, [[0.5, 0.5]])])  # NaN weight
+    with pytest.raises(ValueError):
+        lhs_model_residual(sigma, [(1.0, np.eye(2) / 2, [[np.nan, 0.5]])])  # NaN response
 
 
 def test_assemblage_document_roundtrip():

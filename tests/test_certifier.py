@@ -292,6 +292,20 @@ def test_verify_detects_tampered_conditionals():
         )
 
 
+def test_nan_conditionals_are_no_certificate():
+    parent = discretize_parent(2, 50, seed=0)
+    targets = _noisified_mubs(2, 0.5, 0.5)
+    valid = lp_feasibility(targets, parent, tol=1e-4).conditionals
+    for x in range(len(targets)):
+        nan = list(valid)
+        nan[x] = np.full_like(valid[x], np.nan)
+        with pytest.raises(ValueError):
+            JmCertificate(parent=parent, conditionals=tuple(nan), residual=0.0,
+                          status=FEASIBLE, tol=1e-4)
+        # the residual carries the NaN instead of reading as exact
+        assert np.isnan(certifier._reconstruction_residual(parent, nan, targets))
+
+
 def test_verify_rejects_shape_mismatch():
     parent = discretize_parent(2, 100, seed=11)
     targets = _noisified_mubs(2, 0.5, 0.5)

@@ -27,25 +27,21 @@ from steerlab.rand import random_povm, random_rank1_targets, random_unitary
 
 def test_sampler_validation():
     with pytest.raises(ValueError):
-        HaarSampler(d=3, method="bogus")
-    with pytest.raises(ValueError):
         HaarSampler(d=0)
 
 
 def test_sampler_unit_norm_and_determinism():
-    for method in ("gaussian-normalize", "angle-parametrization"):
-        s = HaarSampler(d=4, method=method, seed=7)
-        z1 = s.sample_array(1000)
-        z2 = s.sample_array(1000)
-        assert np.array_equal(z1, z2)
-        assert np.max(np.abs(np.linalg.norm(z1, axis=1) - 1.0)) < 1e-12
+    s = HaarSampler(d=4, seed=7)
+    z1 = s.sample_array(1000)
+    z2 = s.sample_array(1000)
+    assert np.array_equal(z1, z2)
+    assert np.max(np.abs(np.linalg.norm(z1, axis=1) - 1.0)) < 1e-12
 
 
 def test_sampler_d1_degenerate():
-    for method in ("gaussian-normalize", "angle-parametrization"):
-        states = HaarSampler(d=1, method=method, seed=0).states(5)
-        for psi in states:
-            assert np.allclose(psi.vec, [1.0])
+    states = HaarSampler(d=1, seed=0).states(5)
+    for psi in states:
+        assert np.allclose(psi.vec, [1.0])
 
 
 def test_sample_haar_returns_pure_states():
@@ -55,21 +51,10 @@ def test_sample_haar_returns_pure_states():
 
 
 def test_haar_first_moment():
-    # mean projector converges to I/d for both methods
-    for method in ("gaussian-normalize", "angle-parametrization"):
-        z = HaarSampler(d=3, method=method, seed=2).sample_array(100_000)
-        mean = (z.conj().T @ z) / z.shape[0]
-        assert frobenius(mean - np.eye(3) / 3) < 8e-3
-
-
-def test_methods_agree_ks():
-    # overlap-with-|0> distribution matches across methods
-    from scipy.stats import ks_2samp
-
-    a = HaarSampler(d=3, method="gaussian-normalize", seed=3).sample_array(100_000)
-    b = HaarSampler(d=3, method="angle-parametrization", seed=4).sample_array(100_000)
-    stat = ks_2samp(np.abs(a[:, 0]) ** 2, np.abs(b[:, 0]) ** 2).statistic
-    assert stat < 0.01
+    # mean projector converges to I/d
+    z = HaarSampler(d=3, seed=2).sample_array(100_000)
+    mean = (z.conj().T @ z) / z.shape[0]
+    assert frobenius(mean - np.eye(3) / 3) < 8e-3
 
 
 def test_overlap_distribution_matches_closed_form_cdf():
@@ -77,11 +62,10 @@ def test_overlap_distribution_matches_closed_form_cdf():
     from scipy.stats import kstest
 
     for d in (2, 4):
-        for method in ("gaussian-normalize", "angle-parametrization"):
-            z = HaarSampler(d=d, method=method, seed=30 + d).sample_array(50_000)
-            overlaps = np.abs(z[:, 0]) ** 2
-            stat = kstest(overlaps, lambda s: 1.0 - (1.0 - s) ** (d - 1)).statistic
-            assert stat < 0.01, (d, method, stat)
+        z = HaarSampler(d=d, seed=30 + d).sample_array(50_000)
+        overlaps = np.abs(z[:, 0]) ** 2
+        stat = kstest(overlaps, lambda s: 1.0 - (1.0 - s) ** (d - 1)).statistic
+        assert stat < 0.01, (d, stat)
 
 
 # ---------------------------------------------------------------------------

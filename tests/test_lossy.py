@@ -172,6 +172,8 @@ def test_lossy_decomposition_rejects_bad_dist():
     z = _z_basis()
     with pytest.raises(ValueError):
         LossyDecomposition(z, np.array([0.7, 0.7]), z, 0.0)
+    with pytest.raises(ValueError):
+        LossyDecomposition(z, np.array([np.nan, np.nan]), z, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,15 @@ def _random_kraus_channel(d: int, out_dim: int, rng) -> KrausChannel:
     return KrausChannel([q[i * out_dim:(i + 1) * out_dim] for i in range(n_ops)])
 
 
+def _channel(kind: str, d: int, eta: float, p: float, out_dim: int, rng):
+    return {
+        "white-noise": lambda: WhiteNoise(p, d),
+        "loss": lambda: Loss(eta, d),
+        "lossy-noisy": lambda: lossy_noisy_channel(d, eta, p),
+        "kraus": lambda: _random_kraus_channel(d, out_dim, rng),
+    }[kind]()
+
+
 @pytest.mark.parametrize("n_parties, on_subsystem", [(2, 0), (2, 1), (3, 1)])
 @settings(max_examples=25, deadline=None)
 @given(
@@ -204,12 +213,7 @@ def test_apply_channel_matches_kraus_sum(n_parties, on_subsystem, dims, kind, et
     dims = tuple(dims[:n_parties])
     d = dims[on_subsystem]
     rng = np.random.default_rng(seed)
-    chan = {
-        "white-noise": lambda: WhiteNoise(p, d),
-        "loss": lambda: Loss(eta, d),
-        "lossy-noisy": lambda: lossy_noisy_channel(d, eta, p),
-        "kraus": lambda: _random_kraus_channel(d, out_dim, rng),
-    }[kind]()
+    chan = _channel(kind, d, eta, p, out_dim, rng)
     rho = random_density(int(np.prod(dims)), rng, dims=dims)
     before = np.eye(int(np.prod(dims[:on_subsystem])))
     after = np.eye(int(np.prod(dims[on_subsystem + 1:])))
@@ -220,6 +224,60 @@ def test_apply_channel_matches_kraus_sum(n_parties, on_subsystem, dims, kind, et
     out = apply_channel(chan, rho, on_subsystem)
     assert out.dims == dims[:on_subsystem] + (chan.out_dim,) + dims[on_subsystem + 1:]
     assert np.max(np.abs(out.mat - oracle)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["white-noise", "loss", "lossy-noisy", "kraus"]),
+    d=st.integers(1, 4),
+    lead=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    eta=st.floats(0.0, 1.0),
+    p=st.floats(0.0, 1.0),
+    out_dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channels_map_stacks(kind, d, lead, eta, p, out_dim, seed):
+    rng = np.random.default_rng(seed)
+    chan = _channel(kind, d, eta, p, out_dim, rng)
+    kraus = chan.kraus_operators()
+
+    def stack(n):
+        shape = tuple(lead) + (n, n)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    rhos, effects = stack(chan.in_dim), stack(chan.out_dim)
+    images, pulled = chan.apply_to_matrix(rhos), chan.dual(effects)
+    flat_rhos = rhos.reshape(-1, chan.in_dim, chan.in_dim)
+    flat_effects = effects.reshape(-1, chan.out_dim, chan.out_dim)
+    flat_images = images.reshape(flat_effects.shape)
+    flat_pulled = pulled.reshape(flat_rhos.shape)
+    # the stack maps exactly as its matrices one at a time
+    assert np.array_equal(flat_images, np.stack([chan.apply_to_matrix(m) for m in flat_rhos]))
+    assert np.array_equal(flat_pulled, np.stack([chan.dual(e) for e in flat_effects]))
+    # Kraus-sum oracle
+    for m, image in zip(flat_rhos, flat_images):
+        assert np.max(np.abs(image - sum(k @ m @ k.conj().T for k in kraus))) < 1e-12
+    for e, image in zip(flat_effects, flat_pulled):
+        assert np.max(np.abs(image - sum(k.conj().T @ e @ k for k in kraus))) < 1e-12
+    # pairing tr[rho dual(E)] = tr[apply(rho) E] for every rho and E of the stacks
+    lhs = np.einsum("aij,bji->ab", flat_rhos, flat_pulled)
+    rhs = np.einsum("aij,bji->ab", flat_images, flat_effects)
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
+    # Choi matrix against its defining sum over matrix units
+    units = np.eye(d * d).reshape(d, d, d, d)
+    choi = sum(tensor(units[i, j], chan.apply_to_matrix(units[i, j]))
+               for i in range(d) for j in range(d))
+    assert np.max(np.abs(chan.choi() - choi)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["white-noise", "loss", "lossy-noisy", "kraus"])
+def test_channel_operand_check(kind):
+    chan = _channel(kind, 2, 0.4, 0.6, 3, np.random.default_rng(0))
+    for method, n in ((chan.apply_to_matrix, chan.in_dim), (chan.dual, chan.out_dim)):
+        for bad in (np.ones(()), np.ones(n), np.eye(n + 1), np.ones((2, n, n + 1)),
+                    np.ones((2, n + 1, n))):
+            with pytest.raises(ValueError):
+                method(bad)
 
 
 # ---------------------------------------------------------------------------
