@@ -53,22 +53,28 @@ class HaarSampler:
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
 
-    def _draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        d = self.d
-        if d == 1:
-            return np.ones((n, 1), dtype=complex)
-        z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        return z / np.linalg.norm(z, axis=1, keepdims=True)
+    def _normals(self, n: int, shard: int) -> np.ndarray:
+        """The (2, n, d) standard normals of stream ``shard``, in one draw:
+        the real plane, then the imaginary plane."""
+        return np.random.default_rng([self.seed, shard]).standard_normal((2, n, self.d))
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent stream."""
         if n < 1:
             raise ValueError(f"sample count must be >= 1, got {n}")
-        rng = np.random.default_rng([self.seed, shard])
-        return self._draw(rng, n)
+        if self.d == 1:
+            return np.ones((n, 1), dtype=complex)
+        return _unit_rows(*self._normals(n, shard))
 
     def states(self, n: int) -> list[PureState]:
         return [PureState(row, (self.d,)) for row in self.sample_array(n)]
+
+
+def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The rows of ``re + i im``, each divided by its norm."""
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -137,48 +143,51 @@ class EffectEstimate:
     n: int
 
     def max_sigma_deviation(self, analytic: np.ndarray) -> float:
-        """Largest entrywise |deviation| / stderr against a reference matrix."""
+        """Largest entrywise |deviation| / stderr against a reference matrix.
+
+        Infinite when an entry with zero stderr deviates by more than 1e-12;
+        NaN when the reference has a NaN entry.
+        """
         diff = self.estimate - np.asarray(analytic, dtype=complex)
-        worst = 0.0
-        for dev, se in (
-            (np.abs(diff.real), self.stderr_real),
-            (np.abs(diff.imag), self.stderr_imag),
-        ):
-            zero = se <= 0.0
-            if np.any(dev[zero] > 1e-12):
-                return float("inf")
-            nz = ~zero
-            if np.any(nz):
-                worst = max(worst, float(np.max(dev[nz] / se[nz])))
-        return worst
+        dev = np.stack([np.abs(diff.real), np.abs(diff.imag)])
+        se = np.stack([self.stderr_real, self.stderr_imag])
+        positive = se > 0.0
+        # 0 * dev keeps a NaN deviation NaN where the stderr is zero
+        exact = np.where(dev > 1e-12, np.inf, 0.0 * dev)
+        return float(np.max(np.where(positive, dev / np.where(positive, se, 1.0), exact)))
 
 
 def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -> list:
-    """Sums of ``accumulate(z)`` over ``n`` Haar samples ``z``, drawn in shards.
+    """Sums of ``accumulate(g)`` over the Gaussian planes ``g`` of ``n`` Haar
+    samples, drawn in shards.
 
     The samples are split into ceil(n / _CHUNK) shards whose sizes differ
-    by at most one; shard k draws from ``default_rng([seed, k])``. Threads
-    only schedule shards and the results are summed in shard order, so the
-    sums depend on the seed and n but not on the worker count.
+    by at most one; shard k passes ``accumulate`` the (2, m, d) normals of
+    ``sampler.sample_array(m, shard=k)``, unnormalized. Threads only
+    schedule shards and the results are summed in shard order, so the sums
+    depend on the seed and n but not on the worker count. The accumulators
+    call no BLAS routine, whose own threads would compete with the workers.
     """
     workers = default_workers() if workers is None else workers
     shards = -(-n // _CHUNK)
     base, extra = divmod(n, shards)
 
     def run(k: int):
-        rng = np.random.default_rng([sampler.seed, k])
-        return accumulate(sampler._draw(rng, base + (k < extra)))
+        return accumulate(sampler._normals(base + (k < extra), k))
 
     with ThreadPoolExecutor(max_workers=min(workers, shards)) as pool:
         results = list(pool.map(run, range(shards)))
     return [sum(parts) for parts in zip(*results)]
 
 
-def _accumulate_moments(d, t, z):
-    overlap = np.abs(z[:, 0]) ** 2
-    hit = overlap >= t
-    xa = d * overlap[hit]
-    return float(xa.sum()), float((xa**2).sum()), float(hit.sum()) * d
+def _accumulate_moments(d, t, g):
+    """Sums of the aligned-weight samples ``d |z_0|^2`` over accepted
+    samples, of their squares, and of ``d`` per accepted sample, with
+    ``|z_0|^2 = |g_0|^2 / |g|^2`` taken from the planes."""
+    g0 = g[:, :, 0]
+    overlap = (g0[0] ** 2 + g0[1] ** 2) / np.einsum("kni,kni->n", g, g)
+    xa = d * overlap[overlap >= t]
+    return float(xa.sum()), float((xa**2).sum()), float(xa.size) * d
 
 
 def mc_response_moments(
@@ -197,7 +206,7 @@ def mc_response_moments(
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     sampler = HaarSampler(d=d, seed=seed)
-    s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda z: _accumulate_moments(d, t, z))
+    s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda g: _accumulate_moments(d, t, g))
     # x_t takes values 0 or d, so its square sums to d * s_t
     s_t2 = d * s_t
     mean_a = s_a / n
@@ -213,19 +222,34 @@ def mc_response_moments(
     )
 
 
-def _accumulate_effect(d, t, phi, z):
+def _accumulate_effect(d, t, phi, g):
     """Sums over accepted samples of d |z><z| and of its entries' squared real
-    and imaginary parts, by matrix products: with z = x + iy,
-    Re(z_i z_j*) = x_i x_j + y_i y_j and Im(z_i z_j*) = y_i x_j - x_i y_j."""
-    zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
-    x2, y2, xy = zh.real**2, zh.imag**2, zh.real * zh.imag
-    first = zh.T @ zh.conj()
-    cross = 2.0 * (xy.T @ xy)
-    mixed = y2.T @ x2
+    and imaginary parts, by einsum sums over the planes z = x + iy:
+    Re(z_i z_j*) = x_i x_j + y_i y_j and Im(z_i z_j*) = y_i x_j - x_i y_j.
+
+    A sample is accepted when |<phi|g>|^2 >= t |g|^2, so only the accepted
+    rows of the planes ``g`` are normalized.
+    """
+    a, b = phi.real, phi.imag
+    # <phi|g> = (x.a + y.b) + i (y.a - x.b)
+    ov_re = np.einsum("kni,ki->n", g, np.stack([a, b]))
+    ov_im = np.einsum("kni,ki->n", g, np.stack([-b, a]))
+    norm2 = np.einsum("kni,kni->n", g, g)
+    hit = ov_re**2 + ov_im**2 >= t * norm2
+    # (2, d, k) with the sample index last, where einsum sums fastest
+    zt = np.compress(hit, g, axis=1).transpose(0, 2, 1).copy()
+    zt /= np.sqrt(norm2[hit])
+    x, y = zt
+    sq, xy = zt * zt, x * y
+    x2, y2 = sq
+    re = np.einsum("kin,kjn->ij", zt, zt)
+    im = np.einsum("in,jn->ij", y, x)
+    first = (re + re.T) / 2 + 1j * (im - im.T)
+    cross = 2.0 * np.einsum("in,jn->ij", xy, xy)
+    mixed = np.einsum("in,jn->ij", y2, x2)
     sq_im = mixed + mixed.T - cross
     np.fill_diagonal(sq_im, 0.0)  # the diagonal of |z><z| is real
-    return (d * (first + first.conj().T) / 2, d * d * (x2.T @ x2 + y2.T @ y2 + cross),
-            d * d * sq_im)
+    return d * first, d * d * (np.einsum("kin,kjn->ij", sq, sq) + cross), d * d * sq_im
 
 
 def mc_effect(
@@ -251,7 +275,7 @@ def mc_effect(
     sampler = HaarSampler(d=d, seed=seed)
     target = np.asarray(phi.vec)
     s1, s2_re, s2_im = _run_shards(
-        sampler, n, workers, lambda z: _accumulate_effect(d, t, target, z)
+        sampler, n, workers, lambda g: _accumulate_effect(d, t, target, g)
     )
     mean = s1 / n
     var_re = np.maximum(s2_re / n - mean.real**2, 0.0)

@@ -1,3 +1,9 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +11,16 @@ from hypothesis import strategies as st
 
 from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
 from steerlab.certifier import exact_certificate
+import steerlab
 from steerlab.covariant import (
+    _CHUNK,
+    EffectEstimate,
     HaarSampler,
     ResponseFunctionModel,
     _accumulate_effect,
+    _accumulate_moments,
+    _run_shards,
+    _unit_rows,
     aligned_weight,
     analytic_effect,
     build_jm_model,
@@ -178,6 +190,7 @@ def _basis_state(d, k=0):
     shard=st.integers(0, 20),
 )
 def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
+    # the shard input is the unnormalized planes of sample_array's stream
     sampler = HaarSampler(d=d, seed=seed)
     z = sampler.sample_array(n, shard=shard)
     phi = sampler.sample_array(1, shard=shard + 1)[0]
@@ -185,7 +198,7 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
     proj = np.einsum("ni,nj->nij", zh, zh.conj())
     want = (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
             d * d * (proj.imag**2).sum(axis=0))
-    sums = _accumulate_effect(d, t, phi, z)
+    sums = _accumulate_effect(d, t, phi, sampler._normals(n, shard))
     for got, ref in zip(sums, want):
         assert got.shape == (d, d)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -193,6 +206,83 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
     first, _, sq_im = sums
     assert np.array_equal(first, first.conj().T)
     assert not np.any(first.imag.diagonal()) and not np.any(sq_im.diagonal())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    t=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    n=st.integers(1, 3000),
+    seed=st.integers(0, 2**32 - 1),
+    shard=st.integers(0, 20),
+)
+def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard):
+    sampler = HaarSampler(d=d, seed=seed)
+    overlap = np.abs(sampler.sample_array(n, shard=shard)[:, 0]) ** 2
+    xa = d * overlap[overlap >= t]
+    s_a, s_a2, s_t = _accumulate_moments(d, t, sampler._normals(n, shard))
+    assert s_t == d * xa.size
+    assert abs(s_a - xa.sum()) <= 1e-12 * max(1.0, xa.sum())
+    assert abs(s_a2 - (xa**2).sum()) <= 1e-12 * max(1.0, (xa**2).sum())
+
+
+def test_shards_draw_the_sampler_streams():
+    # one Gaussian stream: shard k normalizes to sample_array(m, shard=k)
+    sampler = HaarSampler(d=3, seed=4)
+    n = 2 * _CHUNK + 3
+    drawn = []
+
+    def keep(g):
+        drawn.append(g)
+        return (0,)
+
+    _run_shards(sampler, n, 1, keep)  # one worker runs the shards in order
+    sizes = [g.shape[1] for g in drawn]
+    assert len(sizes) == 3 and sum(sizes) == n and max(sizes) - min(sizes) <= 1
+    for k, g in enumerate(drawn):
+        assert _unit_rows(*g).tobytes() == sampler.sample_array(len(g[0]), shard=k).tobytes()
+
+
+def test_sampler_stream_is_pinned():
+    # the Haar parents of jm-certify come from this stream
+    z = HaarSampler(3, seed=0).sample_array(300)
+    digest = "7d2f9b51dc5562b21ad8aa180b0f127793443ab8fba8c3a3e2dcdce5cc7e3192"
+    assert hashlib.sha256(z.tobytes()).hexdigest() == digest
+
+
+def test_mc_effect_independent_of_blas_threads():
+    child = """
+import numpy as np
+from steerlab.covariant import mc_effect
+from steerlab.objects import PureState
+est = mc_effect(3, 0.4, PureState(np.eye(3)[0], (3,)), 200_000, seed=3, workers=2)
+print((est.estimate.tobytes() + est.stderr_real.tobytes() + est.stderr_imag.tobytes()).hex())
+"""
+    src = str(Path(steerlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_max_sigma_deviation_propagates_nan():
+    est = mc_effect(2, 0.3, _basis_state(2), 2000, seed=1)
+    assert np.isnan(est.max_sigma_deviation(np.full((2, 2), np.nan)))
+    reference = analytic_effect(2, 0.3, _basis_state(2))
+    assert np.isfinite(est.max_sigma_deviation(reference))
+    reference[1, 0] = np.nan
+    assert np.isnan(est.max_sigma_deviation(reference))
+    # where every stderr is zero, a NaN entry still reads NaN, not 0 or inf
+    exact = EffectEstimate(np.zeros((2, 2), complex), np.zeros((2, 2)), np.zeros((2, 2)), 1)
+    assert exact.max_sigma_deviation(np.zeros((2, 2))) == 0.0
+    assert exact.max_sigma_deviation(np.eye(2)) == np.inf
+    assert np.isnan(exact.max_sigma_deviation(np.diag([np.nan, 0.0])))
 
 
 def test_mc_effect_t0_is_identity():
