@@ -11,13 +11,47 @@ import numpy as np
 from .linalg import (
     dagger,
     entries_to_matrix,
+    first_false,
     frobenius,
+    frobenius_each,
     is_distribution,
     is_psd,
+    locate,
     matrix_to_entries,
     psd_stack,
 )
 from .objects import DensityOperator, Loss, Povm
+
+
+def _entry_names(counts) -> list[str]:
+    """Names ``a=.., x=..`` of the entries of settings with ``counts[x]`` outcomes, in turn."""
+    return [f"a={a}, x={x}" for x, n in enumerate(counts) for a in range(n)]
+
+
+def check_entries(entries, counts, batch=None) -> np.ndarray:
+    """Read-only copy of validated (..., N, d, d) arrays of assemblage entries.
+
+    The N entries along axis -3 hold the settings in turn, ``counts[x]``
+    outcomes each, named ``a=.., x=..`` in errors. Every entry must be Hermitian
+    and PSD within 1e-10 (:func:`~steerlab.linalg.psd_stack`); the outcome
+    sums of all settings must agree within 1e-10 in Frobenius norm (no
+    signalling) and have unit trace within 1e-10. Leading axes index
+    independent assemblages, located in errors by ``batch`` as
+    :func:`~steerlab.linalg.locate` does.
+    """
+    stack = psd_stack(entries, _entry_names(counts), "entry", sums_to_identity=False,
+                      batch=batch)
+    sums = np.add.reduceat(stack, np.cumsum(counts) - counts, axis=-3)
+    bad = first_false(frobenius_each(sums[..., 1:, :, :] - sums[..., :1, :, :]) <= 1e-10)
+    if bad is not None:
+        raise ValueError(f"assemblage{locate(bad[:-1], batch)} signals: outcome sums of "
+                         f"settings 0 and {bad[-1] + 1} differ")
+    bad = first_false(np.abs(np.trace(sums[..., 0, :, :], axis1=-2, axis2=-1).real - 1.0)
+                      <= 1e-10)
+    if bad is not None:
+        raise ValueError(f"outcome sum of the assemblage{locate(bad, batch)} "
+                         "does not have unit trace")
+    return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,24 +76,16 @@ class Assemblage:
         if not rows:
             raise ValueError("assemblage needs at least one setting")
         for x, row in enumerate(rows):
-            if row.ndim != 3 or row.shape[1:] != (dim, dim):
+            if row.ndim != 3 or row.shape[1:] != (dim, dim) or not len(row):
                 raise ValueError(
-                    f"setting {x} has shape {row.shape}, expected (n, {dim}, {dim})"
+                    f"setting {x} has shape {row.shape}, expected (n, {dim}, {dim}) with n >= 1"
                 )
         settings = tuple(self.settings)
         if len(settings) != len(rows):
             raise ValueError("settings list does not match number of blocks")
-        names = [f"a={a}, x={x}" for x, row in enumerate(rows) for a in range(len(row))]
-        stack = psd_stack(np.concatenate(rows), names, "entry", sums_to_identity=False)
-        blocks = tuple(np.split(stack, np.cumsum([len(row) for row in rows])[:-1]))
-        sums = [row.sum(axis=0) for row in blocks]
-        for x in range(1, len(sums)):
-            if frobenius(sums[x] - sums[0]) > 1e-10:
-                raise ValueError(
-                    f"assemblage signals: outcome sums of settings 0 and {x} differ"
-                )
-        if abs(np.trace(sums[0]).real - 1.0) > 1e-10:
-            raise ValueError("outcome sum of the assemblage does not have unit trace")
+        counts = [len(row) for row in rows]
+        stack = check_entries(np.concatenate(rows), counts)
+        blocks = tuple(np.split(stack, np.cumsum(counts)[:-1]))
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "settings", settings)
@@ -98,13 +124,27 @@ class Assemblage:
         return cls(blocks, dim, tuple(settings))
 
 
+def steering_contraction(effects, rho_t, measured_side: int) -> np.ndarray:
+    """Conditional states ``tr_measured[(E_a (x) I) rho]``, Hermitian-symmetrized.
+
+    ``effects`` is a (..., n, dm, dm) array of effects on the measured side
+    and ``rho_t`` a (..., d0, d1, d0, d1) array of bipartite states as
+    tensors; leading axes broadcast. Returns (..., n, dk, dk), dk the
+    unmeasured side's dimension, in one ``einsum``.
+    """
+    # E_a contracts with the measured factor of the (d0, d1, d0, d1) tensor
+    contraction = "...aim,...mjil->...ajl" if measured_side == 0 else "...ajm,...imkj->...aik"
+    sigma = np.einsum(contraction, effects, rho_t)
+    return (sigma + dagger(sigma)) / 2.0
+
+
 def steer(
     rho: DensityOperator, measurements: list[Povm], measured_side: int
 ) -> Assemblage:
     """Assemblage prepared on the unmeasured side by measuring the other.
 
     ``sigma_{a|x} = tr_measured[(effect on measured side (x) identity) rho]``,
-    one ``einsum`` over the effect stack of each setting.
+    one :func:`steering_contraction` over the effect stack of each setting.
     """
     if len(rho.dims) != 2:
         raise ValueError("steer requires a bipartite state")
@@ -112,63 +152,83 @@ def steer(
         raise ValueError(f"measured_side must be 0 or 1, got {measured_side}")
     d_meas = rho.dims[measured_side]
     d_keep = rho.dims[1 - measured_side]
-    # rho as a (d0, d1, d0, d1) tensor; E_a contracts with the measured factor
     rho_t = rho.mat.reshape(rho.dims * 2)
-    contraction = "aim,mjil->ajl" if measured_side == 0 else "ajm,imkj->aik"
     blocks = []
     for x, povm in enumerate(measurements):
         if povm.dim != d_meas:
             raise ValueError(
                 f"measurement {x} acts on dim {povm.dim}, measured side has dim {d_meas}"
             )
-        sigma = np.einsum(contraction, povm.effects, rho_t)
-        blocks.append((sigma + dagger(sigma)) / 2.0)
+        blocks.append(steering_contraction(povm.effects, rho_t, measured_side))
     return Assemblage(tuple(blocks), d_keep, tuple(range(len(measurements))))
+
+
+def _check_eta(eta: float) -> None:
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+
+
+def lossy_entries(entries, eta: float) -> np.ndarray:
+    """(..., d, d) conditional states sent through the transmission-eta loss
+    channel: (..., d+1, d+1), the vacuum as the last index. Requires eta > 0
+    so that :func:`filter_entries` can invert it."""
+    _check_eta(eta)
+    return Loss(eta, entries.shape[-1]).apply_to_matrix(entries)
 
 
 def apply_loss_to_assemblage(sigma: Assemblage, eta: float) -> Assemblage:
     """Send every conditional state through the transmission-eta loss channel.
 
-    The output lives on dim+1 levels with the vacuum as the last index.
-    Requires eta > 0 so that the mapping stays invertible by
-    :func:`filter_loss`.
+    The output lives on dim+1 levels with the vacuum as the last index
+    (:func:`lossy_entries` on each setting).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    loss = Loss(eta, sigma.dim)
-    blocks = tuple(loss.apply_to_matrix(row) for row in sigma.blocks)
+    blocks = tuple(lossy_entries(row, eta) for row in sigma.blocks)
     return Assemblage(blocks, sigma.dim + 1, sigma.settings)
+
+
+def filter_entries(entries, eta: float, counts, batch=None) -> np.ndarray:
+    """Undo :func:`lossy_entries` on (..., N, d+1, d+1) arrays of lossy entries.
+
+    Entries are laid out and named as in :func:`check_entries`. Each is
+    mapped to ``(1/eta) * (leading (d x d) block)``. Every entry must be of
+    lossy form, with no coherence above 1e-8 between the signal block and
+    the vacuum level, and the filtered outcome sum of setting 0 must
+    renormalize to unit trace within 1e-8. ``batch`` locates errors in a
+    stack as :func:`~steerlab.linalg.locate` does.
+    """
+    _check_eta(eta)
+    d = entries.shape[-1] - 1
+    if d < 1:
+        raise ValueError("lossy assemblage must have dimension at least 2")
+    coherence = np.maximum(np.abs(entries[..., :d, d]).max(axis=-1),
+                           np.abs(entries[..., d, :d]).max(axis=-1))
+    bad = first_false(coherence <= 1e-8)
+    if bad is not None:
+        raise ValueError(
+            f"entry ({_entry_names(counts)[bad[-1]]}){locate(bad[:-1], batch)} has "
+            f"signal-vacuum coherence {coherence[bad]:.2e}; input is not of lossy form"
+        )
+    filtered = entries[..., :d, :d] / eta
+    trace = np.trace(filtered[..., :counts[0], :, :].sum(axis=-3), axis1=-2, axis2=-1).real
+    bad = first_false(np.abs(trace - 1.0) <= 1e-8)
+    if bad is not None:
+        raise ValueError(
+            f"filtered assemblage{locate(bad, batch)} does not renormalize to unit trace; "
+            "eta does not match the input's loss"
+        )
+    return filtered
 
 
 def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
     """Undo :func:`apply_loss_to_assemblage`: rescale the leading block.
 
-    Each entry is mapped to ``(1/eta) * (leading (d x d) block)``. The input
-    must genuinely be of lossy form: conditional states may not carry
-    coherences between the signal block and the vacuum level.
+    Each entry is mapped to ``(1/eta) * (leading (d x d) block)``; the input
+    must genuinely be of lossy form (see :func:`filter_entries`).
     """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    d = sigma_lossy.dim - 1
-    if d < 1:
-        raise ValueError("lossy assemblage must have dimension at least 2")
-    for x, row in enumerate(sigma_lossy.blocks):
-        coherence = np.maximum(np.abs(row[:, :d, d]).max(axis=1),
-                               np.abs(row[:, d, :d]).max(axis=1))
-        bad = np.flatnonzero(coherence > 1e-8)
-        if bad.size:
-            a = bad[0]
-            raise ValueError(
-                f"entry (a={a}, x={x}) has signal-vacuum coherence {coherence[a]:.2e}; "
-                "input is not of lossy form"
-            )
-    blocks = tuple(row[:, :d, :d] / eta for row in sigma_lossy.blocks)
-    if abs(np.trace(blocks[0].sum(axis=0)).real - 1.0) > 1e-8:
-        raise ValueError(
-            "filtered assemblage does not renormalize to unit trace; "
-            "eta does not match the input's loss"
-        )
-    return Assemblage(blocks, d, sigma_lossy.settings)
+    counts = sigma_lossy.outcomes_per_setting
+    filtered = filter_entries(np.concatenate(sigma_lossy.blocks), eta, counts)
+    blocks = tuple(np.split(filtered, np.cumsum(counts)[:-1]))
+    return Assemblage(blocks, sigma_lossy.dim - 1, sigma_lossy.settings)
 
 
 def lhs_model_residual(sigma: Assemblage, model) -> float:

@@ -17,14 +17,21 @@ import sys
 import numpy as np
 
 from . import analysis, assemblage, certifier, covariant, lossy, objects, rand
-from .linalg import matrix_to_entries
+from .linalg import frobenius_each, matrix_to_entries, psd_stack
 from .objects import Povm
 
 _DEFAULT_ATOM_SEED = 0
 
+#: Complex entries per trial block of the stacked checks: a block's arrays
+#: stay near 1 MB each, however many trials run.
+_BLOCK_ENTRIES = 2**16
+
+#: Trials of ``lemma1-roundtrip``, each measuring two random two-outcome POVMs.
+_LEMMA1_TRIALS, _LEMMA1_SETTINGS, _LEMMA1_OUTCOMES = 50, 2, 2
+
 
 def _emit(doc, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
+    text = json.dumps(doc, ensure_ascii=False, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -121,34 +128,82 @@ def _cmd_jm_certify(args) -> int:
     return 0
 
 
+def _trial_blocks(trials: int, entries_per_trial: int):
+    """The trial numbers of each block, as ranges."""
+    size = max(1, _BLOCK_ENTRIES // entries_per_trial)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _trial_names(trials):
+    """``batch`` of the stacked checks: names stack index ``(t, x)`` or ``(t,)``
+    by trial ``trials[t]`` and setting ``x``."""
+    return lambda i: f"trial {trials[i[0]]}" + (f", setting {i[1]}" if len(i) > 1 else "")
+
+
 def _cmd_lemma1_roundtrip(args) -> int:
+    """Loss then filter on the assemblages of random states and POVMs.
+
+    Each trial draws a random density matrix on d*d levels and one random
+    POVM per setting, steers, applies loss and filters it; the trials of a
+    block run as one stack, drawing their normals in one call, in the
+    order the per-trial objects would draw them.
+    """
     rng = rand.rng_from(args.seed)
+    d, eta = args.d, args.eta
+    counts = [_LEMMA1_OUTCOMES] * _LEMMA1_SETTINGS
+    entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES
+    rho_normals, povm_normals = 2 * d**4, entries * 2 * d * d
     worst = 0.0
-    trials = 50
-    for _ in range(trials):
-        rho = rand.random_density(args.d * args.d, rng, dims=(args.d, args.d))
-        povms = [rand.random_povm(args.d, 2, rng) for _ in range(2)]
-        sigma = assemblage.steer(rho, povms, measured_side=0)
-        lossy_sigma = assemblage.apply_loss_to_assemblage(sigma, args.eta)
-        recovered = assemblage.filter_loss(lossy_sigma, args.eta)
-        for x in range(sigma.n_settings):
-            for a in range(sigma.outcomes_per_setting[x]):
-                dev = np.linalg.norm(recovered.entry(a, x) - sigma.entry(a, x))
-                worst = max(worst, float(dev))
-    _emit({"d": args.d, "eta": args.eta, "seed": args.seed, "trials": trials,
+    # per trial: a state on d*d levels and the lossy entries on d+1 levels
+    for trials in _trial_blocks(_LEMMA1_TRIALS, d**4 + entries * (d + 1) ** 2):
+        batch = _trial_names(trials)
+        normals = rng.standard_normal((len(trials), rho_normals + povm_normals))
+        rho = objects.density_stack(
+            rand.gram_densities(normals[:, :rho_normals].reshape(-1, 2, d * d, d * d)), batch)
+        effects = psd_stack(
+            rand.gram_povms(normals[:, rho_normals:].reshape(
+                -1, _LEMMA1_SETTINGS, _LEMMA1_OUTCOMES, 2, d, d), batch),
+            range(_LEMMA1_OUTCOMES), "effect", batch=batch)
+        sigma = assemblage.steering_contraction(effects, rho.reshape(-1, 1, d, d, d, d), 0)
+        sigma = assemblage.check_entries(sigma.reshape(-1, entries, d, d), counts, batch)
+        lossy_sigma = assemblage.check_entries(assemblage.lossy_entries(sigma, eta), counts,
+                                               batch)
+        recovered = assemblage.check_entries(
+            assemblage.filter_entries(lossy_sigma, eta, counts, batch), counts, batch)
+        worst = max(worst, float(np.max(frobenius_each(recovered - sigma))))
+    _emit({"d": d, "eta": eta, "seed": args.seed, "trials": _LEMMA1_TRIALS,
            "max_roundtrip_residual": worst}, None)
     return 0
 
 
 def _cmd_appendix_c_check(args) -> int:
+    """The dual-channel decomposition of random POVMs on d+1 levels.
+
+    Trial k draws a random POVM with 2 + k % (d+1) outcomes. A block's
+    normals are drawn in one call, in the order the per-trial objects would
+    draw them, into a layout padded to d+2 outcomes; the trials with the
+    same outcome count then run as one stack.
+    """
     rng = rand.rng_from([args.d, args.trials])
     params = lossy.NoiseParams(d=args.d, eta=args.eta, p=args.p)
+    side, most = args.d + 1, args.d + 2
     worst = 0.0
-    for k in range(args.trials):
-        n_outcomes = 2 + (k % (args.d + 1))
-        m_prime = rand.random_povm(args.d + 1, n_outcomes, rng)
-        decomp = lossy.reduce_through_loss_dual(m_prime, params)
-        worst = max(worst, decomp.identity_residual)
+    for block in _trial_blocks(args.trials, most * side * side):
+        trials = np.asarray(block)
+        outcomes = 2 + trials % side
+        drawn = np.arange(most) < outcomes[:, None]
+        normals = np.zeros((len(trials), most, 2, side, side))
+        normals[drawn] = rng.standard_normal((int(drawn.sum()), 2, side, side))
+        for n in sorted(set(outcomes.tolist())):
+            group = outcomes == n
+            batch, labels = _trial_names(trials[group]), range(n)
+            effects = psd_stack(rand.gram_povms(normals[group, :n], batch), labels, "effect",
+                                batch=batch)
+            split = lossy.pull_back(effects, params)
+            psd_stack(split.reduced, labels, "effect", batch=batch)
+            lossy.check_vacuum(split.vacuum, batch)
+            psd_stack(split.images, labels, "effect", batch=batch)
+            worst = max(worst, float(np.max(split.residuals)))
     _emit({"d": args.d, "eta": args.eta, "p": args.p, "trials": args.trials,
            "max_decomposition_residual": worst}, None)
     return 0

@@ -59,6 +59,17 @@ def frobenius(m: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(m)))
 
 
+def frobenius_each(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a (..., r, c) stack.
+
+    The same two dot products as ``np.linalg.norm`` of one complex matrix,
+    so each norm equals :func:`frobenius` of its matrix bit for bit.
+    """
+    m = np.asarray(m, dtype=complex)
+    flat = m.reshape(m.shape[:-2] + (m.shape[-2] * m.shape[-1],))
+    return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices; dimensions multiply."""
     return np.kron(as_complex_matrix(a), as_complex_matrix(b))
@@ -115,41 +126,71 @@ def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(evals[0] >= -tol)
 
 
-def psd_stack(mats, labels, what: str, sums_to_identity: bool = True) -> np.ndarray:
-    """Read-only complex (n, d, d) copy of a validated stack of PSD matrices.
+def locate(index: tuple, batch=None) -> str:
+    """Error-message phrase locating a matrix of a stack among its leading batch axes.
 
+    Empty for an unbatched stack (``index == ()``); otherwise
+    ``" in " + batch(index)``, or the index tuple itself without ``batch``.
+    """
+    if not index:
+        return ""
+    return f" in {batch(index) if batch is not None else f'stack entry {index}'}"
+
+
+def first_false(ok) -> tuple | None:
+    """Index tuple of the first False entry of a boolean array (C order), or None."""
+    bad = np.argwhere(~np.asarray(ok, dtype=bool))
+    return tuple(int(i) for i in bad[0]) if len(bad) else None
+
+
+def psd_stack(mats, labels, what: str, sums_to_identity: bool = True, batch=None) -> np.ndarray:
+    """Read-only complex copy of validated stacks of PSD matrices.
+
+    ``mats`` has shape (..., n, d, d): a stack of n matrices along axis -3,
+    under any number of leading batch axes that index independent stacks.
     Each matrix must be Hermitian within ``HERMITICITY_TOL`` and have no
     eigenvalue of its Hermitian part below ``-HERMITICITY_TOL`` (one
-    ``eigvalsh`` over the whole stack). With ``sums_to_identity`` the
+    ``eigvalsh`` over the whole array). With ``sums_to_identity`` every
     stack must also sum to the identity within 1e-10 in Frobenius norm.
     Errors name the offending matrix as ``what`` followed by its entry of
-    ``labels``; comparisons are written so that NaN entries fail them.
+    ``labels`` along the stack axis (``what`` alone if ``labels`` is None),
+    and its batch index as :func:`locate` does; comparisons are written so
+    that NaN entries fail them.
     """
     stack = np.array(mats, dtype=complex)
-    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or len(stack) == 0:
+    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or stack.shape[-3] == 0:
         raise ValueError(f"{what}s must form a nonempty (n, d, d) stack, got shape {stack.shape}")
-    herm_dev = np.max(np.abs(stack - dagger(stack)), axis=(1, 2))
-    bad = np.flatnonzero(~(herm_dev <= HERMITICITY_TOL))
-    if bad.size:
-        raise ValueError(f"{what} {labels[bad[0]]!r} is not Hermitian within 1e-10")
-    min_eig = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[:, 0]
-    bad = np.flatnonzero(~(min_eig >= -HERMITICITY_TOL))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"{what} {labels[k]!r} is not PSD within 1e-10 (eigenvalue {min_eig[k]:.2e})"
-        )
-    if sums_to_identity and frobenius(stack.sum(axis=0) - np.eye(stack.shape[1])) > 1e-10:
-        raise ValueError(f"{what}s do not sum to the identity within 1e-10")
+
+    def name(i):
+        return (what if labels is None else f"{what} {labels[i[-1]]!r}") + locate(i[:-1], batch)
+
+    herm_dev = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
+    bad = first_false(herm_dev <= HERMITICITY_TOL)
+    if bad is not None:
+        raise ValueError(f"{name(bad)} is not Hermitian within 1e-10")
+    min_eig = np.linalg.eigvalsh((stack + dagger(stack)) / 2.0)[..., 0]
+    bad = first_false(min_eig >= -HERMITICITY_TOL)
+    if bad is not None:
+        raise ValueError(f"{name(bad)} is not PSD within 1e-10 (eigenvalue {min_eig[bad]:.2e})")
+    if sums_to_identity:
+        bad = first_false(frobenius_each(stack.sum(axis=-3) - np.eye(stack.shape[-1])) <= 1e-10)
+        if bad is not None:
+            raise ValueError(f"{what}s{locate(bad, batch)} do not sum to the identity within 1e-10")
     stack.setflags(write=False)
     return stack
 
 
-def is_distribution(q, sum_tol: float) -> bool:
-    """True iff no entry of ``q`` is below -1e-12 and its sums along the first
-    axis (each column of a table) are within ``sum_tol`` of 1; NaN fails."""
+def distributions(q, sum_tol: float, axis: int = 0) -> np.ndarray:
+    """Per-distribution verdicts on ``q`` read along ``axis``: True where no
+    entry is below -1e-12 and the sum is within ``sum_tol`` of 1; NaN fails."""
     q = np.asarray(q, dtype=float)
-    return bool(np.all(q >= -1e-12) and np.all(np.abs(q.sum(axis=0) - 1.0) <= sum_tol))
+    return np.all(q >= -1e-12, axis=axis) & (np.abs(q.sum(axis=axis) - 1.0) <= sum_tol)
+
+
+def is_distribution(q, sum_tol: float) -> bool:
+    """True iff every column of ``q`` (its sums along the first axis) is a
+    distribution in the sense of :func:`distributions`."""
+    return bool(np.all(distributions(q, sum_tol)))
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -182,20 +223,23 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of a Hermitian positive-definite matrix.
+def inv_sqrt(m: np.ndarray, batch=None) -> np.ndarray:
+    """Inverse square root of a Hermitian positive-definite matrix, or of
+    each matrix of a (..., d, d) stack.
 
-    Computed from one eigendecomposition of the Hermitian part of ``m``.
+    Computed from one eigendecomposition of the Hermitian part of each
+    matrix; ``batch`` names a singular one as in :func:`locate`.
 
     Raises
     ------
     ValueError
-        If the smallest eigenvalue is at most 1e-12 (singular input).
+        If a smallest eigenvalue is at most 1e-12 (singular input).
     """
     evals, evecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    if evals[0] <= 1e-12:
+    bad = first_false(evals[..., 0] > 1e-12)
+    if bad is not None:
         raise ValueError(
-            f"matrix is singular (smallest eigenvalue {evals[0]:.2e}); "
-            "no inverse square root"
+            f"matrix{locate(bad, batch)} is singular (smallest eigenvalue "
+            f"{evals[bad][0]:.2e}); no inverse square root"
         )
-    return (evecs / np.sqrt(evals)) @ dagger(evecs)
+    return (evecs / np.sqrt(evals)[..., None, :]) @ dagger(evecs)

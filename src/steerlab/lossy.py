@@ -9,10 +9,11 @@ the signal block plus a vacuum response distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import is_distribution
+from .linalg import distributions, first_false, locate
 from .objects import NO_CLICK, Povm, lossy_noisy_channel
 
 
@@ -50,17 +51,25 @@ class LossyDecomposition:
 
     def __post_init__(self):
         q = np.asarray(self.vacuum_dist, dtype=float)
-        if not is_distribution(q, 1e-12):
-            raise ValueError("vacuum response is not a probability distribution")
+        check_vacuum(q)
         object.__setattr__(self, "vacuum_dist", q)
 
 
+def check_vacuum(q: np.ndarray, batch=None) -> None:
+    """Each vacuum response along the last axis of ``q`` must be a probability
+    distribution (sum within 1e-12); ``batch`` locates a failing one in a
+    stack as :func:`~steerlab.linalg.locate` does."""
+    bad = first_false(distributions(q, 1e-12, axis=-1))
+    if bad is not None:
+        raise ValueError(f"vacuum response{locate(bad, batch)} is not a probability distribution")
+
+
 def _noisify(mats: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """A (n, d, d) stack of effects under white noise and loss:
+    """A (..., d, d) stack of effects under white noise and loss:
     eta*p*M + eta*(1-p)*tr(M)*I/d for each effect M."""
     d, eta, p = params.d, params.eta, params.p
     eye = np.eye(d, dtype=complex)
-    traces = np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    traces = np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
     return eta * p * mats + eta * (1.0 - p) * traces * eye / d
 
 
@@ -79,36 +88,55 @@ def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
                 m.labels + (NO_CLICK,))
 
 
-def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecomposition:
-    """Pull a measurement on the enlarged space back through noise and loss.
+class PullBack(NamedTuple):
+    """Effects on d+1 levels pulled back through noise and loss, per effect."""
 
-    For each effect M'_a on d+1 levels (vacuum last) this computes the
-    signal-block reduction ``M_a = P M'_a P``, the vacuum response
-    ``q(a) = <ø|M'_a|ø>``, and the Heisenberg image of M'_a under the full
-    channel. The images always satisfy
+    reduced: np.ndarray  # (..., n, d, d) signal blocks P M'_a P
+    vacuum: np.ndarray  # (..., n) vacuum responses q(a) = <ø|M'_a|ø>
+    images: np.ndarray  # (..., n, d, d) Heisenberg images under the channel
+    residuals: np.ndarray  # (..., n) Frobenius deviations of the identity below
 
-        image_a = noisified(M)_a + q(a) * noisified(M)_no_click,
 
-    which is verified at construction.
+def pull_back(effects: np.ndarray, params: NoiseParams) -> PullBack:
+    """Pull a (..., n, d+1, d+1) array of effects back through noise and loss.
+
+    For each effect M'_a (vacuum last) this computes the signal-block
+    reduction ``M_a = P M'_a P``, the vacuum response ``q(a)``, the
+    Heisenberg image of M'_a under the full channel, and the Frobenius norm
+    of that image's deviation from
+
+        noisified(M)_a + q(a) * noisified(M)_no_click,
+
+    which vanishes for every input.
     """
     d = params.d
-    if m_prime.dim != d + 1:
-        raise ValueError(
-            f"expected a POVM on dimension {d + 1}, got dimension {m_prime.dim}"
-        )
-    chain = lossy_noisy_channel(d, params.eta, params.p)
-    reduced = m_prime.effects[:, :d, :d]
-    q = m_prime.effects[:, d, d].real
-    images = chain.dual(m_prime.effects)
+    reduced = effects[..., :d, :d]
+    q = effects[..., d, d].real
+    images = lossy_noisy_channel(d, params.eta, params.p).dual(effects)
     # noisified reduced effects, computed on the stack: the reduced labels
     # are pass-through names and may themselves include the no-click label
     no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)
-    deviations = images - (_noisify(reduced, params) + q[:, None, None] * no_click)
+    deviations = images - (_noisify(reduced, params) + q[..., None, None] * no_click)
+    return PullBack(reduced, q, images, np.linalg.norm(deviations, axis=(-2, -1)))
+
+
+def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecomposition:
+    """Pull a measurement on the enlarged space back through noise and loss.
+
+    Splits each effect as :func:`pull_back` does; the decomposition's
+    reduced POVM, vacuum response and reconstruction are validated at
+    construction, and its residual is the largest deviation.
+    """
+    if m_prime.dim != params.d + 1:
+        raise ValueError(
+            f"expected a POVM on dimension {params.d + 1}, got dimension {m_prime.dim}"
+        )
+    split = pull_back(m_prime.effects, params)
     return LossyDecomposition(
-        reduced_povm=Povm(reduced, m_prime.labels),
-        vacuum_dist=q,
-        reconstructed=Povm(images, m_prime.labels),
-        identity_residual=float(np.max(np.linalg.norm(deviations, axis=(1, 2)))),
+        reduced_povm=Povm(split.reduced, m_prime.labels),
+        vacuum_dist=split.vacuum,
+        reconstructed=Povm(split.images, m_prime.labels),
+        identity_residual=float(np.max(split.residuals)),
     )
 
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    HERMITICITY_TOL,
     as_complex_matrix,
     dagger,
     entries_to_matrix,
+    first_false,
     freeze_array,
     frobenius,
-    is_hermitian,
-    is_psd,
+    locate,
     matrix_to_entries,
     partial_trace,
     psd_stack,
@@ -66,6 +65,25 @@ class PureState:
         return DensityOperator(self.projector(), self.dims)
 
 
+def density_stack(mats, batch=None) -> np.ndarray:
+    """Read-only copy of one validated density matrix or (..., d, d) stack of them.
+
+    Each matrix must be Hermitian and PSD within 1e-10 (one
+    :func:`~steerlab.linalg.psd_stack` call) and have unit trace within
+    1e-10; errors locate a matrix of a stack as
+    :func:`~steerlab.linalg.locate` does with ``batch``.
+    """
+    stack = psd_stack(np.asarray(mats)[..., None, :, :], None, "density matrix",
+                      sums_to_identity=False, batch=batch)[..., 0, :, :]
+    trace = np.trace(stack, axis1=-2, axis2=-1).real
+    bad = first_false(np.abs(trace - 1.0) <= 1e-10)
+    if bad is not None:
+        raise ValueError(
+            f"density matrix{locate(bad, batch)} trace differs from 1 by more than 1e-10"
+        )
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Positive unit-trace operator carrying its subsystem dimensions."""
@@ -81,13 +99,7 @@ class DensityOperator:
             raise ValueError(
                 f"matrix shape {mat.shape} does not match dims {dims}"
             )
-        if not is_hermitian(mat, HERMITICITY_TOL):
-            raise ValueError("density matrix is not Hermitian within 1e-10")
-        if not is_psd(mat, HERMITICITY_TOL):
-            raise ValueError("density matrix is not positive semidefinite within 1e-10")
-        if abs(np.trace(mat).real - 1.0) > 1e-10:
-            raise ValueError("density matrix trace differs from 1 by more than 1e-10")
-        object.__setattr__(self, "mat", freeze_array(mat))
+        object.__setattr__(self, "mat", density_stack(mat))
         object.__setattr__(self, "dims", dims)
 
     @property

@@ -32,25 +32,39 @@ def random_unitary(d: int, rng) -> np.ndarray:
     return q * phases
 
 
+def gram_densities(normals: np.ndarray) -> np.ndarray:
+    """Normalized Gram matrices G / tr G with G = A A^dag, one per (2, d, d)
+    block of a (..., 2, d, d) array holding the real then the imaginary
+    part of each Ginibre factor A."""
+    a = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    g = a @ dagger(a)
+    return g / np.trace(g, axis1=-2, axis2=-1)[..., None, None]
+
+
+def gram_povms(normals: np.ndarray, batch=None) -> np.ndarray:
+    """POVM effects S^{-1/2} G_i S^{-1/2} (symmetrized), one POVM per
+    (n, 2, d, d) block of a (..., n, 2, d, d) array of Ginibre parts as in
+    :func:`gram_densities`; S is the sum of each block's n Gram matrices.
+    ``batch`` names a singular S as :func:`~steerlab.linalg.locate` does."""
+    factors = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
+    grams = factors @ dagger(factors)
+    s_inv_root = inv_sqrt(grams.sum(axis=-3), batch)[..., None, :, :]
+    effects = s_inv_root @ grams @ dagger(s_inv_root)
+    # symmetrize away roundoff
+    return (effects + dagger(effects)) / 2.0
+
+
 def random_density(d: int, rng, dims: tuple[int, ...] | None = None) -> DensityOperator:
     """Full-rank random density matrix from a normalized Gram matrix."""
     rng = rng_from(rng)
-    a = _ginibre(rng, d, d)
-    g = a @ dagger(a)
-    return DensityOperator(g / np.trace(g), dims if dims is not None else (d,))
+    return DensityOperator(gram_densities(rng.standard_normal((2, d, d))),
+                           dims if dims is not None else (d,))
 
 
 def random_povm(d: int, n_outcomes: int, rng) -> Povm:
     """Generic full-rank POVM with ``n_outcomes`` effects on dimension ``d``."""
     rng = rng_from(rng)
-    # real then imaginary part of each Ginibre factor in turn, as _ginibre draws them
-    parts = rng.standard_normal((n_outcomes, 2, d, d))
-    factors = parts[:, 0] + 1j * parts[:, 1]
-    grams = factors @ dagger(factors)
-    s_inv_root = inv_sqrt(grams.sum(axis=0))
-    effects = s_inv_root @ grams @ dagger(s_inv_root)
-    # symmetrize away roundoff
-    return Povm((effects + dagger(effects)) / 2.0)
+    return Povm(gram_povms(rng.standard_normal((n_outcomes, 2, d, d))))
 
 
 def random_rank1_targets(d: int, n_outcomes: int, rng) -> list[tuple[float, np.ndarray]]:

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.assemblage import (
     Assemblage,
     apply_loss_to_assemblage,
+    check_entries,
     filter_loss,
     lhs_model_residual,
     steer,
@@ -74,6 +77,12 @@ def test_assemblage_rejects_signaling():
     )
     with pytest.raises(ValueError):
         Assemblage(blocks, 2, (0, 1))
+
+
+def test_assemblage_rejects_setting_without_outcomes():
+    entry = np.eye(2) / 4
+    with pytest.raises(ValueError, match=r"setting 1 has shape \(0, 2, 2\)"):
+        Assemblage(((entry, entry), np.zeros((0, 2, 2))), 2, (0, 1))
 
 
 def test_apply_loss_direct_arithmetic():
@@ -208,3 +217,59 @@ def test_assemblage_document_entry_order_insensitive():
     for x in range(2):
         for a in range(3):
             assert frobenius(back.entry(a, x) - sigma.entry(a, x)) < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), outcomes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       eta=st.floats(1e-3, 1.0), side=st.sampled_from([0, 1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_filter_undoes_loss_on_random_assemblages(d, outcomes, eta, side, seed):
+    # Lemma 1: filter o loss = id, on assemblages of random states measured
+    # on either side by random POVMs with differing outcome counts
+    rng = np.random.default_rng(seed)
+    rho = random_density(d * d, rng, dims=(d, d))
+    sigma = steer(rho, [random_povm(d, n, rng) for n in outcomes], measured_side=side)
+    lossy_sigma = apply_loss_to_assemblage(sigma, eta)
+    back = filter_loss(lossy_sigma, eta)
+    assert back.outcomes_per_setting == sigma.outcomes_per_setting == tuple(outcomes)
+    for x, n in enumerate(outcomes):
+        for a in range(n):
+            assert frobenius(back.entry(a, x) - sigma.entry(a, x)) < 1e-12
+            lossy_entry = lossy_sigma.entry(a, x)
+            assert np.array_equal(lossy_entry[:d, d], np.zeros(d))
+            assert abs(lossy_entry[d, d] - (1 - eta) * np.trace(sigma.entry(a, x))) < 1e-15
+
+
+def test_filter_names_the_coherent_entry():
+    rng = np.random.default_rng(12)
+    lossy_sigma = apply_loss_to_assemblage(_random_assemblage(2, 2, 2, rng), 0.5)
+    blocks = [np.array(row) for row in lossy_sigma.blocks]
+    # opposite coherences on the two outcomes of setting 1 keep the sums equal
+    for a, sign in ((0, 1.0), (1, -1.0)):
+        blocks[1][a, 0, 2] += sign * 1e-6
+        blocks[1][a, 2, 0] += sign * 1e-6
+    coherent = Assemblage(tuple(blocks), 3, lossy_sigma.settings)
+    with pytest.raises(ValueError, match=r"entry \(a=0, x=1\) has signal-vacuum coherence"):
+        filter_loss(coherent, 0.5)
+
+
+def test_check_entries_names_the_offending_assemblage():
+    # a (trials, entries, d, d) stack: each error names the entry and the trial
+    rng = np.random.default_rng(13)
+    counts = [2, 2]
+    stack = np.array([np.concatenate(_random_assemblage(2, 2, 2, rng).blocks)
+                      for _ in range(3)])
+    batch = lambda i: f"trial {i[0]}"  # noqa: E731
+    assert np.array_equal(check_entries(stack, counts, batch), stack)
+    bad = stack.copy()
+    bad[2, 3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="entry 'a=1, x=1' in trial 2 is not Hermitian"):
+        check_entries(bad, counts, batch)
+    bad = stack.copy()
+    bad[1, 2] += np.eye(2) * 1e-3
+    with pytest.raises(ValueError, match="assemblage in trial 1 signals: outcome sums of "
+                                         "settings 0 and 1 differ"):
+        check_entries(bad, counts, batch)
+    bad = stack * 1.01
+    with pytest.raises(ValueError, match="assemblage in trial 0 does not have unit trace"):
+        check_entries(bad, counts, batch)

@@ -252,6 +252,68 @@ def test_certificate_attains_the_lp_optimum(d, n_atoms, outcomes, seed):
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
 
 
+def _kron_blocks_lp(targets, parent):
+    """The LP of :func:`lp_feasibility` assembled from Kronecker blocks, as its
+    docstring writes it: the reference for the index-array build."""
+    from scipy import sparse
+
+    d, n = parent.d, parent.n_atoms
+    counts = np.array([p.n_outcomes for p in targets])
+    starts = np.cumsum(counts) - counts
+    heaviest = starts + [np.argmax(np.trace(p.effects, axis1=1, axis2=2).real) for p in targets]
+    kept = np.delete(np.arange(counts.sum()), heaviest)
+    owner = np.repeat(np.arange(len(targets)), counts - 1)
+    free = np.arange(kept.size)
+    comps = _hermitian_components(parent.effects).T
+    spread = sparse.csr_matrix(
+        (np.repeat([1.0, -1.0], kept.size), (np.append(kept, heaviest[owner]), np.tile(free, 2))),
+        shape=(counts.sum(), kept.size))
+    grouping = sparse.csr_matrix((np.ones(kept.size), (owner, free)),
+                                 shape=(len(targets), kept.size))
+    signed = sparse.kron(spread, sparse.kron(sparse.identity(d * d), [[1.0], [-1.0]]))
+    normalization = sparse.kron(grouping[counts > 1], sparse.identity(n))
+    a_ub = sparse.bmat([[None, signed, np.full((signed.shape[0], 1), -1.0)],
+                        [normalization, None, None]], format="csr")
+    a_eq = sparse.hstack([sparse.kron(sparse.identity(kept.size), comps),
+                          -sparse.identity(kept.size * d * d),
+                          sparse.csr_matrix((kept.size * d * d, 1))], format="csr")
+    bounds = ([(0, np.inf)] * (kept.size * n) + [(-np.inf, np.inf)] * (kept.size * d * d)
+              + [(0, np.inf)])
+    return a_ub, a_eq, np.array(bounds, dtype=float)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n_atoms=st.integers(9, 30),
+    outcomes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lp_matches_kronecker_block_assembly(d, n_atoms, outcomes, seed):
+    # the same CSR arrays (explicit zeros of C included) and the same bounds
+    rng = np.random.default_rng(seed)
+    parent = discretize_parent(d, n_atoms, seed=seed)
+    targets = [random_povm(d, k, rng) for k in outcomes]
+    captured = {}
+
+    def fake_linprog(c, **kwargs):
+        captured.update(kwargs)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "linprog", fake_linprog)
+        with pytest.raises(_Captured):
+            lp_feasibility(targets, parent)
+    for got, want in zip((captured["A_ub"], captured["A_eq"], captured["bounds"]),
+                         _kron_blocks_lp(targets, parent)):
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+            continue
+        assert got.format == "csr" and got.shape == want.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------

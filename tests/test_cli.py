@@ -14,10 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steerlab
-from steerlab import analysis, certifier
+from steerlab import analysis, assemblage, certifier, cli, lossy, rand
+from steerlab.assemblage import apply_loss_to_assemblage, filter_loss, lossy_entries, steer
 from steerlab.certifier import JmCertificate, discretize_parent, verify_certificate
 from steerlab.cli import main
-from steerlab.lossy import NoiseParams, noisify_povm
+from steerlab.lossy import NoiseParams, noisify_povm, pull_back, reduce_through_loss_dual
 from steerlab.objects import mub_pair
 
 
@@ -348,3 +349,231 @@ assert codes == [0] * len(commands), codes
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# Outputs of the stacked check commands and of `state`, recorded from the
+# per-trial implementation these commands replaced: the benchmark's inputs
+# for seeds 0-5, then the inputs of the tests and of CI. A `state` document
+# is pinned by the sha256 of its parsed form re-encoded with sorted keys; a
+# check command by its residual, compared with ==.
+RECORDED = [
+    ("state --d 12 --eta 0.6095693498571635 --p 0.31582937101109626",
+     "438bdc0e2a3be391a105c2c5e6d212b2feaab50cc85e4a2fb5f40e9040a93f95"),
+    ("appendixC-check --d 4 --eta 0.6095693498571635 --p 0.31582937101109626 --trials 200",
+     2.9414690675170555e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.6095693498571635 --seed 661058652", 3.116623961872001e-17),
+    ("state --d 12 --eta 0.5094572997602054 --p 0.8603709570607483",
+     "92103e22d7008be7cdfd603cec5cb3f575ed6f695f1d9d4da5c8343d78b0091a"),
+    ("appendixC-check --d 4 --eta 0.5094572997602054 --p 0.8603709570607483 --trials 200",
+     2.231270158914028e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.5094572997602054 --seed 74845286", 1.4092960140259168e-17),
+    ("state --d 12 --eta 0.30928970739945316 --p 0.3387929147312987",
+     "ef3fc9d8f37f95fba0f75b125eb71281ffddcf4dd1c7aaa96bd2b4a92a074874"),
+    ("appendixC-check --d 4 --eta 0.30928970739945316 --p 0.3387929147312987 --trials 200",
+     2.7196286008498203e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.30928970739945316 --seed 888658063", 2.420273424433203e-17),
+    ("state --d 12 --eta 0.1685193337148995 --p 0.28944840527687976",
+     "4174c50214acd89696465c467a7cea7fb25ee237f5842abc9e11ca496f727209"),
+    ("appendixC-check --d 4 --eta 0.1685193337148995 --p 0.28944840527687976 --trials 200",
+     1.9231589015462868e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.1685193337148995 --seed 389477915", 2.4295807111699744e-17),
+    ("state --d 12 --eta 0.8544448844578941 --p 0.5090620422514893",
+     "79fd897754670d7f2b4d2c8bb8d1f7a0296ee3a03683f8cbc5bae8926887e8fb"),
+    ("appendixC-check --d 4 --eta 0.8544448844578941 --p 0.5090620422514893 --trials 200",
+     2.0158651201548846e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.8544448844578941 --seed 2019575649", 3.413018240881218e-17),
+    ("state --d 12 --eta 0.7440023389963042 --p 0.746352631789195",
+     "42b2a6ea8a0db365349d29fbd43cb5be8775ce553a06350dac97049b0b9fa3c7"),
+    ("appendixC-check --d 4 --eta 0.7440023389963042 --p 0.746352631789195 --trials 200",
+     2.5814177514652363e-16),
+    ("lemma1-roundtrip --d 6 --eta 0.7440023389963042 --seed 1006851808", 3.419623001940413e-17),
+    ("state --d 2 --eta 0.5 --p 0.7",
+     "5e4615c300042d8a6196f7308077847550d0cb33d61f1363907d5aafaf0e9609"),
+    ("state --d 4 --eta 0.5 --p 0.5",
+     "9818e158f973c4176421730a1bc7b830b06a554ff4f2a2bc1e1f63c1bd28504a"),
+    ("state --d 3 --eta 0.3 --p 0.9",
+     "7f5df8bc368c64a13e206fe70100ff7848fe52b27d7763dbca8e18106d56b0c6"),
+    ("appendixC-check --d 2 --eta 0.6 --p 0.4 --trials 10", 1.5700924586837752e-16),
+    ("appendixC-check --d 2 --eta 0.6 --p 0.4 --trials 5", 1.2412670766236366e-16),
+    ("appendixC-check --d 4 --eta 0.4 --p 0.6 --trials 50", 1.7555881559905333e-16),
+    ("appendixC-check --d 3 --eta 1.0 --p 0.0 --trials 7", 0.0),
+    ("lemma1-roundtrip --d 2 --eta 0.3 --seed 7", 5.887846720064156e-17),
+    ("lemma1-roundtrip --d 4 --eta 0.4 --seed 1", 4.163336342344337e-17),
+    ("lemma1-roundtrip --d 3 --eta 1.0 --seed 0", 0.0),
+]
+
+
+@pytest.mark.parametrize("command, expected", RECORDED)
+def test_outputs_match_recorded_values(capsys, command, expected):
+    argv = command.split()
+    code, out = _run(capsys, *argv)
+    assert code == 0
+    doc = _strict_json(out)
+    if argv[0] == "state":
+        encoded = json.dumps(doc, sort_keys=True).encode()
+        assert hashlib.sha256(encoded).hexdigest() == expected
+        return
+    flags = dict(zip(argv[1::2], argv[2::2]))
+    key = ("max_decomposition_residual" if argv[0] == "appendixC-check"
+           else "max_roundtrip_residual")
+    assert doc.pop(key) == expected
+    assert doc.pop("d") == int(flags["--d"]) and doc.pop("eta") == float(flags["--eta"])
+    if argv[0] == "appendixC-check":
+        assert doc == {"p": float(flags["--p"]), "trials": int(flags["--trials"])}
+    else:
+        assert doc == {"seed": int(flags["--seed"]), "trials": 50}
+
+
+def test_output_is_compact_json(tmp_path, capsys):
+    emit = tmp_path / "state.json"
+    for argv in (["state", "--d", "2", "--eta", "0.5", "--p", "0.7", "--emit", str(emit)],
+                 ["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "3"],
+                 ["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
+                 ["thresholds", "--d", "2"]):
+        code, out = _run(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert out == json.dumps(json.loads(out), ensure_ascii=False) + "\n"
+    assert emit.read_text(encoding="utf-8") == _run(capsys, "state", "--d", "2", "--eta", "0.5",
+                                                    "--p", "0.7")[1]
+
+
+def _appendix_c_per_trial(d, eta, p, trials):
+    """``appendixC-check`` one trial at a time through the per-object API."""
+    rng = rand.rng_from([d, trials])
+    params = NoiseParams(d=d, eta=eta, p=p)
+    worst = 0.0
+    for k in range(trials):
+        m_prime = rand.random_povm(d + 1, 2 + k % (d + 1), rng)
+        worst = max(worst, reduce_through_loss_dual(m_prime, params).identity_residual)
+    return worst
+
+
+def _lemma1_per_trial(d, eta, seed):
+    """``lemma1-roundtrip`` one trial at a time through the per-object API."""
+    rng = rand.rng_from(seed)
+    worst = 0.0
+    for _ in range(50):
+        rho = rand.random_density(d * d, rng, dims=(d, d))
+        povms = [rand.random_povm(d, 2, rng) for _ in range(2)]
+        sigma = steer(rho, povms, measured_side=0)
+        recovered = filter_loss(apply_loss_to_assemblage(sigma, eta), eta)
+        for x in range(sigma.n_settings):
+            for a in range(sigma.outcomes_per_setting[x]):
+                dev = np.linalg.norm(recovered.entry(a, x) - sigma.entry(a, x))
+                worst = max(worst, float(dev))
+    return worst
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(1, 5), eta=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0),
+       trials=st.integers(1, 40))
+def test_appendix_c_stack_equals_per_trial_objects(d, eta, p, trials):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["appendixC-check", "--d", str(d), "--eta", repr(eta), "--p", repr(p),
+                     "--trials", str(trials)])
+    assert code == 0
+    residual = json.loads(stdout.getvalue())["max_decomposition_residual"]
+    assert residual == _appendix_c_per_trial(d, eta, p, trials)
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 4), eta=st.floats(1e-3, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lemma1_stack_equals_per_trial_objects(d, eta, seed):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["lemma1-roundtrip", "--d", str(d), "--eta", repr(eta), "--seed", str(seed)])
+    assert code == 0
+    residual = json.loads(stdout.getvalue())["max_roundtrip_residual"]
+    assert residual == _lemma1_per_trial(d, eta, seed)
+
+
+def test_blocks_do_not_change_the_stacked_residuals(capsys, monkeypatch):
+    # one trial per block draws the same stream and gives the same residuals
+    argvs = [["appendixC-check", "--d", "3", "--eta", "0.7", "--p", "0.2", "--trials", "9"],
+             ["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"]]
+    whole = [_run(capsys, *argv)[1] for argv in argvs]
+    monkeypatch.setattr(cli, "_BLOCK_ENTRIES", 1)
+    assert [_run(capsys, *argv)[1] for argv in argvs] == whole
+
+
+def _corrupt(helper, index, entry):
+    """Wrap a random-object helper so that the entry at ``index`` of its output
+    stacks large enough to hold it is shifted by ``entry``."""
+    def corrupted(*args, **kwargs):
+        out = helper(*args, **kwargs)
+        if all(size > i for size, i in zip(out.shape, index)):
+            out[index] += entry
+        return out
+    return corrupted
+
+
+@pytest.mark.parametrize("argv, target, index, entry, message", [
+    # appendixC-check with d=2 gives trial k 2 + k % 3 outcomes, so the
+    # group of 4-outcome trials holds trials 2, 5, 8, ...: its entry 1 is trial 5
+    (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"],
+     "gram_povms", (1, 3, 0, 1), 1e-3, "effect 3 in trial 5 is not Hermitian"),
+    (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"],
+     "gram_povms", (0, 1, 2, 2), -1.0, "effect 1 in trial 0 is not PSD"),
+    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
+     "gram_povms", (4, 1, 0, 0, 0), 1e-3, "effects in trial 4, setting 1 do not sum"),
+    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
+     "gram_densities", (7, 0, 0), 1e-3, "density matrix in trial 7 trace differs"),
+    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
+     "gram_densities", (3, 0, 1), 1e-3, "density matrix in trial 3 is not Hermitian"),
+])
+def test_corrupted_stack_names_the_trial(capsys, monkeypatch, argv, target, index, entry,
+                                         message):
+    monkeypatch.setattr(rand, target, _corrupt(getattr(rand, target), index, entry))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_corrupted_lossy_stack_names_the_trial(capsys, monkeypatch):
+    def coherent(entries, eta):
+        # opposite signal-vacuum coherences on the two outcomes of setting 1
+        # of trial 6 keep every entry Hermitian and PSD and the sums equal
+        out = lossy_entries(entries, eta)
+        for k, sign in ((2, 1.0), (3, -1.0)):
+            out[6, k, 0, 2] += sign * 1e-6
+            out[6, k, 2, 0] += sign * 1e-6
+        return out
+
+    monkeypatch.setattr(assemblage, "lossy_entries", coherent)
+    assert main(["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "entry (a=0, x=1) in trial 6 has signal-vacuum coherence 1.00e-06" in err
+
+
+def test_corrupted_vacuum_response_names_the_trial(capsys, monkeypatch):
+    def shifted(effects, params):
+        split = pull_back(effects, params)
+        vacuum = split.vacuum.copy()
+        if len(vacuum) > 2:  # the group of 2-outcome trials 0, 3, 6, ...
+            vacuum[2, 0] += 1e-9  # trial 6
+        return split._replace(vacuum=vacuum)
+
+    monkeypatch.setattr(lossy, "pull_back", shifted)
+    argv = ["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "vacuum response in trial 6 is not a probability distribution" in err
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "5"],
+     "gram_povms"),
+    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"], "gram_densities"),
+])
+def test_stacked_checks_out_of_memory_exit_2(capsys, monkeypatch, argv, target):
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array")
+
+    monkeypatch.setattr(rand, target, too_large)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err

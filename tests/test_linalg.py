@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from steerlab.linalg import (
     dagger,
     eig_hermitian,
     frobenius,
+    frobenius_each,
+    inv_sqrt,
     is_psd,
     partial_trace,
     psd_stack,
@@ -199,3 +203,85 @@ def test_eig_hermitian_phase_fix_deterministic():
 def test_eig_hermitian_rejects_non_hermitian():
     with pytest.raises(ValueError):
         eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    n=st.integers(1, 4),
+    batch=st.lists(st.integers(1, 3), min_size=1, max_size=2),
+    kind=st.sampled_from(["none", "negative-eigenvalue", "anti-hermitian", "off-identity",
+                          "nan"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_stack_batches_agree_with_each_stack(d, n, batch, kind, seed):
+    # a batched call accepts exactly when every stack passes on its own, and
+    # its error names the first failing stack by its batch index
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch)
+    stacks = np.array([random_povm(d, n, rng).effects for _ in range(int(np.prod(shape)))])
+    stacks = stacks.reshape(shape + (n, d, d))
+    index = tuple(int(rng.integers(size)) for size in shape)
+    k, i, j = int(rng.integers(n)), int(rng.integers(d)), int(rng.integers(d))
+    if kind == "negative-eigenvalue":
+        stacks[index + (k, i, i)] -= 2.0
+    elif kind == "anti-hermitian" and d > 1:
+        stacks[index + (k, i, (i + 1) % d)] += 1e-3
+    elif kind == "off-identity":
+        stacks[index + (k, i, i)] += 1e-3
+    elif kind == "nan":
+        stacks[index + (k, i, j)] = np.nan
+    labels = [f"out{a}" for a in range(n)]
+    failures = []
+    for b in np.ndindex(shape):
+        try:
+            psd_stack(stacks[b], labels, "effect")
+        except ValueError as exc:
+            failures.append((b, str(exc)))
+    if not failures:
+        out = psd_stack(stacks, labels, "effect", batch=lambda b: f"POVM {b}")
+        assert np.array_equal(out, stacks) and not out.flags.writeable
+        return
+    with pytest.raises(ValueError) as exc:
+        psd_stack(stacks, labels, "effect", batch=lambda b: f"POVM {b}")
+    # only the corrupted stack fails; the batched error is its error with
+    # the batch index after the name
+    (where, message), = failures
+    assert where == index
+    name, verb, rest = re.split(r" (is not|do not) ", message, maxsplit=1)
+    assert str(exc.value) == f"{name} in POVM {index} {verb} {rest}"
+
+
+def test_psd_stack_names_batch_index_by_default():
+    stacks = np.broadcast_to(np.eye(2) / 2, (3, 2, 2, 2)).copy()
+    stacks[2, 1, 0, 0] = -1.0
+    with pytest.raises(ValueError, match=r"effect 1 in stack entry \(2,\) is not PSD"):
+        psd_stack(stacks, range(2), "effect")
+    stacks[2, 1, 0, 0] = 0.6
+    with pytest.raises(ValueError, match=r"effects in stack entry \(2,\) do not sum"):
+        psd_stack(stacks, range(2), "effect")
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 6), shape=st.lists(st.integers(1, 3), max_size=2),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_equal_per_matrix_calls(d, shape, seed):
+    # inv_sqrt and frobenius_each on a stack give the per-matrix results bit for bit
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal(tuple(shape) + (2, d, d))
+    a = g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    mats = a @ dagger(a) + np.eye(d)
+    roots, norms = inv_sqrt(mats), frobenius_each(mats)
+    for i in np.ndindex(tuple(shape)):
+        assert np.array_equal(roots[i], inv_sqrt(mats[i]))
+        assert norms[i] == frobenius(mats[i]) == np.linalg.norm(mats[i])
+    assert norms.shape == tuple(shape)
+
+
+def test_inv_sqrt_names_a_singular_matrix():
+    mats = np.broadcast_to(np.eye(2), (2, 3, 2, 2)).copy()
+    mats[1, 2] = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"matrix in stack entry \(1, 2\) is singular"):
+        inv_sqrt(mats)
+    with pytest.raises(ValueError, match=r"^matrix is singular"):
+        inv_sqrt(mats[1, 2])

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerlab.linalg import frobenius, is_psd
 from steerlab.lossy import (
     LossyDecomposition,
     NoiseParams,
+    check_vacuum,
     coarse_grain,
     embed_with_vacuum,
     noisify_povm,
+    pull_back,
     reduce_through_loss_dual,
 )
 from steerlab.objects import NO_CLICK, KrausChannel, Povm, lossy_noisy_channel, mub_pair
@@ -208,3 +212,44 @@ def test_coarse_grain_requires_partition():
     with pytest.raises(ValueError):
         coarse_grain(mixed, {"a": [1, 2]})
     assert coarse_grain(mixed, {"a": ["1", 2]}).labels == ("a",)
+
+
+@settings(max_examples=80, deadline=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 6), eta=st.floats(0.0, 1.0),
+       p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_decomposition_identity_on_random_povms(d, n, eta, p, seed):
+    # Appendix C: the Kraus-sum image of each effect equals the noisified
+    # reduced effect plus its vacuum response times the no-click effect
+    rng = np.random.default_rng(seed)
+    m_prime = random_povm(d + 1, n, rng)
+    params = NoiseParams(d=d, eta=eta, p=p)
+    decomp = reduce_through_loss_dual(m_prime, params)
+    assert decomp.identity_residual < 1e-12
+    chain = KrausChannel(lossy_noisy_channel(d, eta, p).kraus_operators())
+    for a, mat in enumerate(m_prime.effects):
+        reduced = mat[:d, :d]
+        noisy = eta * p * reduced + eta * (1 - p) * np.trace(reduced).real * np.eye(d) / d
+        expected = noisy + mat[d, d].real * (1 - eta) * np.eye(d)
+        assert frobenius(chain.dual(mat) - expected) < 1e-12
+        assert np.array_equal(decomp.reduced_povm.effects[a], reduced)
+    assert np.array_equal(decomp.vacuum_dist, m_prime.effects[:, d, d].real)
+
+
+def test_pull_back_maps_stacks_like_single_povms():
+    rng = np.random.default_rng(6)
+    params = NoiseParams(d=2, eta=0.3, p=0.6)
+    effects = np.array([[random_povm(3, 3, rng).effects for _ in range(2)] for _ in range(2)])
+    stacked = pull_back(effects, params)
+    for i in np.ndindex(2, 2):
+        single = pull_back(effects[i], params)
+        for got, want in zip(stacked, single):
+            assert np.array_equal(got[i], want)
+
+
+def test_check_vacuum_names_the_stack():
+    q = np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.4]])
+    with pytest.raises(ValueError, match=r"vacuum response in trial 2 is not a probability"):
+        check_vacuum(q, lambda i: f"trial {i[0]}")
+    with pytest.raises(ValueError, match=r"^vacuum response is not a probability"):
+        check_vacuum(q[2])
+    check_vacuum(q[:2])

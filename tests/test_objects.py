@@ -18,6 +18,7 @@ from steerlab.objects import (
     PureState,
     WhiteNoise,
     apply_channel,
+    density_stack,
     lossy_noisy_channel,
     mub_pair,
     one_way_state,
@@ -436,3 +437,29 @@ def test_array_holding_objects_compare_by_identity():
         assert (first == first) is True
         assert (first == second) is False
         assert (first != second) is True
+
+
+def test_density_operator_validation_messages():
+    good = np.diag([0.5, 0.5]).astype(complex)
+    assert np.array_equal(DensityOperator(good, (2,)).mat, good)
+    cases = [
+        (np.array([[0.5, 1e-6], [0.0, 0.5]]), "density matrix is not Hermitian within 1e-10"),
+        (np.diag([1.5, -0.5]), "density matrix is not PSD within 1e-10"),
+        (np.diag([0.5, 0.6]), "density matrix trace differs from 1 by more than 1e-10"),
+        (np.diag([np.nan, 0.5]), "density matrix is not Hermitian within 1e-10"),
+    ]
+    for mat, message in cases:
+        with pytest.raises(ValueError, match=message):
+            DensityOperator(mat, (2,))
+
+
+def test_density_stack_agrees_with_density_operator():
+    rng = np.random.default_rng(11)
+    mats = np.array([[random_density(3, rng).mat for _ in range(2)] for _ in range(3)])
+    stack = density_stack(mats)
+    assert np.array_equal(stack, mats) and not stack.flags.writeable
+    mats[2, 1, 0, 0] += 1e-3  # trace off, still Hermitian and PSD
+    with pytest.raises(ValueError, match=r"density matrix in trial \(2, 1\) trace differs"):
+        density_stack(mats, lambda i: f"trial {i}")
+    with pytest.raises(ValueError, match="trace differs"):
+        DensityOperator(mats[2, 1], (3,))
