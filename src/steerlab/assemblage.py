@@ -28,29 +28,27 @@ def _entry_names(counts) -> list[str]:
     return [f"a={a}, x={x}" for x, n in enumerate(counts) for a in range(n)]
 
 
-def check_entries(entries, counts, batch=None) -> np.ndarray:
+def check_entries(entries, counts) -> np.ndarray:
     """Read-only copy of validated (..., N, d, d) arrays of assemblage entries.
 
-    The N entries along axis -3 hold the settings in turn, ``counts[x]``
-    outcomes each, named ``a=.., x=..`` in errors. Every entry must be Hermitian
-    and PSD within 1e-10 (:func:`~steerlab.linalg.psd_stack`); the outcome
-    sums of all settings must agree within 1e-10 in Frobenius norm (no
-    signalling) and have unit trace within 1e-10. Leading axes index
-    independent assemblages, located in errors by ``batch`` as
-    :func:`~steerlab.linalg.locate` does.
+    These are all the value checks of an :class:`Assemblage`. The N entries
+    along axis -3 hold the settings in turn, ``counts[x]`` outcomes each,
+    named ``a=.., x=..`` in errors. Every entry must be Hermitian and PSD
+    within 1e-10 (:func:`~steerlab.linalg.psd_stack`); the outcome sums of
+    all settings must agree within 1e-10 in Frobenius norm (no signalling)
+    and have unit trace within 1e-10. Leading axes index independent
+    assemblages, located in errors as :func:`~steerlab.linalg.locate` does.
     """
-    stack = psd_stack(entries, _entry_names(counts), "entry", sums_to_identity=False,
-                      batch=batch)
+    stack = psd_stack(entries, _entry_names(counts), "entry", sums_to_identity=False)
     sums = np.add.reduceat(stack, np.cumsum(counts) - counts, axis=-3)
     bad = first_false(frobenius_each(sums[..., 1:, :, :] - sums[..., :1, :, :]) <= 1e-10)
     if bad is not None:
-        raise ValueError(f"assemblage{locate(bad[:-1], batch)} signals: outcome sums of "
+        raise ValueError(f"assemblage{locate(bad[:-1])} signals: outcome sums of "
                          f"settings 0 and {bad[-1] + 1} differ")
     bad = first_false(np.abs(np.trace(sums[..., 0, :, :], axis1=-2, axis2=-1).real - 1.0)
                       <= 1e-10)
     if bad is not None:
-        raise ValueError(f"outcome sum of the assemblage{locate(bad, batch)} "
-                         "does not have unit trace")
+        raise ValueError(f"outcome sum of the assemblage{locate(bad)} does not have unit trace")
     return stack
 
 
@@ -90,6 +88,17 @@ class Assemblage:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "settings", settings)
 
+    @classmethod
+    def _from_checked(cls, entries: np.ndarray, counts, dim: int, settings) -> "Assemblage":
+        """The assemblage of a (N, dim, dim) array that :func:`check_entries`
+        returned for ``counts``, one setting per count, without running its
+        checks again."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "blocks", tuple(np.split(entries, np.cumsum(counts)[:-1])))
+        object.__setattr__(sigma, "dim", dim)
+        object.__setattr__(sigma, "settings", tuple(settings))
+        return sigma
+
     @property
     def n_settings(self) -> int:
         return len(self.blocks)
@@ -124,18 +133,19 @@ class Assemblage:
         return cls(blocks, dim, tuple(settings))
 
 
-def steering_contraction(effects, rho_t, measured_side: int) -> np.ndarray:
-    """Conditional states ``tr_measured[(E_a (x) I) rho]``, Hermitian-symmetrized.
+def steer_entries(effects, rho_t, measured_side: int, counts) -> np.ndarray:
+    """Checked conditional states ``tr_measured[(E_a (x) I) rho]``, Hermitian-symmetrized.
 
-    ``effects`` is a (..., n, dm, dm) array of effects on the measured side
-    and ``rho_t`` a (..., d0, d1, d0, d1) array of bipartite states as
-    tensors; leading axes broadcast. Returns (..., n, dk, dk), dk the
-    unmeasured side's dimension, in one ``einsum``.
+    ``effects`` is a (..., N, dm, dm) array of effects on the measured side,
+    laid out by setting as in :func:`check_entries`, and ``rho_t`` a
+    (..., d0, d1, d0, d1) array of bipartite states as tensors; leading axes
+    broadcast. Returns (..., N, dk, dk), dk the unmeasured side's dimension,
+    from one ``einsum`` and one :func:`check_entries`.
     """
     # E_a contracts with the measured factor of the (d0, d1, d0, d1) tensor
     contraction = "...aim,...mjil->...ajl" if measured_side == 0 else "...ajm,...imkj->...aik"
     sigma = np.einsum(contraction, effects, rho_t)
-    return (sigma + dagger(sigma)) / 2.0
+    return check_entries((sigma + dagger(sigma)) / 2.0, counts)
 
 
 def steer(
@@ -144,23 +154,25 @@ def steer(
     """Assemblage prepared on the unmeasured side by measuring the other.
 
     ``sigma_{a|x} = tr_measured[(effect on measured side (x) identity) rho]``,
-    one :func:`steering_contraction` over the effect stack of each setting.
+    one :func:`steer_entries` over the effects of all settings.
     """
     if len(rho.dims) != 2:
         raise ValueError("steer requires a bipartite state")
     if measured_side not in (0, 1):
         raise ValueError(f"measured_side must be 0 or 1, got {measured_side}")
+    if not measurements:
+        raise ValueError("assemblage needs at least one setting")
     d_meas = rho.dims[measured_side]
     d_keep = rho.dims[1 - measured_side]
-    rho_t = rho.mat.reshape(rho.dims * 2)
-    blocks = []
     for x, povm in enumerate(measurements):
         if povm.dim != d_meas:
             raise ValueError(
                 f"measurement {x} acts on dim {povm.dim}, measured side has dim {d_meas}"
             )
-        blocks.append(steering_contraction(povm.effects, rho_t, measured_side))
-    return Assemblage(tuple(blocks), d_keep, tuple(range(len(measurements))))
+    counts = [povm.n_outcomes for povm in measurements]
+    entries = steer_entries(np.concatenate([povm.effects for povm in measurements]),
+                            rho.mat.reshape(rho.dims * 2), measured_side, counts)
+    return Assemblage._from_checked(entries, counts, d_keep, range(len(measurements)))
 
 
 def _check_eta(eta: float) -> None:
@@ -168,32 +180,35 @@ def _check_eta(eta: float) -> None:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
 
 
-def lossy_entries(entries, eta: float) -> np.ndarray:
-    """(..., d, d) conditional states sent through the transmission-eta loss
-    channel: (..., d+1, d+1), the vacuum as the last index. Requires eta > 0
-    so that :func:`filter_entries` can invert it."""
+def lossy_entries(entries, eta: float, counts) -> np.ndarray:
+    """Checked (..., N, d+1, d+1) arrays of assemblage entries, laid out as
+    in :func:`check_entries`, from (..., N, d, d) ones sent through the
+    transmission-eta loss channel, the vacuum as the last index. Requires
+    eta > 0 so that :func:`filter_entries` can invert it."""
     _check_eta(eta)
-    return Loss(eta, entries.shape[-1]).apply_to_matrix(entries)
+    return check_entries(Loss(eta, entries.shape[-1]).apply_to_matrix(entries), counts)
 
 
 def apply_loss_to_assemblage(sigma: Assemblage, eta: float) -> Assemblage:
     """Send every conditional state through the transmission-eta loss channel.
 
     The output lives on dim+1 levels with the vacuum as the last index
-    (:func:`lossy_entries` on each setting).
+    (:func:`lossy_entries` on all entries).
     """
-    blocks = tuple(lossy_entries(row, eta) for row in sigma.blocks)
-    return Assemblage(blocks, sigma.dim + 1, sigma.settings)
+    counts = sigma.outcomes_per_setting
+    entries = lossy_entries(np.concatenate(sigma.blocks), eta, counts)
+    return Assemblage._from_checked(entries, counts, sigma.dim + 1, sigma.settings)
 
 
-def filter_entries(entries, eta: float, counts, batch=None) -> np.ndarray:
+def filter_entries(entries, eta: float, counts) -> np.ndarray:
     """Undo :func:`lossy_entries` on (..., N, d+1, d+1) arrays of lossy entries.
 
     Entries are laid out and named as in :func:`check_entries`. Each is
     mapped to ``(1/eta) * (leading (d x d) block)``. Every entry must be of
     lossy form, with no coherence above 1e-8 between the signal block and
     the vacuum level, and the filtered outcome sum of setting 0 must
-    renormalize to unit trace within 1e-8. ``batch`` locates errors in a
+    renormalize to unit trace within 1e-8; the filtered entries are then
+    checked as :func:`check_entries` does. Errors locate an entry of a
     stack as :func:`~steerlab.linalg.locate` does.
     """
     _check_eta(eta)
@@ -205,7 +220,7 @@ def filter_entries(entries, eta: float, counts, batch=None) -> np.ndarray:
     bad = first_false(coherence <= 1e-8)
     if bad is not None:
         raise ValueError(
-            f"entry ({_entry_names(counts)[bad[-1]]}){locate(bad[:-1], batch)} has "
+            f"entry ({_entry_names(counts)[bad[-1]]}){locate(bad[:-1])} has "
             f"signal-vacuum coherence {coherence[bad]:.2e}; input is not of lossy form"
         )
     filtered = entries[..., :d, :d] / eta
@@ -213,10 +228,10 @@ def filter_entries(entries, eta: float, counts, batch=None) -> np.ndarray:
     bad = first_false(np.abs(trace - 1.0) <= 1e-8)
     if bad is not None:
         raise ValueError(
-            f"filtered assemblage{locate(bad, batch)} does not renormalize to unit trace; "
+            f"filtered assemblage{locate(bad)} does not renormalize to unit trace; "
             "eta does not match the input's loss"
         )
-    return filtered
+    return check_entries(filtered, counts)
 
 
 def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
@@ -226,9 +241,8 @@ def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
     must genuinely be of lossy form (see :func:`filter_entries`).
     """
     counts = sigma_lossy.outcomes_per_setting
-    filtered = filter_entries(np.concatenate(sigma_lossy.blocks), eta, counts)
-    blocks = tuple(np.split(filtered, np.cumsum(counts)[:-1]))
-    return Assemblage(blocks, sigma_lossy.dim - 1, sigma_lossy.settings)
+    entries = filter_entries(np.concatenate(sigma_lossy.blocks), eta, counts)
+    return Assemblage._from_checked(entries, counts, sigma_lossy.dim - 1, sigma_lossy.settings)
 
 
 def lhs_model_residual(sigma: Assemblage, model) -> float:

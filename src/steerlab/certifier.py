@@ -235,50 +235,36 @@ def lp_feasibility(
     heaviest = starts + [np.argmax(np.trace(p.effects, axis1=1, axis2=2).real) for p in targets]
     kept = np.delete(np.arange(counts.sum()), heaviest)  # the f free outcomes
     owner = np.repeat(np.arange(len(targets)), counts - 1)  # their targets
-    f, m = kept.size, d * d
+    free = np.arange(kept.size)
     comps = _hermitian_components(parent.effects).T  # C
     t = _hermitian_components(np.concatenate([p.effects for p in targets]))
     offset = np.zeros_like(t)  # o
     offset[heaviest] = comps.sum(axis=1) - np.add.reduceat(t, starts)
-    # columns: the f n conditionals, the f d^2 free deviations, then s
-    cond_col = (np.arange(f) * n)[:, None] + np.arange(n)
-    dev_col = f * n + np.arange(f * m).reshape(f, m)
-    s_col = f * (n + m)
-    # A_eq row (j, r): C[r] on the conditionals of free outcome j, -1 on D_(j, r)
-    a_eq = sparse.csr_matrix((
-        np.hstack([np.tile(comps, (f, 1)), np.full((f * m, 1), -1.0)]).ravel(),
-        np.hstack([np.repeat(cond_col, m, axis=0), dev_col.reshape(-1, 1)]).ravel(),
-        np.arange(f * m + 1) * (n + 1)), shape=(f * m, s_col + 1))
-    # A_ub signed row (outcome o, coordinate r, sign): (+-) G[o, j] D_(j, r) - s;
-    # column j of G is 1 at outcome kept[j] and -1 at e_x of its target
-    n_signed = counts.sum() * m * 2
-    signed_rows = (2 * (np.stack([kept, heaviest[owner]])[:, :, None] * m + np.arange(m))
-                   )[..., None] + [0, 1]  # axes: (G entry, j, r, sign)
-    signed_vals = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, None, None, :]
-    # then the normalization rows B (x) I_n, per target with free outcomes and atom
-    norm_rows = n_signed + ((np.cumsum(counts > 1) - 1)[owner] * n)[:, None] + np.arange(n)
-    a_ub = sparse.csr_matrix((
-        np.concatenate([np.broadcast_to(signed_vals, signed_rows.shape).ravel(),
-                        np.full(n_signed, -1.0), np.ones(norm_rows.size)]),
-        (np.concatenate([signed_rows.ravel(), np.arange(n_signed), norm_rows.ravel()]),
-         np.concatenate([np.broadcast_to(dev_col[:, :, None], signed_rows.shape).ravel(),
-                         np.full(n_signed, s_col), cond_col.ravel()]))),
-        shape=(n_signed + (counts > 1).sum() * n, s_col + 1))
-    b_ub = np.append(np.stack([-offset, offset], axis=-1), np.ones(a_ub.shape[0] - n_signed))
-    c = np.zeros(s_col + 1)
+    spread = sparse.csr_matrix(  # G
+        (np.repeat([1.0, -1.0], kept.size), (np.append(kept, heaviest[owner]), np.tile(free, 2))),
+        shape=(t.shape[0], kept.size))
+    grouping = sparse.csr_matrix((np.ones(kept.size), (owner, free)),
+                                 shape=(len(targets), kept.size))  # B
+    signed = sparse.kron(spread, sparse.kron(sparse.identity(d * d), [[1.0], [-1.0]]))
+    normalization = sparse.kron(grouping[counts > 1], sparse.identity(n))
+    a_ub = sparse.bmat([[None, signed, np.full((signed.shape[0], 1), -1.0)],
+                        [normalization, None, None]], format="csr")
+    b_ub = np.append(np.stack([-offset, offset], axis=-1), np.ones(normalization.shape[0]))
+    a_eq = sparse.hstack([sparse.kron(sparse.identity(kept.size), comps),
+                          -sparse.identity(kept.size * d * d),
+                          sparse.csr_matrix((kept.size * d * d, 1))], format="csr")
+    c = np.zeros(a_ub.shape[1])
     c[-1] = 1.0
-    bounds = np.zeros((s_col + 1, 2))
+    bounds = np.zeros((a_ub.shape[1], 2))  # conditionals and s >= 0, deviations free
     bounds[:, 1] = np.inf
-    bounds[f * n:s_col, 0] = -np.inf
+    bounds[kept.size * n:-1, 0] = -np.inf
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=t[kept].ravel(), bounds=bounds,
                   method="highs")
     if not res.success:
         raise SolverFailure(f"LP solver failed: {res.message}")
 
     tables = np.empty((counts.sum(), n))
-    tables[kept] = res.x[: f * n].reshape(-1, n)
-    grouping = sparse.csr_matrix((np.ones(f), (owner, np.arange(f))),
-                                 shape=(len(targets), f))  # B
+    tables[kept] = res.x[: kept.size * n].reshape(-1, n)
     tables[heaviest] = np.clip(1.0 - grouping @ tables[kept], 0.0, None)
     conditionals = []
     for table in np.split(tables, starts[1:]):

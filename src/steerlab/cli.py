@@ -23,8 +23,9 @@ from .objects import Povm
 _DEFAULT_ATOM_SEED = 0
 
 #: Complex entries per trial block of the stacked checks: a block's arrays
-#: stay near 1 MB each, however many trials run.
-_BLOCK_ENTRIES = 2**16
+#: stay near 256 kB each, however many trials run, so the temporaries of
+#: its checks stay below the peak of ``state --d 12``.
+_BLOCK_ENTRIES = 2**14
 
 #: Trials of ``lemma1-roundtrip``, each measuring two random two-outcome POVMs.
 _LEMMA1_TRIALS, _LEMMA1_SETTINGS, _LEMMA1_OUTCOMES = 50, 2, 2
@@ -134,10 +135,40 @@ def _trial_blocks(trials: int, entries_per_trial: int):
     return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
 
 
-def _trial_names(trials):
-    """``batch`` of the stacked checks: names stack index ``(t, x)`` or ``(t,)``
-    by trial ``trials[t]`` and setting ``x``."""
-    return lambda i: f"trial {trials[i[0]]}" + (f", setting {i[1]}" if len(i) > 1 else "")
+def _naming_trials(run, trials, inputs):
+    """``run(inputs)``, the leading axis of ``inputs`` holding ``trials``.
+
+    On a ValueError, ``run`` is repeated on the inputs of each trial alone,
+    so that the error names the first trial that fails.
+    """
+    try:
+        return run(inputs)
+    except ValueError:
+        for k, one in zip(trials, inputs):
+            try:
+                run(one)
+            except ValueError as exc:
+                raise ValueError(f"trial {k}: {exc}") from None
+        raise
+
+
+def _lemma1_residual(normals, d: int, eta: float) -> float:
+    """Largest round-trip deviation over the trials of a (..., K) array of
+    normals, K per trial: a state on d*d levels, then one POVM per setting."""
+    lead = normals.shape[:-1]
+    counts = [_LEMMA1_OUTCOMES] * _LEMMA1_SETTINGS
+    rho_normals = 2 * d**4
+    rho = objects.density_stack(
+        rand.gram_densities(normals[..., :rho_normals].reshape(lead + (2, d * d, d * d))))
+    effects = psd_stack(
+        rand.gram_povms(normals[..., rho_normals:].reshape(
+            lead + (_LEMMA1_SETTINGS, _LEMMA1_OUTCOMES, 2, d, d))),
+        range(_LEMMA1_OUTCOMES), "effect")
+    sigma = assemblage.steer_entries(effects.reshape(lead + (-1, d, d)),
+                                     rho.reshape(lead + (d, d, d, d)), 0, counts)
+    recovered = assemblage.filter_entries(assemblage.lossy_entries(sigma, eta, counts), eta,
+                                          counts)
+    return float(np.max(frobenius_each(recovered - sigma)))
 
 
 def _cmd_lemma1_roundtrip(args) -> int:
@@ -149,31 +180,26 @@ def _cmd_lemma1_roundtrip(args) -> int:
     order the per-trial objects would draw them.
     """
     rng = rand.rng_from(args.seed)
-    d, eta = args.d, args.eta
-    counts = [_LEMMA1_OUTCOMES] * _LEMMA1_SETTINGS
+    d = args.d
     entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES
-    rho_normals, povm_normals = 2 * d**4, entries * 2 * d * d
+    normals_per_trial = 2 * d**4 + entries * 2 * d * d
     worst = 0.0
     # per trial: a state on d*d levels and the lossy entries on d+1 levels
     for trials in _trial_blocks(_LEMMA1_TRIALS, d**4 + entries * (d + 1) ** 2):
-        batch = _trial_names(trials)
-        normals = rng.standard_normal((len(trials), rho_normals + povm_normals))
-        rho = objects.density_stack(
-            rand.gram_densities(normals[:, :rho_normals].reshape(-1, 2, d * d, d * d)), batch)
-        effects = psd_stack(
-            rand.gram_povms(normals[:, rho_normals:].reshape(
-                -1, _LEMMA1_SETTINGS, _LEMMA1_OUTCOMES, 2, d, d), batch),
-            range(_LEMMA1_OUTCOMES), "effect", batch=batch)
-        sigma = assemblage.steering_contraction(effects, rho.reshape(-1, 1, d, d, d, d), 0)
-        sigma = assemblage.check_entries(sigma.reshape(-1, entries, d, d), counts, batch)
-        lossy_sigma = assemblage.check_entries(assemblage.lossy_entries(sigma, eta), counts,
-                                               batch)
-        recovered = assemblage.check_entries(
-            assemblage.filter_entries(lossy_sigma, eta, counts, batch), counts, batch)
-        worst = max(worst, float(np.max(frobenius_each(recovered - sigma))))
-    _emit({"d": d, "eta": eta, "seed": args.seed, "trials": _LEMMA1_TRIALS,
+        normals = rng.standard_normal((len(trials), normals_per_trial))
+        worst = max(worst, _naming_trials(lambda x: _lemma1_residual(x, d, args.eta), trials,
+                                          normals))
+    _emit({"d": d, "eta": args.eta, "seed": args.seed, "trials": _LEMMA1_TRIALS,
            "max_roundtrip_residual": worst}, None)
     return 0
+
+
+def _appendix_c_residual(normals, params) -> float:
+    """Largest decomposition residual over the random POVMs of a
+    (..., n, 2, d+1, d+1) array of normals."""
+    labels = range(normals.shape[-4])
+    effects = psd_stack(rand.gram_povms(normals), labels, "effect")
+    return float(np.max(lossy.pull_back(effects, params, labels).residuals))
 
 
 def _cmd_appendix_c_check(args) -> int:
@@ -196,14 +222,8 @@ def _cmd_appendix_c_check(args) -> int:
         normals[drawn] = rng.standard_normal((int(drawn.sum()), 2, side, side))
         for n in sorted(set(outcomes.tolist())):
             group = outcomes == n
-            batch, labels = _trial_names(trials[group]), range(n)
-            effects = psd_stack(rand.gram_povms(normals[group, :n], batch), labels, "effect",
-                                batch=batch)
-            split = lossy.pull_back(effects, params)
-            psd_stack(split.reduced, labels, "effect", batch=batch)
-            lossy.check_vacuum(split.vacuum, batch)
-            psd_stack(split.images, labels, "effect", batch=batch)
-            worst = max(worst, float(np.max(split.residuals)))
+            worst = max(worst, _naming_trials(lambda x: _appendix_c_residual(x, params),
+                                              trials[group], normals[group, :n]))
     _emit({"d": args.d, "eta": args.eta, "p": args.p, "trials": args.trials,
            "max_decomposition_residual": worst}, None)
     return 0

@@ -126,15 +126,10 @@ def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return bool(evals[0] >= -tol)
 
 
-def locate(index: tuple, batch=None) -> str:
-    """Error-message phrase locating a matrix of a stack among its leading batch axes.
-
-    Empty for an unbatched stack (``index == ()``); otherwise
-    ``" in " + batch(index)``, or the index tuple itself without ``batch``.
-    """
-    if not index:
-        return ""
-    return f" in {batch(index) if batch is not None else f'stack entry {index}'}"
+def locate(index: tuple) -> str:
+    """Error-message phrase locating a matrix of a stack by its index along
+    the leading batch axes: empty for an unbatched stack (``index == ()``)."""
+    return f" in stack entry {index}" if index else ""
 
 
 def first_false(ok) -> tuple | None:
@@ -143,7 +138,7 @@ def first_false(ok) -> tuple | None:
     return tuple(int(i) for i in bad[0]) if len(bad) else None
 
 
-def psd_stack(mats, labels, what: str, sums_to_identity: bool = True, batch=None) -> np.ndarray:
+def psd_stack(mats, labels, what: str, sums_to_identity: bool = True) -> np.ndarray:
     """Read-only complex copy of validated stacks of PSD matrices.
 
     ``mats`` has shape (..., n, d, d): a stack of n matrices along axis -3,
@@ -162,7 +157,7 @@ def psd_stack(mats, labels, what: str, sums_to_identity: bool = True, batch=None
         raise ValueError(f"{what}s must form a nonempty (n, d, d) stack, got shape {stack.shape}")
 
     def name(i):
-        return (what if labels is None else f"{what} {labels[i[-1]]!r}") + locate(i[:-1], batch)
+        return (what if labels is None else f"{what} {labels[i[-1]]!r}") + locate(i[:-1])
 
     herm_dev = np.max(np.abs(stack - dagger(stack)), axis=(-2, -1))
     bad = first_false(herm_dev <= HERMITICITY_TOL)
@@ -175,7 +170,7 @@ def psd_stack(mats, labels, what: str, sums_to_identity: bool = True, batch=None
     if sums_to_identity:
         bad = first_false(frobenius_each(stack.sum(axis=-3) - np.eye(stack.shape[-1])) <= 1e-10)
         if bad is not None:
-            raise ValueError(f"{what}s{locate(bad, batch)} do not sum to the identity within 1e-10")
+            raise ValueError(f"{what}s{locate(bad)} do not sum to the identity within 1e-10")
     stack.setflags(write=False)
     return stack
 
@@ -223,12 +218,12 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals, evecs
 
 
-def inv_sqrt(m: np.ndarray, batch=None) -> np.ndarray:
+def inv_sqrt(m: np.ndarray) -> np.ndarray:
     """Inverse square root of a Hermitian positive-definite matrix, or of
     each matrix of a (..., d, d) stack.
 
     Computed from one eigendecomposition of the Hermitian part of each
-    matrix; ``batch`` names a singular one as in :func:`locate`.
+    matrix; errors locate a singular one as :func:`locate` does.
 
     Raises
     ------
@@ -239,7 +234,7 @@ def inv_sqrt(m: np.ndarray, batch=None) -> np.ndarray:
     bad = first_false(evals[..., 0] > 1e-12)
     if bad is not None:
         raise ValueError(
-            f"matrix{locate(bad, batch)} is singular (smallest eigenvalue "
+            f"matrix{locate(bad)} is singular (smallest eigenvalue "
             f"{evals[bad][0]:.2e}); no inverse square root"
         )
     return (evecs / np.sqrt(evals)[..., None, :]) @ dagger(evecs)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import distributions, first_false, locate
+from .linalg import distributions, first_false, locate, psd_stack
 from .objects import NO_CLICK, Povm, lossy_noisy_channel
 
 
@@ -50,18 +50,18 @@ class LossyDecomposition:
     identity_residual: float
 
     def __post_init__(self):
-        q = np.asarray(self.vacuum_dist, dtype=float)
-        check_vacuum(q)
-        object.__setattr__(self, "vacuum_dist", q)
+        object.__setattr__(self, "vacuum_dist", check_vacuum(self.vacuum_dist))
 
 
-def check_vacuum(q: np.ndarray, batch=None) -> None:
-    """Each vacuum response along the last axis of ``q`` must be a probability
-    distribution (sum within 1e-12); ``batch`` locates a failing one in a
-    stack as :func:`~steerlab.linalg.locate` does."""
+def check_vacuum(q) -> np.ndarray:
+    """``q`` as a float array, each of whose vacuum responses along the last
+    axis must be a probability distribution (sum within 1e-12); errors locate
+    a failing one in a stack as :func:`~steerlab.linalg.locate` does."""
+    q = np.asarray(q, dtype=float)
     bad = first_false(distributions(q, 1e-12, axis=-1))
     if bad is not None:
-        raise ValueError(f"vacuum response{locate(bad, batch)} is not a probability distribution")
+        raise ValueError(f"vacuum response{locate(bad)} is not a probability distribution")
+    return q
 
 
 def _noisify(mats: np.ndarray, params: NoiseParams) -> np.ndarray:
@@ -97,8 +97,8 @@ class PullBack(NamedTuple):
     residuals: np.ndarray  # (..., n) Frobenius deviations of the identity below
 
 
-def pull_back(effects: np.ndarray, params: NoiseParams) -> PullBack:
-    """Pull a (..., n, d+1, d+1) array of effects back through noise and loss.
+def pull_back(effects: np.ndarray, params: NoiseParams, labels) -> PullBack:
+    """Pull a (..., n, d+1, d+1) array of POVM effects back through noise and loss.
 
     For each effect M'_a (vacuum last) this computes the signal-block
     reduction ``M_a = P M'_a P``, the vacuum response ``q(a)``, the
@@ -107,12 +107,17 @@ def pull_back(effects: np.ndarray, params: NoiseParams) -> PullBack:
 
         noisified(M)_a + q(a) * noisified(M)_no_click,
 
-    which vanishes for every input.
+    which vanishes for every input. Every check of a
+    :class:`LossyDecomposition` is made here, per POVM: the reductions and
+    then the images are POVMs (:func:`~steerlab.linalg.psd_stack`, effects
+    named by ``labels``), and each vacuum response is a distribution
+    (:func:`check_vacuum`).
     """
     d = params.d
-    reduced = effects[..., :d, :d]
-    q = effects[..., d, d].real
-    images = lossy_noisy_channel(d, params.eta, params.p).dual(effects)
+    reduced = psd_stack(effects[..., :d, :d], labels, "effect")
+    images = psd_stack(lossy_noisy_channel(d, params.eta, params.p).dual(effects), labels,
+                       "effect")
+    q = check_vacuum(effects[..., d, d].real)
     # noisified reduced effects, computed on the stack: the reduced labels
     # are pass-through names and may themselves include the no-click label
     no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)
@@ -123,19 +128,18 @@ def pull_back(effects: np.ndarray, params: NoiseParams) -> PullBack:
 def reduce_through_loss_dual(m_prime: Povm, params: NoiseParams) -> LossyDecomposition:
     """Pull a measurement on the enlarged space back through noise and loss.
 
-    Splits each effect as :func:`pull_back` does; the decomposition's
-    reduced POVM, vacuum response and reconstruction are validated at
-    construction, and its residual is the largest deviation.
+    Splits and checks the effects as :func:`pull_back` does; the residual
+    of the decomposition is the largest deviation.
     """
     if m_prime.dim != params.d + 1:
         raise ValueError(
             f"expected a POVM on dimension {params.d + 1}, got dimension {m_prime.dim}"
         )
-    split = pull_back(m_prime.effects, params)
+    split = pull_back(m_prime.effects, params, m_prime.labels)
     return LossyDecomposition(
-        reduced_povm=Povm(split.reduced, m_prime.labels),
+        reduced_povm=Povm._from_checked(split.reduced, m_prime.labels),
         vacuum_dist=split.vacuum,
-        reconstructed=Povm(split.images, m_prime.labels),
+        reconstructed=Povm._from_checked(split.images, m_prime.labels),
         identity_residual=float(np.max(split.residuals)),
     )
 

@@ -65,22 +65,20 @@ class PureState:
         return DensityOperator(self.projector(), self.dims)
 
 
-def density_stack(mats, batch=None) -> np.ndarray:
+def density_stack(mats) -> np.ndarray:
     """Read-only copy of one validated density matrix or (..., d, d) stack of them.
 
     Each matrix must be Hermitian and PSD within 1e-10 (one
     :func:`~steerlab.linalg.psd_stack` call) and have unit trace within
     1e-10; errors locate a matrix of a stack as
-    :func:`~steerlab.linalg.locate` does with ``batch``.
+    :func:`~steerlab.linalg.locate` does.
     """
     stack = psd_stack(np.asarray(mats)[..., None, :, :], None, "density matrix",
-                      sums_to_identity=False, batch=batch)[..., 0, :, :]
+                      sums_to_identity=False)[..., 0, :, :]
     trace = np.trace(stack, axis1=-2, axis2=-1).real
     bad = first_false(np.abs(trace - 1.0) <= 1e-10)
     if bad is not None:
-        raise ValueError(
-            f"density matrix{locate(bad, batch)} trace differs from 1 by more than 1e-10"
-        )
+        raise ValueError(f"density matrix{locate(bad)} trace differs from 1 by more than 1e-10")
     return stack
 
 
@@ -136,6 +134,10 @@ class Povm:
     labels: tuple[Label, ...] | None = None
 
     def __post_init__(self):
+        if np.ndim(self.effects) != 3:
+            raise ValueError(
+                f"effects must form one (n, d, d) stack, got shape {np.shape(self.effects)}"
+            )
         n = len(self.effects)
         labels = tuple(range(n)) if self.labels is None else tuple(self.labels)
         if len(labels) != n:
@@ -144,6 +146,15 @@ class Povm:
             raise ValueError(f"duplicate outcome labels: {list(labels)}")
         object.__setattr__(self, "effects", psd_stack(self.effects, labels, "effect"))
         object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _from_checked(cls, effects: np.ndarray, labels: tuple) -> "Povm":
+        """The POVM of a (n, d, d) stack that :func:`~steerlab.linalg.psd_stack`
+        returned for the distinct ``labels``, without running its checks again."""
+        povm = object.__new__(cls)
+        object.__setattr__(povm, "effects", effects)
+        object.__setattr__(povm, "labels", labels)
+        return povm
 
     @property
     def dim(self) -> int:

@@ -41,14 +41,13 @@ def gram_densities(normals: np.ndarray) -> np.ndarray:
     return g / np.trace(g, axis1=-2, axis2=-1)[..., None, None]
 
 
-def gram_povms(normals: np.ndarray, batch=None) -> np.ndarray:
+def gram_povms(normals: np.ndarray) -> np.ndarray:
     """POVM effects S^{-1/2} G_i S^{-1/2} (symmetrized), one POVM per
     (n, 2, d, d) block of a (..., n, 2, d, d) array of Ginibre parts as in
-    :func:`gram_densities`; S is the sum of each block's n Gram matrices.
-    ``batch`` names a singular S as :func:`~steerlab.linalg.locate` does."""
+    :func:`gram_densities`; S is the sum of each block's n Gram matrices."""
     factors = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     grams = factors @ dagger(factors)
-    s_inv_root = inv_sqrt(grams.sum(axis=-3), batch)[..., None, :, :]
+    s_inv_root = inv_sqrt(grams.sum(axis=-3))[..., None, :, :]
     effects = s_inv_root @ grams @ dagger(s_inv_root)
     # symmetrize away roundoff
     return (effects + dagger(effects)) / 2.0

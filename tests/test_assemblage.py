@@ -7,9 +7,12 @@ from steerlab.assemblage import (
     Assemblage,
     apply_loss_to_assemblage,
     check_entries,
+    filter_entries,
     filter_loss,
     lhs_model_residual,
+    lossy_entries,
     steer,
+    steer_entries,
 )
 from steerlab.linalg import frobenius, tensor
 from steerlab.objects import DensityOperator, Povm, mub_pair, one_way_state, phi_plus
@@ -259,17 +262,35 @@ def test_check_entries_names_the_offending_assemblage():
     counts = [2, 2]
     stack = np.array([np.concatenate(_random_assemblage(2, 2, 2, rng).blocks)
                       for _ in range(3)])
-    batch = lambda i: f"trial {i[0]}"  # noqa: E731
-    assert np.array_equal(check_entries(stack, counts, batch), stack)
+    assert np.array_equal(check_entries(stack, counts), stack)
     bad = stack.copy()
     bad[2, 3, 0, 1] += 1e-6
-    with pytest.raises(ValueError, match="entry 'a=1, x=1' in trial 2 is not Hermitian"):
-        check_entries(bad, counts, batch)
+    with pytest.raises(ValueError,
+                       match=r"entry 'a=1, x=1' in stack entry \(2,\) is not Hermitian"):
+        check_entries(bad, counts)
     bad = stack.copy()
     bad[1, 2] += np.eye(2) * 1e-3
-    with pytest.raises(ValueError, match="assemblage in trial 1 signals: outcome sums of "
-                                         "settings 0 and 1 differ"):
-        check_entries(bad, counts, batch)
+    with pytest.raises(ValueError, match=r"assemblage in stack entry \(1,\) signals: outcome "
+                                         "sums of settings 0 and 1 differ"):
+        check_entries(bad, counts)
     bad = stack * 1.01
-    with pytest.raises(ValueError, match="assemblage in trial 0 does not have unit trace"):
-        check_entries(bad, counts, batch)
+    with pytest.raises(ValueError,
+                       match=r"assemblage in stack entry \(0,\) does not have unit trace"):
+        check_entries(bad, counts)
+
+
+def test_stack_helpers_check_what_they_return():
+    # steer_entries, lossy_entries and filter_entries make the checks of the
+    # Assemblage that steer, apply_loss_to_assemblage and filter_loss build
+    counts = [2, 2]
+    basis = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])] * 2, dtype=complex)
+    not_a_state = np.diag([1.5, -0.5, 0.0, 0.0]).reshape(2, 2, 2, 2)
+    with pytest.raises(ValueError, match="entry 'a=0, x=0' is not PSD"):
+        steer_entries(basis, not_a_state, 0, counts)
+    with pytest.raises(ValueError, match="entry 'a=1, x=0' is not PSD"):
+        lossy_entries(np.array([np.diag([1.0, 0.0]), np.diag([0.0, -0.5])] * 2), 0.5, counts)
+    # lossy form and unit trace after filtering, but setting 1 sums to another state
+    lossy = lossy_entries(np.concatenate([basis[:2] / 2] * 2), 0.5, counts).copy()
+    lossy[2, :2, :2], lossy[3, :2, :2] = 0.25, 0.0
+    with pytest.raises(ValueError, match="signals: outcome sums of settings 0 and 1 differ"):
+        filter_entries(lossy, 0.5, counts)

@@ -252,66 +252,36 @@ def test_certificate_attains_the_lp_optimum(d, n_atoms, outcomes, seed):
         assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
 
 
-def _kron_blocks_lp(targets, parent):
-    """The LP of :func:`lp_feasibility` assembled from Kronecker blocks, as its
-    docstring writes it: the reference for the index-array build."""
-    from scipy import sparse
-
-    d, n = parent.d, parent.n_atoms
-    counts = np.array([p.n_outcomes for p in targets])
-    starts = np.cumsum(counts) - counts
-    heaviest = starts + [np.argmax(np.trace(p.effects, axis1=1, axis2=2).real) for p in targets]
-    kept = np.delete(np.arange(counts.sum()), heaviest)
-    owner = np.repeat(np.arange(len(targets)), counts - 1)
-    free = np.arange(kept.size)
-    comps = _hermitian_components(parent.effects).T
-    spread = sparse.csr_matrix(
-        (np.repeat([1.0, -1.0], kept.size), (np.append(kept, heaviest[owner]), np.tile(free, 2))),
-        shape=(counts.sum(), kept.size))
-    grouping = sparse.csr_matrix((np.ones(kept.size), (owner, free)),
-                                 shape=(len(targets), kept.size))
-    signed = sparse.kron(spread, sparse.kron(sparse.identity(d * d), [[1.0], [-1.0]]))
-    normalization = sparse.kron(grouping[counts > 1], sparse.identity(n))
-    a_ub = sparse.bmat([[None, signed, np.full((signed.shape[0], 1), -1.0)],
-                        [normalization, None, None]], format="csr")
-    a_eq = sparse.hstack([sparse.kron(sparse.identity(kept.size), comps),
-                          -sparse.identity(kept.size * d * d),
-                          sparse.csr_matrix((kept.size * d * d, 1))], format="csr")
-    bounds = ([(0, np.inf)] * (kept.size * n) + [(-np.inf, np.inf)] * (kept.size * d * d)
-              + [(0, np.inf)])
-    return a_ub, a_eq, np.array(bounds, dtype=float)
-
-
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(
     d=st.sampled_from([2, 3]),
     n_atoms=st.integers(9, 30),
     outcomes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lp_matches_kronecker_block_assembly(d, n_atoms, outcomes, seed):
-    # the same CSR arrays (explicit zeros of C included) and the same bounds
+def test_bounds_array_solves_like_bound_pairs(d, n_atoms, outcomes, seed):
+    # the (n, 2) bounds array holds the pairs of the list it replaced: the
+    # conditionals and s nonnegative, the deviations free; the solution and
+    # the iteration count are the same with either form
     rng = np.random.default_rng(seed)
     parent = discretize_parent(d, n_atoms, seed=seed)
     targets = [random_povm(d, k, rng) for k in outcomes]
-    captured = {}
+    free = sum(outcomes) - len(outcomes)
+    pairs = [(0, None)] * (free * n_atoms) + [(None, None)] * (free * d * d) + [(0, None)]
+    expected = np.array([(-np.inf if lo is None else lo, np.inf) for lo, _ in pairs])
+    results = []
+    solve = certifier.linprog
 
-    def fake_linprog(c, **kwargs):
-        captured.update(kwargs)
-        raise _Captured
+    def both_forms(c, bounds, **kwargs):
+        assert np.array_equal(bounds, expected)
+        results.extend([solve(c, bounds=bounds, **kwargs), solve(c, bounds=pairs, **kwargs)])
+        return results[0]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(certifier, "linprog", fake_linprog)
-        with pytest.raises(_Captured):
-            lp_feasibility(targets, parent)
-    for got, want in zip((captured["A_ub"], captured["A_eq"], captured["bounds"]),
-                         _kron_blocks_lp(targets, parent)):
-        if isinstance(want, np.ndarray):
-            assert np.array_equal(got, want)
-            continue
-        assert got.format == "csr" and got.shape == want.shape
-        for attr in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        mp.setattr(certifier, "linprog", both_forms)
+        lp_feasibility(targets, parent)
+    array_form, pair_form = results
+    assert np.array_equal(array_form.x, pair_form.x) and array_form.nit == pair_form.nit
 
 
 # ---------------------------------------------------------------------------

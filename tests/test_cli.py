@@ -14,11 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import steerlab
-from steerlab import analysis, assemblage, certifier, cli, lossy, rand
-from steerlab.assemblage import apply_loss_to_assemblage, filter_loss, lossy_entries, steer
+from steerlab import analysis, assemblage, certifier, cli, rand
+from steerlab.assemblage import apply_loss_to_assemblage, filter_loss, steer
 from steerlab.certifier import JmCertificate, discretize_parent, verify_certificate
 from steerlab.cli import main
-from steerlab.lossy import NoiseParams, noisify_povm, pull_back, reduce_through_loss_dual
+from steerlab.lossy import NoiseParams, noisify_povm, reduce_through_loss_dual
 from steerlab.objects import mub_pair
 
 
@@ -498,69 +498,66 @@ def test_blocks_do_not_change_the_stacked_residuals(capsys, monkeypatch):
     assert [_run(capsys, *argv)[1] for argv in argvs] == whole
 
 
-def _corrupt(helper, index, entry):
-    """Wrap a random-object helper so that the entry at ``index`` of its output
-    stacks large enough to hold it is shifted by ``entry``."""
-    def corrupted(*args, **kwargs):
-        out = helper(*args, **kwargs)
-        if all(size > i for size, i in zip(out.shape, index)):
-            out[index] += entry
+def _corrupt_trial(monkeypatch, module, name, position, edits):
+    """Add ``entry`` at ``index`` (for each pair of ``edits``) to what
+    ``module.name`` returns for one trial: the trial at ``position`` of its
+    first, stacked call, recognized by its input there and in any later
+    call, stacked or not."""
+    helper = getattr(module, name)
+    marker = []
+
+    def corrupted(first, *args):
+        out = np.array(helper(first, *args))
+        if not marker:
+            marker.append(first[position].copy())
+        trial = marker[0]
+        if first.shape[first.ndim - trial.ndim:] != trial.shape:
+            return out
+        lead = first.shape[:first.ndim - trial.ndim]
+        hits = np.all((first == trial).reshape(lead + (-1,)), axis=-1)
+        view = out.reshape((-1,) + out.shape[len(lead):])
+        for t in np.flatnonzero(hits):
+            for index, entry in edits:
+                view[(t,) + index] += entry
         return out
-    return corrupted
+
+    monkeypatch.setattr(module, name, corrupted)
 
 
-@pytest.mark.parametrize("argv, target, index, entry, message", [
-    # appendixC-check with d=2 gives trial k 2 + k % 3 outcomes, so the
-    # group of 4-outcome trials holds trials 2, 5, 8, ...: its entry 1 is trial 5
-    (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"],
-     "gram_povms", (1, 3, 0, 1), 1e-3, "effect 3 in trial 5 is not Hermitian"),
-    (["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"],
-     "gram_povms", (0, 1, 2, 2), -1.0, "effect 1 in trial 0 is not PSD"),
-    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
-     "gram_povms", (4, 1, 0, 0, 0), 1e-3, "effects in trial 4, setting 1 do not sum"),
-    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
-     "gram_densities", (7, 0, 0), 1e-3, "density matrix in trial 7 trace differs"),
-    (["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"],
-     "gram_densities", (3, 0, 1), 1e-3, "density matrix in trial 3 is not Hermitian"),
+_APPENDIX_C = ["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"]
+_LEMMA1 = ["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"]
+
+
+@pytest.mark.parametrize("argv, module, name, position, edits, message", [
+    # appendixC-check with d=2 gives trial k 2 + k % 3 outcomes; its first
+    # stack is the 2-outcome group of trials 0, 3, 6, so position 1 is trial 3
+    (_APPENDIX_C, rand, "gram_povms", 1, [((1, 0, 1), 1e-3)],
+     "trial 3: effect 1 is not Hermitian within 1e-10"),
+    (_APPENDIX_C, rand, "gram_povms", 0, [((1, 2, 2), -1.0)], "trial 0: effect 1 is not PSD"),
+    # shifts the vacuum response by 1e-11: within the identity-sum tolerance
+    # of the POVM and its images, outside the 1e-12 of the distribution
+    (_APPENDIX_C, rand, "gram_povms", 2, [((0, 2, 2), 1e-11)],
+     "trial 6: vacuum response is not a probability distribution"),
+    # lemma1-roundtrip runs its 50 trials as one stack
+    (_LEMMA1, rand, "gram_povms", 4, [((1, 0, 0, 0), 1e-3)],
+     "trial 4: effects in stack entry (1,) do not sum to the identity"),
+    (_LEMMA1, rand, "gram_densities", 7, [((0, 0), 1e-3)],
+     "trial 7: density matrix trace differs from 1"),
+    (_LEMMA1, rand, "gram_densities", 3, [((0, 1), 1e-3)],
+     "trial 3: density matrix is not Hermitian"),
+    # opposite signal-vacuum coherences on the two outcomes of setting 1 keep
+    # every entry Hermitian and PSD and the outcome sums equal
+    (_LEMMA1, assemblage, "lossy_entries", 6,
+     [((2, 0, 2), 1e-6), ((2, 2, 0), 1e-6), ((3, 0, 2), -1e-6), ((3, 2, 0), -1e-6)],
+     "trial 6: entry (a=0, x=1) has signal-vacuum coherence 1.00e-06"),
 ])
-def test_corrupted_stack_names_the_trial(capsys, monkeypatch, argv, target, index, entry,
-                                         message):
-    monkeypatch.setattr(rand, target, _corrupt(getattr(rand, target), index, entry))
+def test_corrupted_stack_names_the_trial(capsys, monkeypatch, argv, module, name, position,
+                                         edits, message):
+    _corrupt_trial(monkeypatch, module, name, position, edits)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
-
-
-def test_corrupted_lossy_stack_names_the_trial(capsys, monkeypatch):
-    def coherent(entries, eta):
-        # opposite signal-vacuum coherences on the two outcomes of setting 1
-        # of trial 6 keep every entry Hermitian and PSD and the sums equal
-        out = lossy_entries(entries, eta)
-        for k, sign in ((2, 1.0), (3, -1.0)):
-            out[6, k, 0, 2] += sign * 1e-6
-            out[6, k, 2, 0] += sign * 1e-6
-        return out
-
-    monkeypatch.setattr(assemblage, "lossy_entries", coherent)
-    assert main(["lemma1-roundtrip", "--d", "2", "--eta", "0.3", "--seed", "7"]) == 2
-    err = capsys.readouterr().err
-    assert "entry (a=0, x=1) in trial 6 has signal-vacuum coherence 1.00e-06" in err
-
-
-def test_corrupted_vacuum_response_names_the_trial(capsys, monkeypatch):
-    def shifted(effects, params):
-        split = pull_back(effects, params)
-        vacuum = split.vacuum.copy()
-        if len(vacuum) > 2:  # the group of 2-outcome trials 0, 3, 6, ...
-            vacuum[2, 0] += 1e-9  # trial 6
-        return split._replace(vacuum=vacuum)
-
-    monkeypatch.setattr(lossy, "pull_back", shifted)
-    argv = ["appendixC-check", "--d", "2", "--eta", "0.6", "--p", "0.4", "--trials", "9"]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert "vacuum response in trial 6 is not a probability distribution" in err
 
 
 @pytest.mark.parametrize("argv, target", [

@@ -239,20 +239,20 @@ def test_psd_stack_batches_agree_with_each_stack(d, n, batch, kind, seed):
         except ValueError as exc:
             failures.append((b, str(exc)))
     if not failures:
-        out = psd_stack(stacks, labels, "effect", batch=lambda b: f"POVM {b}")
+        out = psd_stack(stacks, labels, "effect")
         assert np.array_equal(out, stacks) and not out.flags.writeable
         return
     with pytest.raises(ValueError) as exc:
-        psd_stack(stacks, labels, "effect", batch=lambda b: f"POVM {b}")
+        psd_stack(stacks, labels, "effect")
     # only the corrupted stack fails; the batched error is its error with
     # the batch index after the name
     (where, message), = failures
     assert where == index
     name, verb, rest = re.split(r" (is not|do not) ", message, maxsplit=1)
-    assert str(exc.value) == f"{name} in POVM {index} {verb} {rest}"
+    assert str(exc.value) == f"{name} in stack entry {index} {verb} {rest}"
 
 
-def test_psd_stack_names_batch_index_by_default():
+def test_psd_stack_names_batch_index():
     stacks = np.broadcast_to(np.eye(2) / 2, (3, 2, 2, 2)).copy()
     stacks[2, 1, 0, 0] = -1.0
     with pytest.raises(ValueError, match=r"effect 1 in stack entry \(2,\) is not PSD"):

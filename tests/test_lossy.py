@@ -239,17 +239,18 @@ def test_pull_back_maps_stacks_like_single_povms():
     rng = np.random.default_rng(6)
     params = NoiseParams(d=2, eta=0.3, p=0.6)
     effects = np.array([[random_povm(3, 3, rng).effects for _ in range(2)] for _ in range(2)])
-    stacked = pull_back(effects, params)
+    stacked = pull_back(effects, params, range(3))
     for i in np.ndindex(2, 2):
-        single = pull_back(effects[i], params)
+        single = pull_back(effects[i], params, range(3))
         for got, want in zip(stacked, single):
             assert np.array_equal(got[i], want)
 
 
 def test_check_vacuum_names_the_stack():
     q = np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.4]])
-    with pytest.raises(ValueError, match=r"vacuum response in trial 2 is not a probability"):
-        check_vacuum(q, lambda i: f"trial {i[0]}")
+    with pytest.raises(ValueError,
+                       match=r"vacuum response in stack entry \(2,\) is not a probability"):
+        check_vacuum(q)
     with pytest.raises(ValueError, match=r"^vacuum response is not a probability"):
         check_vacuum(q[2])
-    check_vacuum(q[:2])
+    assert np.array_equal(check_vacuum(q[:2].tolist()), q[:2])

@@ -94,6 +94,15 @@ def test_povm_validation():
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], (0, 0))  # duplicate label
 
 
+def test_povm_rejects_stacked_povms():
+    # a (k, n, d, d) array of k POVMs is not one POVM, though psd_stack accepts it
+    m1, m2 = mub_pair(2)
+    for effects in (np.stack([m1.effects, m2.effects]), np.eye(2), np.ones(3)):
+        with pytest.raises(ValueError, match="effects must form one"):
+            Povm(effects)
+    assert Povm(list(m1.effects)).dim == 2
+
+
 # ---------------------------------------------------------------------------
 # channels
 # ---------------------------------------------------------------------------
@@ -459,7 +468,7 @@ def test_density_stack_agrees_with_density_operator():
     stack = density_stack(mats)
     assert np.array_equal(stack, mats) and not stack.flags.writeable
     mats[2, 1, 0, 0] += 1e-3  # trace off, still Hermitian and PSD
-    with pytest.raises(ValueError, match=r"density matrix in trial \(2, 1\) trace differs"):
-        density_stack(mats, lambda i: f"trial {i}")
+    with pytest.raises(ValueError, match=r"density matrix in stack entry \(2, 1\) trace differs"):
+        density_stack(mats)
     with pytest.raises(ValueError, match="trace differs"):
         DensityOperator(mats[2, 1], (3,))
