@@ -185,6 +185,76 @@ def _certificate(parent, conditionals, targets, tol) -> JmCertificate:
                          residual=residual, status=status, tol=tol)
 
 
+def _slack_outcomes(targets: list[Povm], parent: DiscreteParent) -> np.ndarray:
+    """The slack outcome e_(x,lam) of each target x at each atom lam, as an (N, n) array.
+
+    A discrete threshold response: for each target, the outcomes other than
+    the heaviest take turns, lightest first. On its turn an outcome a takes
+    the unassigned atoms with the largest ``tr(M_(a|x) E_lam) / tr(E_lam)``
+    while their traces sum to at most ``tr M_(a|x)``. Every other atom keeps
+    the heaviest outcome. The sorts are stable, so ties go to the lower index.
+    """
+    weights = np.trace(parent.effects, axis1=1, axis2=2).real
+    slack = np.empty((len(targets), parent.n_atoms), dtype=int)
+    for x, povm in enumerate(targets):
+        traces = np.trace(povm.effects, axis1=1, axis2=2).real
+        overlaps = np.einsum("aij,nji->an", povm.effects, parent.effects).real
+        ratios = np.divide(overlaps, weights, out=np.zeros_like(overlaps), where=weights > 0)
+        heaviest = np.argmax(traces)
+        slack[x] = heaviest
+        free = np.ones(parent.n_atoms, dtype=bool)
+        for a in np.argsort(traces, kind="stable"):
+            if a == heaviest:
+                continue
+            atoms = np.flatnonzero(free)
+            atoms = atoms[np.argsort(-ratios[a, atoms], kind="stable")]
+            atoms = atoms[: np.searchsorted(np.cumsum(weights[atoms]), traces[a], side="right")]
+            slack[x, atoms] = a
+            free[atoms] = False
+    return slack
+
+
+def _csc(n_rows, *columns):
+    """CSC matrix from groups of columns, each (entries per column, rows, values).
+
+    A group's entries are in column order, and its values broadcast to the
+    shape of its rows. The groups are written into one int32 index array and
+    one value array; the indices are then sorted within each column.
+    """
+    from scipy import sparse
+
+    indptr = np.append(0, np.cumsum(np.concatenate([k for k, _, _ in columns])))
+    indices, values = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    start = 0
+    for _, rows, vals in columns:
+        stop = start + np.size(rows)
+        indices[start:stop].reshape(np.shape(rows))[...] = rows
+        values[start:stop].reshape(np.shape(rows))[...] = vals
+        start = stop
+    mat = sparse.csc_array((values, indices, indptr.astype(np.int32)),
+                           shape=(n_rows, indptr.size - 1))
+    mat.sort_indices()
+    return mat
+
+
+def _equality_rows(plus, minus, atom, comps, blocks):
+    """A_eq = [S | -I | 0] of :func:`lp_feasibility`, with d^2 rows per block.
+
+    Variable v has the column +C_(atom[v]) in row block plus[v] and
+    -C_(atom[v]) in row block minus[v] of S; -1 marks no block.
+    """
+    d2 = comps.shape[0]
+    ends = np.stack([plus, minus], axis=1)
+    var, side = np.nonzero(ends >= 0)
+    entries = comps.T[atom[var]]
+    entries[side == 1] *= -1.0
+    return _csc(blocks * d2,
+                (d2 * np.count_nonzero(ends >= 0, axis=1),
+                 d2 * ends[var, side][:, None] + np.arange(d2, dtype=ends.dtype), entries),
+                (np.ones(blocks * d2, int), np.arange(blocks * d2), -1.0),
+                ([0], np.zeros(0, int), 0.0))
+
+
 def lp_feasibility(
     targets: list[Povm], parent: DiscreteParent, tol: float = DEFAULT_TOL
 ) -> JmCertificate:
@@ -192,24 +262,40 @@ def lp_feasibility(
 
     Minimizes the largest deviation s over the d^2 Hermitian coordinates of
     ``sum_lam p(a|x,lam) E_lam - M_(a|x)`` (see :func:`_hermitian_components`)
-    for all N outcomes, with the p(.|x,lam) distributions. Each target's
-    heaviest outcome e_x (largest trace, first on ties) is the slack of its
-    normalization: p(e_x|x,.) = 1 - sum of the rest is no variable, so the
-    start "every atom reports e_x" is feasible. The variables are the
-    conditionals p(a|x,.) of the f free outcomes a != e_x, in target and
-    outcome order, each an n-vector over atoms; their free deviations
-    D_(a|x) = C p(a|x,.) - t_(a|x); then s. With C and t the coordinates of
-    the parent atoms (d^2 by n) and of the target effects, the LP is
+    for all N outcomes, with the p(.|x,lam) distributions. At each atom lam,
+    one outcome e_(x,lam) of each target is the slack of its normalization:
+    p(e_(x,lam)|x,lam) = 1 - sum of the rest is no variable, so the LP starts
+    from "atom lam reports e_(x,lam)". :func:`_slack_outcomes` chooses e_(x,lam)
+    by the threshold rule of the covariant model: atoms with a large overlap
+    with an outcome report it and the rest report the heaviest outcome h_x
+    (largest trace, first on ties). Most atoms respond deterministically at
+    the optimum, so this start lies near it and the dual simplex needs few
+    pivots.
 
-        A_eq = [I_f (x) C | -I | 0],                    b_eq = t of the free outcomes,
+    The variables are the conditionals of the other outcomes, in target, slot
+    and atom order: slot j < k_x - 1 of atom lam of target x holds p(a|x,lam)
+    for the j-th outcome a != e_(x,lam). Then come the free deviations
+    D_(a|x) = C p(a|x,.) - t_(a|x) of the f outcomes a != h_x; then s. With C
+    and t the coordinates of the parent atoms (d^2 by n) and of the target
+    effects, the LP is
+
+        A_eq = [S | -I | 0],                            b_eq = t - C u of the free outcomes,
         A_ub = [0 | G (x) I_(d^2) (x) (1, -1)^T | -1],  b_ub = -o and o interleaved,
                [B (x) I_n | 0 | 0],                     b_ub = 1.
 
-    G (N by f) maps the free deviations to those of all N outcomes: 1 at
-    each free outcome and -1 at its e_x, whose deviation is
-    r_x - sum_(a != e_x) D_(a|x), with r_x = C 1 - sum_a t_(a|x) (round-off
-    for valid POVMs) in o at e_x. B sums the free conditionals of each
-    target that has any; each eliminated row is rebuilt as clip(1 - B p, 0).
+    Row block a of S gives the slot of p(b|x,lam) the column C_lam if b = a
+    and -C_lam if a = e_(x,lam); u_(a,lam) is 1 where a = e_(x,lam), so the 1
+    of p(e_(x,lam)|x,lam) = 1 - sum moves to b_eq. G (N by f) maps the free
+    deviations to those of all N outcomes: 1 at each free outcome and -1 at
+    its h_x, whose deviation is r_x - sum_(a != h_x) D_(a|x), with
+    r_x = C 1 - sum_a t_(a|x) (round-off for valid POVMs) in o at h_x. B sums
+    each atom's slots of every target that has any; each slack entry is
+    rebuilt as clip(1 - sum, 0). Both matrices are built as CSC from index
+    arrays. Another choice of e_(x,lam) is a change of variables of the same
+    LP: the optimum is the same, only the starting vertex moves. Where the
+    optimum is not unique, HiGHS returns one optimal vertex, so an infeasible
+    instance's residual depends on that choice while the LP optimum does not.
+
     The certificate's recorded residual is the Frobenius-norm worst case
     recomputed from the cleaned conditionals; status is ``feasible`` iff it
     is at most ``tol``. Feasibility certifies joint measurability;
@@ -222,50 +308,60 @@ def lp_feasibility(
     """
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
-    from scipy import sparse
-
     if not targets:
         raise ValueError("at least one target POVM is required")
     d, n = parent.d, parent.n_atoms
     for x, povm in enumerate(targets):
         if povm.dim != d:
             raise ValueError(f"target {x} acts on dim {povm.dim}, parent on dim {d}")
+    d2 = d * d
     counts = np.array([p.n_outcomes for p in targets])
     starts = np.cumsum(counts) - counts
     heaviest = starts + [np.argmax(np.trace(p.effects, axis1=1, axis2=2).real) for p in targets]
+    slack = starts[:, None] + _slack_outcomes(targets, parent)  # e, as outcome indices
     kept = np.delete(np.arange(counts.sum()), heaviest)  # the f free outcomes
-    owner = np.repeat(np.arange(len(targets)), counts - 1)  # their targets
-    free = np.arange(kept.size)
+    f = kept.size
+    owners = np.repeat(np.arange(len(targets), dtype=np.int32), counts - 1)  # their targets
+    block = np.full(counts.sum(), -1, dtype=np.int32)
+    block[kept] = np.arange(f)  # the A_eq row block of each free outcome
     comps = _hermitian_components(parent.effects).T  # C
     t = _hermitian_components(np.concatenate([p.effects for p in targets]))
     offset = np.zeros_like(t)  # o
     offset[heaviest] = comps.sum(axis=1) - np.add.reduceat(t, starts)
-    spread = sparse.csr_matrix(  # G
-        (np.repeat([1.0, -1.0], kept.size), (np.append(kept, heaviest[owner]), np.tile(free, 2))),
-        shape=(t.shape[0], kept.size))
-    grouping = sparse.csr_matrix((np.ones(kept.size), (owner, free)),
-                                 shape=(len(targets), kept.size))  # B
-    signed = sparse.kron(spread, sparse.kron(sparse.identity(d * d), [[1.0], [-1.0]]))
-    normalization = sparse.kron(grouping[counts > 1], sparse.identity(n))
-    a_ub = sparse.bmat([[None, signed, np.full((signed.shape[0], 1), -1.0)],
-                        [normalization, None, None]], format="csr")
-    b_ub = np.append(np.stack([-offset, offset], axis=-1), np.ones(normalization.shape[0]))
-    a_eq = sparse.hstack([sparse.kron(sparse.identity(kept.size), comps),
-                          -sparse.identity(kept.size * d * d),
-                          sparse.csr_matrix((kept.size * d * d, 1))], format="csr")
+
+    slot, atom = np.divmod(np.arange(f * n, dtype=np.int32), n)  # of each conditional variable
+    owner = owners[slot]
+    outcome = slot + owner
+    outcome += outcome >= slack[owner, atom]  # the slot-th outcome other than the slack one
+    slack_block = block[slack]
+    a_eq = _equality_rows(block[outcome], slack_block[owner, atom], atom, comps, f)
+    b_eq = t[kept]
+    moved = slack_block >= 0  # u: the atoms whose slack outcome has a row block
+    np.subtract.at(b_eq, slack_block[moved], comps.T[np.nonzero(moved)[1]])
+    # A_ub: each conditional in its <= 1 row; each coordinate of D_(a|x) +-1 in
+    # the rows of outcome a and -+1 in those of h_x; s -1 in every +-D row
+    n_dev = 2 * d2 * counts.sum()
+    group = np.cumsum(counts > 1) - 1  # of the targets with a <= 1 row block
+    dev_rows = d2 * np.stack([kept, heaviest[owners]], axis=1)[:, None, :, None]
+    a_ub = _csc(n_dev + n * np.count_nonzero(counts > 1),
+                (np.ones(f * n, int), n_dev + group[owner] * n + atom, 1.0),
+                (np.full(f * d2, 4), 2 * (dev_rows + np.arange(d2)[:, None, None]) + [0, 1],
+                 [[1.0, -1.0], [-1.0, 1.0]]),
+                ([n_dev], np.arange(n_dev), -1.0))
+    b_ub = np.append(np.stack([-offset, offset], axis=-1), np.ones(a_ub.shape[0] - n_dev))
     c = np.zeros(a_ub.shape[1])
     c[-1] = 1.0
     bounds = np.zeros((a_ub.shape[1], 2))  # conditionals and s >= 0, deviations free
     bounds[:, 1] = np.inf
-    bounds[kept.size * n:-1, 0] = -np.inf
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=t[kept].ravel(), bounds=bounds,
+    bounds[f * n:-1, 0] = -np.inf
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq.ravel(), bounds=bounds,
                   method="highs")
     if not res.success:
         raise SolverFailure(f"LP solver failed: {res.message}")
 
-    tables = np.empty((counts.sum(), n))
-    tables[kept] = res.x[: kept.size * n].reshape(-1, n)
-    tables[heaviest] = np.clip(1.0 - grouping @ tables[kept], 0.0, None)
+    tables = np.zeros((counts.sum(), n))
+    tables[outcome, atom] = res.x[: f * n]
+    tables[slack, np.arange(n)] = np.clip(1.0 - np.add.reduceat(tables, starts), 0.0, None)
     conditionals = []
     for table in np.split(tables, starts[1:]):
         table = np.clip(table, 0.0, None)

@@ -11,6 +11,7 @@ count (default: available parallelism).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -246,7 +247,9 @@ def int_at_least(minimum: int):
 positive_int = int_at_least(1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="steerlab",
         description="One-way steering state family, noisy-lossy measurement "
@@ -323,8 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, MemoryError) as exc:

@@ -191,11 +191,17 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
         with pytest.raises(_Captured):
             lp_feasibility(targets, parent)
     a_ub, b_ub, a_eq, b_eq = (captured[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq"))
+    assert a_ub.indices.dtype == a_eq.indices.dtype == np.int32
 
-    # column-stochastic conditionals; each target's heaviest outcome is eliminated
+    # column-stochastic conditionals; at each atom, each target's slack outcome is
+    # eliminated, and each target's heaviest outcome has no deviation variables
     tables = [rng.random((k, n_atoms)) for k in outcomes]
     tables = [t / t.sum(axis=0) for t in tables]
     heaviest = [np.argmax(np.trace(m.effects, axis1=1, axis2=2).real) for m in targets]
+    slack = certifier._slack_outcomes(targets, parent)
+    # slot j of an atom holds its j-th outcome other than the slack one
+    slots = [np.array([np.delete(np.arange(k), e) for e in row]).reshape(n_atoms, k - 1).T
+             for k, row in zip(outcomes, slack)]
     devs = [np.einsum("an,nij->aij", t, parent.effects) - m.effects
             for t, m in zip(tables, targets)]
     comps = _hermitian_components(np.concatenate(devs))
@@ -203,10 +209,11 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
     weights = 2.0 - _hermitian_components(np.eye(d))
     assert np.allclose(comps**2 @ weights,
                        np.linalg.norm(np.concatenate(devs), axis=(1, 2))**2, rtol=0, atol=1e-12)
-    # variables: free conditionals, then their deviation coordinates D, then s
+    # variables: the slots' conditionals, then the deviation coordinates D of
+    # the outcomes other than the heaviest, then s
     s = rng.random()
     vec = np.concatenate(
-        [np.delete(t, e, axis=0).ravel() for t, e in zip(tables, heaviest)]
+        [np.take_along_axis(t, j, axis=0).ravel() for t, j in zip(tables, slots)]
         + [np.delete(_hermitian_components(dev), e, axis=0).ravel()
            for dev, e in zip(devs, heaviest)]
         + [[s]])
@@ -214,9 +221,10 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
     n_dev = 2 * comps.size  # +D and -D rows of every outcome, eliminated ones included
     want = np.stack([comps, -comps], axis=-1).ravel() - s
     assert np.max(np.abs(a_ub[:n_dev] @ vec - b_ub[:n_dev] - want)) < 1e-12
-    # the <= 1 rows: the free conditionals of each target sum to 1 - p(e_x|x, .)
-    slack = np.concatenate([1.0 - t[e] for t, e in zip(tables, heaviest)])
-    assert np.max(np.abs(a_ub[n_dev:] @ vec - slack)) < 1e-12
+    # the <= 1 rows: an atom's slots of each target sum to 1 - p(e_(x,lam)|x, lam)
+    rest = np.concatenate([1.0 - np.take_along_axis(t, e[None], axis=0)[0]
+                           for t, e in zip(tables, slack)])
+    assert np.max(np.abs(a_ub[n_dev:] @ vec - rest)) < 1e-12
     assert np.all(b_ub[n_dev:] == 1.0)
     assert np.max(np.abs(a_ub[:n_dev, [-1]].toarray() + 1.0)) < 1e-12
     assert a_ub[n_dev:, [-1]].nnz == 0
@@ -282,6 +290,113 @@ def test_bounds_array_solves_like_bound_pairs(d, n_atoms, outcomes, seed):
         lp_feasibility(targets, parent)
     array_form, pair_form = results
     assert np.array_equal(array_form.x, pair_form.x) and array_form.nit == pair_form.nit
+
+
+def _plain_lp_optimum(targets, parent):
+    """The JM LP with every conditional a variable: dense rows, no slack outcome."""
+    n, total = parent.n_atoms, sum(m.n_outcomes for m in targets)
+    comps = _hermitian_components(parent.effects).T
+    t = _hermitian_components(np.concatenate([m.effects for m in targets]))
+    # variables: p(a|x, lam) over all outcomes and atoms, then s
+    dev = np.kron(np.eye(total), comps)  # coordinates of each outcome's C p
+    s_col = -np.ones((2 * dev.shape[0], 1))
+    a_ub = np.hstack([np.vstack([dev, -dev]), s_col])
+    b_ub = np.concatenate([t.ravel(), -t.ravel()])
+    a_eq = np.zeros((len(targets) * n, total * n + 1))
+    start = 0
+    for x, m in enumerate(targets):
+        for a in range(start, start + m.n_outcomes):
+            a_eq[x * n:(x + 1) * n, a * n:(a + 1) * n] = np.eye(n)
+        start += m.n_outcomes
+    c = np.zeros(total * n + 1)
+    c[-1] = 1.0
+    res = certifier.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+                            bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from([2, 3]),
+    n_atoms=st.integers(9, 24),
+    shapes=st.lists(st.tuples(st.integers(1, 4), st.booleans(), st.booleans()),
+                    min_size=1, max_size=3),
+    eta=st.floats(0.05, 1.0),
+    p=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lp_optimum_matches_the_plain_lp(d, n_atoms, shapes, eta, p, seed):
+    # the per-atom slack outcomes change the LP's variables, not its optimum
+    rng = np.random.default_rng(seed)
+    parent = discretize_parent(d, n_atoms, seed=seed)
+    targets = []
+    for k, zero_effect, noisy in shapes:
+        # up to k outcomes: random ones, a zero-trace one, and no-click if noisified
+        effects = random_povm(d, max(k - zero_effect - noisy, 1), rng).effects
+        if zero_effect:
+            effects = np.concatenate([np.zeros((1, d, d)), effects])
+        m = Povm(effects)
+        targets.append(noisify_povm(m, NoiseParams(d=d, eta=eta, p=p)) if noisy else m)
+    results = []
+    solve = certifier.linprog
+
+    def recording_linprog(*args, **kwargs):
+        results.append(solve(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "linprog", recording_linprog)
+        lp_feasibility(targets, parent)
+    (res,) = results
+    assert abs(res.fun - _plain_lp_optimum(targets, parent)) < 1e-9
+
+
+#: The benchmark's LP instances (d, eta, p, atoms) and the Haar seeds of its
+#: four parents at seed 0.
+_BENCH_INSTANCES = ((2, 0.5, 0.5, 500), (2, 0.9, 0.9, 500), (3, 0.25, 0.5, 300))
+_BENCH_PARENT_SEEDS = np.random.default_rng(0).integers(0, 2**31, 4)
+
+
+def _start_deviation(targets, parent, slack):
+    """Largest Hermitian-coordinate deviation when atom lam reports slack[x, lam]."""
+    tables = [np.eye(m.n_outcomes)[:, e] for m, e in zip(targets, slack)]
+    devs = np.concatenate([np.einsum("an,nij->aij", table, parent.effects) - m.effects
+                           for table, m in zip(tables, targets)])
+    return np.max(np.abs(_hermitian_components(devs)))
+
+
+@pytest.mark.parametrize("d, eta, p, atoms", _BENCH_INSTANCES)
+def test_slack_outcomes_start_near_the_threshold_response(d, eta, p, atoms):
+    targets = _noisified_mubs(d, eta, p)
+    for seed in _BENCH_PARENT_SEEDS:
+        parent = discretize_parent(d, atoms, seed=int(seed))
+        slack = certifier._slack_outcomes(targets, parent)
+        assert np.array_equal(slack, certifier._slack_outcomes(targets, parent))
+        traces = [np.trace(m.effects, axis1=1, axis2=2).real for m in targets]
+        heaviest = np.array([np.argmax(tr) for tr in traces])
+        all_heaviest = np.repeat(heaviest[:, None], atoms, axis=1)
+        assert (_start_deviation(targets, parent, slack)
+                <= _start_deviation(targets, parent, all_heaviest))
+        # each other outcome takes atoms up to, and within one atom weight of, its trace
+        weights = np.trace(parent.effects, axis1=1, axis2=2).real
+        for row, tr, h in zip(slack, traces, heaviest):
+            for a in np.delete(np.arange(len(tr)), h):
+                assigned = weights[row == a].sum()
+                assert 0.0 <= tr[a] - assigned < weights.max()
+
+
+def test_slack_outcomes_lightest_outcome_chooses_first():
+    # the qubit tetrahedron twice, atoms of weight 1/4; outcomes 1 and 2 both
+    # overlap most with atoms 0 and 4, and the lighter outcome 2 picks first
+    c, s = np.sqrt(1 / 3), np.sqrt(2 / 3)
+    tetra = [[1.0, 0.0]] + [[c, s * np.exp(2j * np.pi * k / 3)] for k in range(3)]
+    parent = parent_from_states(np.array(tetra * 2, dtype=complex), 2)
+    aligned = np.diag([1.0, 0.0])
+    effects = [0.95 * (np.eye(2) - aligned), 0.5 * aligned + 0.05 * np.eye(2), 0.45 * aligned]
+    (slack,) = certifier._slack_outcomes([Povm(effects)], parent)
+    assert slack[0] == 2 and slack[4] == 1
+    assert np.count_nonzero(slack == 2) == 1 and np.count_nonzero(slack == 1) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,21 @@ def test_thresholds_validation_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_usage_error_leaves_the_next_call_unchanged(capsys):
+    # the parser is built once per process, so a usage error must not alter it
+    argv = ["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "50",
+            "--targets", "builtin:mubs"]
+    before = _run(capsys, *argv)
+    for bad in (["jm-certify", "--d", "0"], [*argv, "--seed", "-1"], [*argv, "--bogus"],
+                [*argv[:-2], "--emit-conditionals"], ["thresholds"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        assert "usage" in capsys.readouterr().err
+    assert _run(capsys, *argv) == before
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_phase_diagram_command(tmp_path, capsys):
     out_path = tmp_path / "pd.csv"
     code, out = _run(capsys, "phase-diagram", "--d", "2", "--grid", "50",
