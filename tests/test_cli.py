@@ -152,6 +152,24 @@ def test_state_command(tmp_path, capsys):
     assert on_disk == doc
 
 
+def test_state_computes_eigenvalues_once(capsys, monkeypatch):
+    # validating rho and its two reduced states computes no eigenvalues;
+    # only the reported min_eigenvalue does, on the 156x156 state
+    eigvalsh = np.linalg.eigvalsh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    code, out = _run(capsys, "state", "--d", "12", "--eta", "0.4", "--p", "0.6")
+    assert code == 0
+    assert shapes == [(156, 156)]
+    rho = steerlab.one_way_state(12, 0.4, 0.6)
+    assert json.loads(out)["validity"]["min_eigenvalue"] == float(eigvalsh(rho.mat)[0])
+
+
 def test_state_rejects_bad_params(capsys):
     assert main(["state", "--d", "2", "--eta", "1.5", "--p", "0.5"]) == 2
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import numpy as np
@@ -16,7 +17,8 @@ from steerlab.linalg import (
     psd_stack,
     tensor,
 )
-from steerlab.rand import random_povm
+from steerlab.certifier import discretize_parent
+from steerlab.rand import random_povm, random_unitary
 
 
 def _rand_complex(rng, rows, cols):
@@ -110,6 +112,14 @@ def test_partial_trace_rejects_bad_dims():
         partial_trace(np.eye(6), (2, 3), keep=2)
 
 
+def _oracle_psd(m, tol):
+    # Hermitian within tol and no eigenvalue of the Hermitian part below -tol,
+    # computed directly rather than through the kernel under test
+    m = np.asarray(m, dtype=complex)
+    return bool(np.max(np.abs(m - dagger(m))) <= tol
+                and np.linalg.eigvalsh((m + dagger(m)) / 2.0)[0] >= -tol)
+
+
 def test_is_psd():
     assert is_psd(np.eye(3), 1e-10)
     assert not is_psd(np.diag([1.0, -1e-6]), 1e-10)
@@ -131,7 +141,7 @@ def test_is_psd():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_psd_stack_agrees_with_per_matrix_oracle(d, n, kind, size, seed):
-    # oracle: is_psd on each matrix plus a Frobenius test of the sum
+    # oracle: eigvalsh on each matrix plus a Frobenius test of the sum
     rng = np.random.default_rng(seed)
     effects = np.array(random_povm(d, n, rng).effects)
     labels = [f"out{k}" for k in range(n)]
@@ -146,7 +156,7 @@ def test_psd_stack_agrees_with_per_matrix_oracle(d, n, kind, size, seed):
         effects[k, i, i] += size  # stays Hermitian and PSD
     elif kind == "nan":
         effects[k, i, j] = np.nan
-    oracle_ok = (all(is_psd(e, 1e-10) for e in effects)
+    oracle_ok = (all(_oracle_psd(e, 1e-10) for e in effects)
                  and frobenius(effects.sum(axis=0) - np.eye(d)) <= 1e-10)
     assert oracle_ok == (kind == "none")
     if oracle_ok:
@@ -260,6 +270,111 @@ def test_psd_stack_names_batch_index():
     stacks[2, 1, 0, 0] = 0.6
     with pytest.raises(ValueError, match=r"effects in stack entry \(2,\) do not sum"):
         psd_stack(stacks, range(2), "effect")
+
+
+@functools.lru_cache(maxsize=None)
+def _haar_atoms(d):
+    return discretize_parent(d, 4 * d * d, seed=0).effects
+
+
+def _psd_member(kind, d, rng):
+    # a PSD matrix of trace at most d: a full-rank Gram matrix of unit trace,
+    # a projector of any rank (rank-deficient below d), the zero matrix, or
+    # a rank-one atom of a Haar parent
+    if kind == "gram":
+        a = _rand_complex(rng, d, d)
+        g = a @ dagger(a)
+        return g / np.trace(g).real
+    if kind == "projector":
+        u = random_unitary(d, rng)[:, : int(rng.integers(d + 1))]
+        return u @ dagger(u)
+    if kind == "zero":
+        return np.zeros((d, d), dtype=complex)
+    atoms = _haar_atoms(d)
+    return atoms[int(rng.integers(len(atoms)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 6),
+    n=st.integers(1, 3),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    kinds=st.lists(st.sampled_from(["gram", "projector", "zero", "haar-atom"]),
+                   min_size=1, max_size=4),
+    tol=st.sampled_from([1e-10, 1e-8]),
+    sign=st.sampled_from([-1.0, 1.0]),
+    delta=st.floats(1e-3, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_psd_verdict_matches_eigvalsh_oracle(d, n, batch, kinds, tol, sign, delta, seed):
+    # one matrix's smallest eigenvalue moves to -tol*(1 + sign*delta), just
+    # inside or outside the tolerance; psd_stack (tol 1e-10) and is_psd
+    # accept iff eigvalsh finds no eigenvalue below -tol, and a rejection
+    # names the first failing matrix with its eigvalsh eigenvalue
+    rng = np.random.default_rng(seed)
+    shape = tuple(batch) + (n,)
+    members = [_psd_member(kinds[i % len(kinds)], d, rng) for i in range(int(np.prod(shape)))]
+    mats = np.array(members).reshape(shape + (d, d))
+    moved = tuple(int(rng.integers(size)) for size in shape)
+    evals, evecs = np.linalg.eigh(mats[moved])
+    v = evecs[:, 0]
+    mats[moved] += (-tol * (1.0 + sign * delta) - evals[0]) * np.outer(v, v.conj())
+    min_eig = np.linalg.eigvalsh((mats + dagger(mats)) / 2.0)[..., 0]
+    failing = np.argwhere(min_eig < -tol)
+    assert [tuple(int(i) for i in f) for f in failing] == ([moved] if sign > 0 else [])
+    for i in np.ndindex(shape):
+        assert is_psd(mats[i], tol) == (min_eig[i] >= -tol)
+    if tol != 1e-10:
+        return
+    labels = [f"m{k}" for k in range(n)]
+    if sign < 0:
+        assert np.array_equal(psd_stack(mats, labels, "matrix", sums_to_identity=False), mats)
+        return
+    where = f" in stack entry {moved[:-1]}" if batch else ""
+    with pytest.raises(ValueError) as exc:
+        psd_stack(mats, labels, "matrix", sums_to_identity=False)
+    assert str(exc.value) == (f"matrix {labels[moved[-1]]!r}{where} is not PSD within 1e-10 "
+                              f"(eigenvalue {min_eig[moved]:.2e})")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_psd_stack_rejects_non_finite_entries(value):
+    # a Cholesky factorization of a non-finite matrix returns a NaN factor
+    # without failing; the Hermiticity check still rejects every entry of
+    # every matrix of a batched stack, the diagonal included
+    stacks = np.broadcast_to(np.eye(3) / 2, (2, 2, 3, 3)).copy()
+    for index in np.ndindex(stacks.shape):
+        bad = stacks.copy()
+        bad[index] = value
+        message = rf"^effect {index[1]} in stack entry \({index[0]},\) is not Hermitian within 1e-10$"
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match=message):
+                psd_stack(bad, range(2), "effect")
+            assert not is_psd(bad[index[:2]], 1e-8)
+
+
+def test_psd_stack_rejects_an_overflowing_hermitian_part():
+    # finite and Hermitian, but (H + H^dagger)/2 overflows to infinity: only
+    # a finite Cholesky factor accepts, so eigvalsh judges and rejects it
+    stacks = np.broadcast_to(np.eye(2) / 2, (2, 2, 2)).copy()
+    stacks[1] = 1e308 * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^effect 1 is not PSD within 1e-10 \(eigenvalue nan\)$"):
+            psd_stack(stacks, range(2), "effect", sums_to_identity=False)
+        assert not is_psd(stacks[1])
+
+
+def test_accept_path_computes_no_eigenvalues(monkeypatch):
+    rng = np.random.default_rng(8)
+    stacks = np.array([random_povm(3, 4, rng).effects for _ in range(5)])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("called on the accept path")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np, "argwhere", refuse)
+    assert np.array_equal(psd_stack(stacks, range(4), "effect"), stacks)
+    assert is_psd(stacks[0, 0])
 
 
 @settings(max_examples=60, deadline=None)
