@@ -12,14 +12,13 @@ from .linalg import (
     dagger,
     entries_to_matrix,
     first_false,
-    frobenius,
     frobenius_each,
     is_distribution,
-    is_psd,
     locate,
     matrix_to_entries,
     psd_stack,
 )
+from .certifier import _reconstruction_residual
 from .objects import DensityOperator, Loss, Povm
 
 
@@ -245,44 +244,35 @@ def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
     return Assemblage._from_checked(entries, counts, sigma_lossy.dim - 1, sigma_lossy.settings)
 
 
-def lhs_model_residual(sigma: Assemblage, model) -> float:
+def lhs_model_residual(sigma: Assemblage, ensemble, responses) -> float:
     """Worst-case deviation of an explicit local-hidden-state model.
 
-    ``model`` is a list of ``(weight, hidden_state, response)`` triples where
-    ``response[x][a]`` is the probability of outcome ``a`` given setting
-    ``x`` and that hidden state. Returns the maximum Frobenius deviation
-    between ``sigma_{a|x}`` and ``sum_lam weight * response[x][a] * hidden_state``;
-    a residual at numerical tolerance certifies the assemblage unsteerable.
+    ``ensemble`` is an (n, dim, dim) array of subnormalized hidden states
+    ``p(lam) rho_lam``, each Hermitian and PSD within 1e-10, of total trace 1
+    within 1e-10. ``responses[x]`` is an (outcomes of x, n) table whose column
+    lam is the distribution p(.|x, lam): the layout of
+    :attr:`~steerlab.certifier.JmCertificate.conditionals`. So a certificate
+    of measurements pulled back through the channel of
+    :func:`~steerlab.objects.one_way_state` is a model of the assemblage they
+    steer on the other side as it stands:
+    ``lhs_model_residual(sigma, parent.effects.transpose(0, 2, 1) / d, cert.conditionals)``.
+    Returns the largest Frobenius deviation of ``sum_lam p(a|x,lam) p(lam) rho_lam``
+    from ``sigma_{a|x}``, from the certificate's residual kernel; a residual
+    at numerical tolerance certifies the assemblage unsteerable.
     """
-    if not model:
-        raise ValueError("model must contain at least one hidden state")
-    weights = np.array([w for w, _, _ in model], dtype=float)
-    if not is_distribution(weights, 1e-10):
-        raise ValueError("model weights do not form a probability distribution")
-    d = sigma.dim
-    for i, (_, state, response) in enumerate(model):
-        state = np.asarray(state, dtype=complex)
-        if state.shape != (d, d):
-            raise ValueError(f"hidden state {i} has wrong shape {state.shape}")
-        if not is_psd(state, 1e-8) or abs(np.trace(state).real - 1.0) > 1e-8:
-            raise ValueError(f"hidden state {i} is not a density operator")
-        if len(response) != sigma.n_settings:
-            raise ValueError(f"response table {i} does not cover all settings")
-        for x, row in enumerate(response):
-            row = np.asarray(row, dtype=float)
-            if row.size != sigma.outcomes_per_setting[x]:
-                raise ValueError(
-                    f"response table {i} has wrong outcome count for setting {x}"
-                )
-            if not is_distribution(row, 1e-10):
-                raise ValueError(
-                    f"response table {i}, setting {x} is not a conditional distribution"
-                )
-    residual = 0.0
-    for x in range(sigma.n_settings):
-        for a in range(sigma.outcomes_per_setting[x]):
-            predicted = np.zeros((d, d), dtype=complex)
-            for w, state, response in model:
-                predicted += w * float(response[x][a]) * np.asarray(state, dtype=complex)
-            residual = max(residual, frobenius(sigma.entry(a, x) - predicted))
-    return residual
+    if np.ndim(ensemble) != 3 or np.shape(ensemble)[1:] != (sigma.dim, sigma.dim):
+        raise ValueError(f"ensemble has shape {np.shape(ensemble)}, "
+                         f"expected (n, {sigma.dim}, {sigma.dim})")
+    ensemble = psd_stack(ensemble, range(len(ensemble)), "hidden state", sums_to_identity=False)
+    if not abs(np.trace(ensemble.sum(axis=0)).real - 1.0) <= 1e-10:
+        raise ValueError("hidden states do not have total trace 1 within 1e-10")
+    if len(responses) != sigma.n_settings:
+        raise ValueError(f"{len(responses)} response tables for {sigma.n_settings} settings")
+    tables = [np.asarray(table, dtype=float) for table in responses]
+    for x, table in enumerate(tables):
+        if table.shape != (sigma.outcomes_per_setting[x], len(ensemble)):
+            raise ValueError(f"response table {x} has shape {table.shape}, expected "
+                             f"({sigma.outcomes_per_setting[x]}, {len(ensemble)})")
+        if not is_distribution(table, 1e-10):
+            raise ValueError(f"response table {x} columns are not distributions")
+    return _reconstruction_residual(ensemble, tables, sigma.blocks)

@@ -152,13 +152,14 @@ class JmCertificate:
         return doc
 
 
-def _reconstruction_residual(
-    parent: DiscreteParent, conditionals, targets: list[Povm]
-) -> float:
+def _reconstruction_residual(parent_effects, tables, target_stacks) -> float:
+    """Largest Frobenius deviation of ``sum_n tables[x][a, n] parent_effects[n]``
+    from ``target_stacks[x][a]``: of the targets' effects for a certificate,
+    of an assemblage's settings for a hidden-state model."""
     residual = 0.0
-    for table, povm in zip(conditionals, targets):
-        built = np.einsum("an,nij->aij", np.asarray(table, dtype=float), parent.effects)
-        devs = np.linalg.norm(built - povm.effects, axis=(1, 2))
+    for table, effects in zip(tables, target_stacks):
+        built = np.einsum("an,nij->aij", np.asarray(table, dtype=float), parent_effects)
+        devs = np.linalg.norm(built - effects, axis=(1, 2))
         residual = np.maximum(residual, devs.max())  # carries a NaN forward
     return float(residual)
 
@@ -179,7 +180,8 @@ def _hermitian_components(mats) -> np.ndarray:
 
 def _certificate(parent, conditionals, targets, tol) -> JmCertificate:
     """Certificate whose status is decided by the recomputed residual."""
-    residual = _reconstruction_residual(parent, conditionals, targets)
+    residual = _reconstruction_residual(parent.effects, conditionals,
+                                        [p.effects for p in targets])
     status = FEASIBLE if residual <= tol else INFEASIBLE_AT_TOLERANCE
     return JmCertificate(parent=parent, conditionals=tuple(conditionals),
                          residual=residual, status=status, tol=tol)
@@ -381,7 +383,8 @@ def verify_certificate(cert: JmCertificate, targets: list[Povm]) -> float:
             raise ValueError(f"conditional table {x} does not match target outcomes")
         if povm.dim != cert.parent.d:
             raise ValueError(f"target {x} dimension does not match the parent")
-    return _reconstruction_residual(cert.parent, cert.conditionals, targets)
+    return _reconstruction_residual(cert.parent.effects, cert.conditionals,
+                                    [p.effects for p in targets])
 
 
 # ---------------------------------------------------------------------------

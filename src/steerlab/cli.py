@@ -180,6 +180,7 @@ def _cmd_lemma1_roundtrip(args) -> int:
     block run as one stack, drawing their normals in one call, in the
     order the per-trial objects would draw them.
     """
+    assemblage._check_eta(args.eta)
     rng = rand.rng_from(args.seed)
     d = args.d
     entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import certified_unsteerable, eta_unsteerable_bound
-from .linalg import eig_hermitian, frobenius
+from .linalg import eig_hermitian
 from .lossy import NoiseParams
 from .objects import NO_CLICK, Label, Povm, PureState
 
@@ -312,25 +312,14 @@ def analytic_effect(d: int, t: float, phi: PureState) -> np.ndarray:
 def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Povm:
     """Analytic POVM produced by simulating a rank-one target POVM.
 
-    ``targets`` lists (weight, unit vector) pairs resolving the identity.
-    Effect a comes out as ``(alpha_a/d) * (aligned |phi_a><phi_a| +
-    orthogonal (I-|phi_a><phi_a|)/(d-1))`` and the leftover probability
-    becomes a no-click effect.
+    ``targets`` lists (weight, vector) pairs whose effects ``weight |v><v|``
+    resolve the identity. This is :func:`build_jm_model` at the exact
+    transmission ``(1-t)^(d-1)``: effect a comes out as ``(alpha_a/d) *
+    (aligned |phi_a><phi_a| + orthogonal (I-|phi_a><phi_a|)/(d-1))`` and the
+    leftover probability becomes a no-click effect.
     """
-    if not targets:
-        raise ValueError("at least one target effect is required")
-    d = np.asarray(targets[0][1]).size
-    _check_dt(d, t)
-    total = np.zeros((d, d), dtype=complex)
-    for alpha, vec in targets:
-        vec = np.asarray(vec, dtype=complex).ravel()
-        if vec.size != d:
-            raise ValueError("target vectors must share one dimension")
-        total += alpha * np.outer(vec, vec.conj())
-    if frobenius(total - np.eye(d)) > 1e-10:
-        raise ValueError("targets do not resolve the identity within 1e-10")
-    labels = tuple(range(len(targets)))
-    return ResponseFunctionModel(d, t, tuple(targets), labels, labels).reconstruct_povm()
+    povm = Povm([alpha * np.outer(vec, np.conj(vec)) for alpha, vec in targets])
+    return build_jm_model(povm, noise_params_from_threshold(povm.dim, t)).reconstruct_povm()
 
 
 @dataclass(frozen=True, eq=False)

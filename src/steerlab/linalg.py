@@ -46,10 +46,13 @@ def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_entries`."""
+    """Inverse of :func:`matrix_to_entries`; refuses non-finite parts."""
     flat = np.array([complex(re, im) for re, im in entries])
     if flat.size != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
+    bad = first_false(np.isfinite(flat))
+    if bad is not None:
+        raise ValueError(f"matrix entry {bad[0]} is not finite: {list(entries[bad[0]])}")
     return flat.reshape(rows, cols)
 
 

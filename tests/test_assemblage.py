@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,31 +176,103 @@ def test_lhs_residual_product_state():
     probs = [
         [np.trace(rho_b.mat @ e).real for e in povm.effects] for povm in povms
     ]
-    model = [(1.0, rho_a.mat, probs)]
-    assert lhs_model_residual(sigma, model) < 1e-12
+    assert lhs_model_residual(sigma, rho_a.mat[None], np.array(probs)[:, :, None]) < 1e-12
 
 
 def test_lhs_residual_wrong_model_positive():
     rng = np.random.default_rng(8)
     sigma = steer(phi_plus(2).to_density(), [random_povm(2, 2, rng)], 1)
-    wrong = [(1.0, np.eye(2) / 2, [[1.0, 0.0]])]
-    res = lhs_model_residual(sigma, wrong)
+    res = lhs_model_residual(sigma, np.eye(2)[None] / 2, [[[1.0], [0.0]]])
     assert res > 0.1
 
 
 def test_lhs_residual_rejects_malformed():
     rng = np.random.default_rng(9)
     sigma = _random_assemblage(2, 1, 2, rng)
-    with pytest.raises(ValueError):
-        lhs_model_residual(sigma, [(0.7, np.eye(2) / 2, [[0.5, 0.5]])])  # weights != 1
-    with pytest.raises(ValueError):
-        lhs_model_residual(sigma, [(1.0, np.eye(2), [[0.5, 0.5]])])  # trace 2
-    with pytest.raises(ValueError):
-        lhs_model_residual(sigma, [(1.0, np.eye(2) / 2, [[0.5, 0.2]])])  # not normalized
-    with pytest.raises(ValueError):
-        lhs_model_residual(sigma, [(np.nan, np.eye(2) / 2, [[0.5, 0.5]])])  # NaN weight
-    with pytest.raises(ValueError):
-        lhs_model_residual(sigma, [(1.0, np.eye(2) / 2, [[np.nan, 0.5]])])  # NaN response
+    half = np.eye(2)[None] / 2
+    with pytest.raises(ValueError, match="total trace 1"):
+        lhs_model_residual(sigma, 0.7 * half, [[[0.5], [0.5]]])  # weights != 1
+    with pytest.raises(ValueError, match="total trace 1"):
+        lhs_model_residual(sigma, np.eye(2)[None], [[[0.5], [0.5]]])  # trace 2
+    with pytest.raises(ValueError, match="not distributions"):
+        lhs_model_residual(sigma, half, [[[0.5], [0.2]]])  # not normalized
+    with pytest.raises(ValueError, match="not distributions"):
+        lhs_model_residual(sigma, half, [[[1.5], [-0.5]]])  # negative entry
+    with pytest.raises(ValueError, match="hidden state 0 is not Hermitian"):
+        lhs_model_residual(sigma, np.nan * half, [[[0.5], [0.5]]])  # NaN weight
+    with pytest.raises(ValueError, match="not distributions"):
+        lhs_model_residual(sigma, half, [[[np.nan], [0.5]]])  # NaN response
+    with pytest.raises(ValueError, match=r"response table 0 has shape \(2, 2\), expected \(2, 1\)"):
+        lhs_model_residual(sigma, half, [np.full((2, 2), 0.5)])  # one column per hidden state
+    with pytest.raises(ValueError, match=r"has shape \(3, 1\)"):
+        lhs_model_residual(sigma, half, [np.full((3, 1), 1 / 3)])  # outcome count
+    with pytest.raises(ValueError, match="2 response tables for 1 settings"):
+        lhs_model_residual(sigma, half, [[[0.5], [0.5]]] * 2)
+    with pytest.raises(ValueError, match=r"ensemble has shape \(2, 2\)"):
+        lhs_model_residual(sigma, np.eye(2) / 2, [[[0.5], [0.5]]])  # no hidden-state axis
+    with pytest.raises(ValueError, match=r"ensemble has shape \(1, 3, 3\)"):
+        lhs_model_residual(sigma, np.eye(3)[None] / 3, [[[0.5], [0.5]]])  # dimension
+    with pytest.raises(ValueError, match="nonempty"):
+        lhs_model_residual(sigma, np.zeros((0, 2, 2)), [np.zeros((2, 0))])
+
+
+def test_lhs_residual_names_the_hidden_state():
+    sigma = _random_assemblage(2, 1, 2, np.random.default_rng(9))
+    ensemble = [np.diag([0.3, 0.3]), np.diag([0.5, -0.1])]  # total trace 1
+    with pytest.raises(ValueError, match=r"hidden state 1 is not PSD within 1e-10 \(eigenvalue"):
+        lhs_model_residual(sigma, ensemble, [np.full((2, 2), 0.5)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 4), counts=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+       n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_lhs_residual_matches_loop_oracle(d, counts, n, seed):
+    # max over (a, x) of ||sigma_{a|x} - sum_lam p(a|x,lam) H_lam||_F, one term at a time
+    rng = np.random.default_rng(seed)
+    sigma = steer(random_density(2 * d, rng, dims=(2, d)),
+                  [random_povm(2, k, rng) for k in counts], measured_side=0)
+    states = [random_density(d, rng).mat for _ in range(n)]
+    ensemble = rng.dirichlet(np.ones(n))[:, None, None] * np.array(states)
+    responses = [rng.dirichlet(np.ones(k), size=n).T for k in counts]
+
+    def predicted(a, x):
+        return sum(responses[x][a, lam] * ensemble[lam] for lam in range(n))
+
+    oracle = max(frobenius(sigma.entry(a, x) - predicted(a, x))
+                 for x, k in enumerate(counts) for a in range(k))
+    assert abs(lhs_model_residual(sigma, ensemble, responses) - oracle) <= 1e-14
+    # the assemblage the model prepares has no deviation
+    exact = Assemblage(tuple(np.array([predicted(a, x) for a in range(k)])
+                             for x, k in enumerate(counts)), d, range(len(counts)))
+    assert lhs_model_residual(exact, ensemble, responses) <= 1e-14
+
+
+def _document_with_first_entry(kind, part, value):
+    """A valid document of ``kind`` whose first matrix entry has ``value`` as
+    its real (``part`` 0) or imaginary (``part`` 1) part, and its reader."""
+    rng = np.random.default_rng(11)
+    if kind == "povm":
+        doc, read = random_povm(2, 2, rng).to_document(), Povm.from_document
+        entries = doc["effects"][0]["entries"]
+    elif kind == "density":
+        doc, read = random_density(2, rng).to_document(), DensityOperator.from_document
+        entries = doc["entries"]
+    else:
+        doc, read = _random_assemblage(2, 2, 2, rng).to_document(), Assemblage.from_document
+        entries = doc["entries"][0]["matrix"]
+    entries[0][part] = value
+    return doc, read
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("part", [0, 1])
+@pytest.mark.parametrize("kind", ["povm", "density", "assemblage"])
+def test_documents_refuse_non_finite_entries(kind, part, value):
+    doc, read = _document_with_first_entry(kind, part, value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match="matrix entry 0 is not finite"):
+            read(doc)
 
 
 def test_assemblage_document_roundtrip():

@@ -450,7 +450,8 @@ def test_nan_conditionals_are_no_certificate():
             JmCertificate(parent=parent, conditionals=tuple(nan), residual=0.0,
                           status=FEASIBLE, tol=1e-4)
         # the residual carries the NaN instead of reading as exact
-        assert np.isnan(certifier._reconstruction_residual(parent, nan, targets))
+        assert np.isnan(certifier._reconstruction_residual(
+            parent.effects, nan, [p.effects for p in targets]))
 
 
 def test_verify_rejects_shape_mismatch():

@@ -295,6 +295,32 @@ def test_jm_certify_missing_file(capsys):
     capsys.readouterr()
 
 
+def test_jm_certify_refuses_non_finite_targets_without_warning(tmp_path):
+    targets_path = tmp_path / "targets.json"
+    effects = [{"label": 0, "entries": [[float("inf"), 0], [0, 0], [0, 0], [0.5, 0]]},
+               {"label": 1, "entries": [[0, 0], [0, 0], [0, 0], [0.5, 0]]}]
+    targets_path.write_text(json.dumps([{"dim": 2, "effects": effects}]))  # writes Infinity
+    proc = subprocess.run(
+        [sys.executable, "-m", "steerlab.cli", "jm-certify", "--d", "2", "--eta", "0.5",
+         "--p", "0.5", "--atoms", "50", "--targets", str(targets_path)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("eta", ["0", "nan", "1.5"])
+def test_lemma1_roundtrip_checks_eta_before_drawing(capsys, monkeypatch, eta):
+    def no_draw(seed):
+        raise AssertionError("drew trials for an invalid --eta")
+
+    monkeypatch.setattr(rand, "rng_from", no_draw)
+    code = main(["lemma1-roundtrip", "--d", "2", "--eta", eta, "--seed", "7"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: eta must lie in (0, 1], got {float(eta)}\n"
+
+
 def test_lemma1_roundtrip_command(capsys):
     code, out = _run(capsys, "lemma1-roundtrip", "--d", "2", "--eta", "0.3",
                      "--seed", "7")

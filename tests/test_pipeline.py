@@ -33,19 +33,6 @@ def test_steered_assemblage_is_transposed_dual():
             assert frobenius(sigma.entry(a, x) - pulled.T / d) < 1e-12
 
 
-def _lhs_model_from_certificate(parent, cert, d):
-    weights = np.array([float(np.trace(e).real) for e in parent.effects]) / d
-    model = []
-    for lam in range(parent.n_atoms):
-        tr = weights[lam] * d
-        if tr <= 1e-14:
-            continue
-        state = parent.effects[lam].T / tr
-        response = [table[:, lam] for table in cert.conditionals]
-        model.append((weights[lam], state, response))
-    return model
-
-
 def test_unsteerable_assemblage_has_explicit_lhs_model():
     # at the transmission bound, measurements on the lossy side pull back to
     # jointly measurable POVMs; the certificate's parent atoms double as the
@@ -66,8 +53,8 @@ def test_unsteerable_assemblage_has_explicit_lhs_model():
     cert = lp_feasibility(pulled_back, parent, tol=1e-4)
     assert cert.status == "feasible"
 
-    model = _lhs_model_from_certificate(parent, cert, d)
-    residual = lhs_model_residual(sigma, model)
+    # the parent atoms, transposed and divided by d, are the hidden states
+    residual = lhs_model_residual(sigma, parent.effects.transpose(0, 2, 1) / d, cert.conditionals)
     assert residual <= cert.residual / d + 1e-12
     assert residual <= 1e-4
 
@@ -94,6 +81,6 @@ def test_model_conditionals_give_lhs_model_directly():
     # hidden-state ensemble from the parent and relabelling of the model's
     # exact certificate
     cert = exact_certificate(jm_model, m, params)
-    model = _lhs_model_from_certificate(cert.parent, cert, d)
-    residual = lhs_model_residual(sigma, model)
+    residual = lhs_model_residual(sigma, cert.parent.effects.transpose(0, 2, 1) / d,
+                                  cert.conditionals)
     assert residual < 1e-12
