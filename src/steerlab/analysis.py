@@ -88,11 +88,21 @@ def _region_code(d: int, eta, p):
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Certification thresholds for one dimension."""
+    """Certification thresholds for one dimension d >= 2."""
 
     d: int
-    p_all_meas: float
-    p_two_mubs: float
+
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError(f"dimension must be >= 2, got {self.d}")
+
+    @property
+    def p_all_meas(self) -> float:
+        return p_threshold_all(self.d)
+
+    @property
+    def p_two_mubs(self) -> float:
+        return p_threshold_two_mubs(self.d)
 
     def eta_bound_at(self, p: float) -> float:
         return eta_unsteerable_bound(self.d, p)
@@ -107,9 +117,7 @@ class ThresholdReport:
 
 
 def threshold_report(d: int) -> ThresholdReport:
-    return ThresholdReport(
-        d=d, p_all_meas=p_threshold_all(d), p_two_mubs=p_threshold_two_mubs(d)
-    )
+    return ThresholdReport(d)
 
 
 def classify(d: int, eta: float, p: float) -> RegionLabel:

@@ -58,25 +58,23 @@ class Assemblage:
 
     ``blocks[x]`` is a read-only complex (n_x, dim, dim) array whose entry
     ``a`` is the conditional state for outcome ``a`` of setting ``x``;
-    settings may have different outcome counts. Valid assemblages are
-    nonsignaling: the outcome sum is one common unit-trace state for every
-    setting.
+    settings may have different outcome counts, but all blocks share one
+    ``dim``. Valid assemblages are nonsignaling: the outcome sum is one
+    common unit-trace state for every setting.
     """
 
     blocks: tuple[np.ndarray, ...]
-    dim: int
     settings: tuple
 
     def __post_init__(self):
-        dim = int(self.dim)
         rows = [np.asarray(row, dtype=complex) for row in self.blocks]
         if not rows:
             raise ValueError("assemblage needs at least one setting")
+        dim = rows[0].shape[-1] if rows[0].ndim else 0
         for x, row in enumerate(rows):
             if row.ndim != 3 or row.shape[1:] != (dim, dim) or not len(row):
-                raise ValueError(
-                    f"setting {x} has shape {row.shape}, expected (n, {dim}, {dim}) with n >= 1"
-                )
+                raise ValueError(f"setting {x} has shape {row.shape}, "
+                                 f"expected (n, {dim}, {dim}) with n >= 1")
         settings = tuple(self.settings)
         if len(settings) != len(rows):
             raise ValueError("settings list does not match number of blocks")
@@ -84,19 +82,21 @@ class Assemblage:
         stack = check_entries(np.concatenate(rows), counts)
         blocks = tuple(np.split(stack, np.cumsum(counts)[:-1]))
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "settings", settings)
 
     @classmethod
-    def _from_checked(cls, entries: np.ndarray, counts, dim: int, settings) -> "Assemblage":
+    def _from_checked(cls, entries: np.ndarray, counts, settings) -> "Assemblage":
         """The assemblage of a (N, dim, dim) array that :func:`check_entries`
         returned for ``counts``, one setting per count, without running its
         checks again."""
         sigma = object.__new__(cls)
         object.__setattr__(sigma, "blocks", tuple(np.split(entries, np.cumsum(counts)[:-1])))
-        object.__setattr__(sigma, "dim", dim)
         object.__setattr__(sigma, "settings", tuple(settings))
         return sigma
+
+    @property
+    def dim(self) -> int:
+        return self.blocks[0].shape[-1]
 
     @property
     def n_settings(self) -> int:
@@ -120,16 +120,20 @@ class Assemblage:
 
     @classmethod
     def from_document(cls, doc: dict) -> "Assemblage":
+        """Inverse of :meth:`to_document`. The entries of each setting may
+        come in any order, but their ``a`` must be exactly 0..n_x-1."""
         dim = int(doc["dim"])
         settings = list(doc["settings"])
         rows: list[list] = [[] for _ in settings]
         for e in doc["entries"]:
             x = settings.index(e["x"])
             rows[x].append((int(e["a"]), entries_to_matrix(e["matrix"], dim, dim)))
-        blocks = tuple(
-            tuple(mat for _, mat in sorted(row, key=lambda t: t[0])) for row in rows
-        )
-        return cls(blocks, dim, tuple(settings))
+        for x, row in enumerate(rows):
+            row.sort(key=lambda entry: entry[0])
+            if [a for a, _ in row] != list(range(len(row))):
+                raise ValueError(f"the entries of setting {settings[x]!r} must carry "
+                                 f"a = 0..n-1 once each, got {[a for a, _ in row]}")
+        return cls(tuple(tuple(mat for _, mat in row) for row in rows), settings)
 
 
 def steer_entries(effects, rho_t, measured_side: int, counts) -> np.ndarray:
@@ -162,7 +166,6 @@ def steer(
     if not measurements:
         raise ValueError("assemblage needs at least one setting")
     d_meas = rho.dims[measured_side]
-    d_keep = rho.dims[1 - measured_side]
     for x, povm in enumerate(measurements):
         if povm.dim != d_meas:
             raise ValueError(
@@ -171,7 +174,7 @@ def steer(
     counts = [povm.n_outcomes for povm in measurements]
     entries = steer_entries(np.concatenate([povm.effects for povm in measurements]),
                             rho.mat.reshape(rho.dims * 2), measured_side, counts)
-    return Assemblage._from_checked(entries, counts, d_keep, range(len(measurements)))
+    return Assemblage._from_checked(entries, counts, range(len(measurements)))
 
 
 def _check_eta(eta: float) -> None:
@@ -196,7 +199,7 @@ def apply_loss_to_assemblage(sigma: Assemblage, eta: float) -> Assemblage:
     """
     counts = sigma.outcomes_per_setting
     entries = lossy_entries(np.concatenate(sigma.blocks), eta, counts)
-    return Assemblage._from_checked(entries, counts, sigma.dim + 1, sigma.settings)
+    return Assemblage._from_checked(entries, counts, sigma.settings)
 
 
 def filter_entries(entries, eta: float, counts) -> np.ndarray:
@@ -241,7 +244,7 @@ def filter_loss(sigma_lossy: Assemblage, eta: float) -> Assemblage:
     """
     counts = sigma_lossy.outcomes_per_setting
     entries = filter_entries(np.concatenate(sigma_lossy.blocks), eta, counts)
-    return Assemblage._from_checked(entries, counts, sigma_lossy.dim - 1, sigma_lossy.settings)
+    return Assemblage._from_checked(entries, counts, sigma_lossy.settings)
 
 
 def lhs_model_residual(sigma: Assemblage, ensemble, responses) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .covariant import HaarSampler, ResponseFunctionModel
 from .linalg import dagger, inv_sqrt, is_distribution, psd_stack
-from .lossy import NoiseParams, noisify_povm
+from .lossy import noisify_povm
 from .objects import Povm
 
 FEASIBLE = "feasible"
@@ -41,30 +41,29 @@ def linprog(*args, **kwargs):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteParent:
-    """Finite parent POVM, optionally built from weighted pure-state atoms.
+    """Finite parent POVM on d levels: one (n, d, d) stack of effects,
+    optionally built from weighted pure-state atoms.
 
     For Haar discretizations, ``states`` holds the sampled atoms and
-    ``correction`` the operator C with effects ``C ((d/n) |z><z|) C``
-    making the sum exactly the identity. Parents given directly by their
+    ``seed`` the seed they were drawn with. Parents given directly by their
     effects (for example the parent effects of an explicit model) leave the
     atom fields empty.
     """
 
-    d: int
     effects: np.ndarray
     states: np.ndarray | None = None
-    correction: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        effects = np.asarray(self.effects, dtype=complex)
-        if effects.ndim != 3 or effects.shape[1:] != (self.d, self.d):
-            raise ValueError(
-                f"effects must have shape (n, {self.d}, {self.d}), got {effects.shape}"
-            )
-        object.__setattr__(
-            self, "effects", psd_stack(effects, range(len(effects)), "parent effect")
-        )
+        if np.ndim(self.effects) != 3:
+            raise ValueError(f"parent effects must form one (n, d, d) stack, "
+                             f"got shape {np.shape(self.effects)}")
+        object.__setattr__(self, "effects", psd_stack(self.effects, range(len(self.effects)),
+                                                      "parent effect"))
+
+    @property
+    def d(self) -> int:
+        return self.effects.shape[-1]
 
     @property
     def n_atoms(self) -> int:
@@ -92,9 +91,7 @@ def parent_from_states(states: np.ndarray, d: int, seed: int | None = None) -> D
     corrected = (corrected + dagger(corrected)) / 2.0
     # absorb the final roundoff in the sum into the last atom
     corrected[-1] += np.eye(d) - corrected.sum(axis=0)
-    return DiscreteParent(
-        d=d, effects=corrected, states=states, correction=correction, seed=seed
-    )
+    return DiscreteParent(corrected, states, seed)
 
 
 def discretize_parent(d: int, n_atoms: int, seed: int = 0) -> DiscreteParent:
@@ -116,13 +113,13 @@ class JmCertificate:
     ``conditionals[x]`` has shape (outcomes of setting x, n_atoms); its
     columns are probability distributions. ``residual`` is the largest
     Frobenius deviation over (outcome, setting) of the reconstruction from
-    the target, recomputed from the stored conditionals.
+    the target, recomputed from the stored conditionals; ``status`` is
+    ``feasible`` iff it is at most ``tol`` (a NaN residual is not).
     """
 
     parent: DiscreteParent
     conditionals: tuple[np.ndarray, ...]
     residual: float
-    status: str
     tol: float
 
     def __post_init__(self):
@@ -135,8 +132,10 @@ class JmCertificate:
                 raise ValueError(f"conditional table {x} columns are not distributions")
             conds.append(table)
         object.__setattr__(self, "conditionals", tuple(conds))
-        if self.status not in (FEASIBLE, INFEASIBLE_AT_TOLERANCE):
-            raise ValueError(f"unknown status {self.status!r}")
+
+    @property
+    def status(self) -> str:
+        return FEASIBLE if self.residual <= self.tol else INFEASIBLE_AT_TOLERANCE
 
     def to_document(self, emit_conditionals: bool = False) -> dict:
         doc = {
@@ -179,12 +178,10 @@ def _hermitian_components(mats) -> np.ndarray:
 
 
 def _certificate(parent, conditionals, targets, tol) -> JmCertificate:
-    """Certificate whose status is decided by the recomputed residual."""
+    """Certificate carrying the residual recomputed from its conditionals."""
     residual = _reconstruction_residual(parent.effects, conditionals,
                                         [p.effects for p in targets])
-    status = FEASIBLE if residual <= tol else INFEASIBLE_AT_TOLERANCE
-    return JmCertificate(parent=parent, conditionals=tuple(conditionals),
-                         residual=residual, status=status, tol=tol)
+    return JmCertificate(parent, tuple(conditionals), residual, tol)
 
 
 def _slack_outcomes(targets: list[Povm], parent: DiscreteParent) -> np.ndarray:
@@ -392,21 +389,15 @@ def verify_certificate(cert: JmCertificate, targets: list[Povm]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def exact_certificate(
-    model: ResponseFunctionModel, m: Povm, params: NoiseParams
-) -> JmCertificate:
-    """Exact finite certificate for one noisified target, from its model.
+def exact_certificate(model: ResponseFunctionModel) -> JmCertificate:
+    """Exact finite certificate for the model's noisified target.
 
     The parent is the model's :meth:`~ResponseFunctionModel.parent_effects`
     and the conditionals its :meth:`~ResponseFunctionModel.relabelling`, so
     the reconstruction matches the noisified target analytically.
     """
-    if model.target_labels != m.labels:
-        raise ValueError(
-            f"model outcome labels {model.target_labels} differ from the target's {m.labels}"
-        )
-    parent = DiscreteParent(d=model.d, effects=model.parent_effects())
-    return _certificate(parent, [model.relabelling()], [noisify_povm(m, params)], DEFAULT_TOL)
+    return _certificate(DiscreteParent(model.parent_effects()), [model.relabelling()],
+                        [noisify_povm(model.target, model.params)], DEFAULT_TOL)
 
 
 def response_conditionals(

@@ -19,7 +19,7 @@ import numpy as np
 from .analysis import certified_unsteerable, eta_unsteerable_bound
 from .linalg import eig_hermitian
 from .lossy import NoiseParams
-from .objects import NO_CLICK, Label, Povm, PureState
+from .objects import NO_CLICK, Povm, PureState
 
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
@@ -324,126 +324,98 @@ def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Po
 
 @dataclass(frozen=True, eq=False)
 class ResponseFunctionModel:
-    """Joint-measurability model for one noisy-lossy POVM: a parent POVM and
-    one relabelling table.
+    """Joint-measurability model of ``target`` under the noise ``params``:
+    a parent POVM and one relabelling table.
 
-    The response keeps a proposed rank-one piece when the covariant parent's
-    outcome overlaps its target state by at least ``t``. Grouping parent
-    outcomes by the accepted piece, plus the never-accepted remainder, gives
-    :meth:`parent_effects`; :meth:`relabelling` reports each piece's outcome
-    label, turned into no-click with probability ``vacuum_mix`` (the extra
-    noise needed below the exact-transmission point). The reconstructed
-    POVM, the responses at parent outcomes and the exact certificate are all
-    derived from this pair.
+    Each effect of the target is refined into rank-one pieces, its
+    eigenvalues above 1e-12 with their eigenvectors. The response keeps a
+    proposed piece when the covariant parent's outcome overlaps its state by
+    at least ``t = p``. Grouping parent outcomes by the accepted piece, plus
+    the never-accepted remainder, gives :meth:`parent_effects`;
+    :meth:`relabelling` reports each piece's outcome, turned into no-click
+    with probability ``vacuum_mix`` (the extra noise needed below the exact
+    transmission ``(1-p)^(d-1)``). Refuses a target with a no-click outcome
+    or of another dimension, and exactly the points where
+    :func:`~steerlab.analysis.certified_unsteerable` fails.
     """
 
-    d: int
-    t: float
-    targets: tuple[tuple[float, np.ndarray], ...]
-    piece_labels: tuple[Label, ...]
-    target_labels: tuple[Label, ...]
-    vacuum_mix: float = 0.0
+    target: Povm
+    params: NoiseParams
 
     def __post_init__(self):
-        if not 0.0 <= self.t <= 1.0:
-            raise ValueError(f"threshold t must lie in [0, 1], got {self.t}")
-        if not 0.0 <= self.vacuum_mix <= 1.0:
-            raise ValueError(f"vacuum_mix must lie in [0, 1], got {self.vacuum_mix}")
-        targets = []
-        alphas = []
-        for alpha, vec in self.targets:
-            alpha = float(alpha)
-            vec = np.asarray(vec, dtype=complex).ravel()
-            if alpha < 0:
-                raise ValueError("target weights must be nonnegative")
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
-                raise ValueError("target vectors must be unit norm")
-            targets.append((alpha, vec))
-            alphas.append(alpha)
-        if abs(sum(alphas) - self.d) > 1e-10:
-            raise ValueError("target weights must sum to the dimension")
-        if len(self.piece_labels) != len(targets):
-            raise ValueError("one outcome label per rank-one piece is required")
-        object.__setattr__(self, "targets", tuple(targets))
+        m, params = self.target, self.params
+        if m.has_no_click:
+            raise ValueError("the target POVM must not already have a no-click outcome")
+        if m.dim != params.d:
+            raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
+        if not certified_unsteerable(params.d, params.eta, params.p):
+            raise ValueError(f"transmission eta={params.eta} exceeds the compatibility bound "
+                             f"(1-p)^(d-1)={eta_unsteerable_bound(params.d, params.p)}; "
+                             "no covariant model is available")
+        # (owning outcome, eigenvalue, eigenvector) of each rank-one piece
+        pieces = [(a, lam, vec) for a, (evals, evecs) in enumerate(map(eig_hermitian, m.effects))
+                  for lam, vec in zip(evals, evecs.T) if lam > 1e-12]
+        owners, alphas, vecs = zip(*pieces)
+        object.__setattr__(self, "_alphas", np.array(alphas))
+        object.__setattr__(self, "_vecs", np.array(vecs))
+        object.__setattr__(self, "_owners", np.array(owners))
+
+    @property
+    def d(self) -> int:
+        return self.params.d
+
+    @property
+    def t(self) -> float:
+        return self.params.p
+
+    @property
+    def vacuum_mix(self) -> float:
+        """Probability of turning a kept piece into no-click: ``1 - eta / (1-p)^(d-1)``."""
+        exact_eta = eta_unsteerable_bound(self.d, self.t)
+        return 0.0 if exact_eta == 0.0 else min(max(1.0 - self.params.eta / exact_eta, 0.0), 1.0)
 
     @property
     def sampling_dist(self) -> np.ndarray:
         """Distribution from which the output proposal is drawn."""
-        return np.array([alpha for alpha, _ in self.targets]) / self.d
+        return self._alphas / self.d
 
     def parent_effects(self) -> np.ndarray:
         """The parent POVM: the simulated effect of each rank-one piece, then
         the never-accepted remainder ``I - sum``, as an (n_pieces + 1, d, d) array."""
-        pieces = [_simulated_piece(self.d, self.t, alpha, vec) for alpha, vec in self.targets]
+        pieces = [_simulated_piece(self.d, self.t, alpha, vec)
+                  for alpha, vec in zip(self._alphas.tolist(), self._vecs)]
         return np.stack(pieces + [np.eye(self.d, dtype=complex) - sum(pieces)])
 
     def relabelling(self) -> np.ndarray:
         """The post-processing p(outcome | parent outcome) of the parent.
 
-        Rows are ``target_labels`` then no-click; columns are the pieces then
-        the remainder. A piece reports its label with probability
+        Rows are the target's outcomes then no-click; columns are the pieces
+        then the remainder. A piece reports its outcome with probability
         ``1 - vacuum_mix`` and no-click otherwise; the remainder reports no-click.
         """
-        n = len(self.targets)
-        table = np.zeros((len(self.target_labels) + 1, n + 1))
-        rows = [self.target_labels.index(label) for label in self.piece_labels]
-        table[rows, np.arange(n)] = 1.0 - self.vacuum_mix
+        n = len(self._owners)
+        table = np.zeros((self.target.n_outcomes + 1, n + 1))
+        table[self._owners, np.arange(n)] = 1.0 - self.vacuum_mix
         table[-1, :n] = self.vacuum_mix
         table[-1, n] = 1.0
         return table
 
     def reconstruct_povm(self) -> Povm:
-        """The relabelled parent: one effect per target label, then no-click."""
+        """The relabelled parent: one effect per target outcome, then no-click."""
         effects = np.einsum("an,nij->aij", self.relabelling(), self.parent_effects())
-        return Povm(effects, self.target_labels + (NO_CLICK,))
+        return Povm(effects, self.target.labels + (NO_CLICK,))
 
     def response_probabilities(self, states: np.ndarray) -> np.ndarray:
         """Outcome probabilities of the model at given parent outcomes.
 
         ``states`` is an (n, d) array of unit vectors; returns an array of
-        shape (len(target_labels) + 1, n) whose final row is the no-click
-        outcome.
+        shape (target outcomes + 1, n) whose final row is the no-click outcome.
         """
         states = np.asarray(states, dtype=complex)
-        vecs = np.array([vec for _, vec in self.targets])
-        hits = self.sampling_dist[:, None] * (np.abs(vecs.conj() @ states.T) ** 2 >= self.t)
+        hits = self.sampling_dist[:, None] * (np.abs(self._vecs.conj() @ states.T) ** 2 >= self.t)
         return self.relabelling() @ np.vstack([hits, 1.0 - hits.sum(axis=0)])
 
 
 def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
-    """Explicit simulation model for a noisy-lossy POVM.
-
-    Refines each effect into rank-one pieces, runs the covariant
-    construction at threshold t = p, and mixes extra no-click noise when
-    the requested transmission sits strictly below the exact point
-    ``(1-p)^(d-1)``. Refuses exactly the points where
-    :func:`~steerlab.analysis.certified_unsteerable` fails, where no such
-    model exists in this construction.
-    """
-    if m.has_no_click:
-        raise ValueError("the target POVM must not already have a no-click outcome")
-    if m.dim != params.d:
-        raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
-    exact_eta = eta_unsteerable_bound(params.d, params.p)
-    if not certified_unsteerable(params.d, params.eta, params.p):
-        raise ValueError(
-            f"transmission eta={params.eta} exceeds the compatibility bound "
-            f"(1-p)^(d-1)={exact_eta}; no covariant model is available"
-        )
-    pieces = []
-    piece_labels = []
-    for label, mat in zip(m.labels, m.effects):
-        evals, evecs = eig_hermitian(mat)
-        for i, lam in enumerate(evals):
-            if lam > 1e-12:
-                pieces.append((float(lam), evecs[:, i]))
-                piece_labels.append(label)
-    mix = 0.0 if exact_eta == 0.0 else min(max(1.0 - params.eta / exact_eta, 0.0), 1.0)
-    return ResponseFunctionModel(
-        d=params.d,
-        t=params.p,
-        targets=tuple(pieces),
-        piece_labels=tuple(piece_labels),
-        target_labels=m.labels,
-        vacuum_mix=mix,
-    )
+    """The :class:`ResponseFunctionModel` of ``m`` under ``params``."""
+    return ResponseFunctionModel(m, params)

@@ -183,7 +183,7 @@ def psd_stack(mats, labels, what: str, sums_to_identity: bool = True) -> np.ndar
     that NaN entries fail them.
     """
     stack = np.array(mats, dtype=complex)
-    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or stack.shape[-3] == 0:
+    if stack.ndim < 3 or stack.shape[-1] != stack.shape[-2] or 0 in stack.shape[-3:-1]:
         raise ValueError(f"{what}s must form a nonempty (n, d, d) stack, got shape {stack.shape}")
 
     def name(i):

@@ -191,6 +191,8 @@ class Povm:
             raise ValueError("effect labels must be integers or strings")
         try:
             dim = int(doc["dim"])
+            if dim < 1:
+                raise ValueError(f"POVM document dim must be >= 1, got {dim}")
             mats = [entries_to_matrix(e["entries"], dim, dim) for e in effects]
         except TypeError as exc:
             raise ValueError(f"malformed POVM document: {exc}") from exc
@@ -486,25 +488,14 @@ def schmidt_rank(psi: PureState, tol: float = 1e-10) -> tuple[int, np.ndarray]:
     return rank, coeffs
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
-
-
 def mub_pair(d: int) -> tuple[Povm, Povm]:
     """Computational and Fourier bases as rank-one projective POVMs.
 
-    Valid in prime dimension, where the two bases are mutually unbiased:
-    every cross overlap |<e_i|f_j>|^2 equals 1/d.
+    The two bases are mutually unbiased in every dimension d >= 2: every
+    cross overlap |<e_i|f_j>|^2 equals 1/d.
     """
-    if not _is_prime(d):
-        raise ValueError(f"mub_pair requires a prime dimension, got {d}")
+    if d < 2:
+        raise ValueError(f"mub_pair requires a dimension >= 2, got {d}")
     comp = np.zeros((d, d, d), dtype=complex)
     comp[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     omega = np.exp(2j * np.pi / d)

@@ -81,19 +81,19 @@ def test_assemblage_rejects_signaling():
         (eye * 0.9 / 2, eye * 1.1 / 2 @ np.diag([1.2, 0.8])),
     )
     with pytest.raises(ValueError):
-        Assemblage(blocks, 2, (0, 1))
+        Assemblage(blocks, (0, 1))
 
 
 def test_assemblage_rejects_setting_without_outcomes():
     entry = np.eye(2) / 4
     with pytest.raises(ValueError, match=r"setting 1 has shape \(0, 2, 2\)"):
-        Assemblage(((entry, entry), np.zeros((0, 2, 2))), 2, (0, 1))
+        Assemblage(((entry, entry), np.zeros((0, 2, 2))), (0, 1))
 
 
 def test_apply_loss_direct_arithmetic():
     # uniform two-outcome assemblage, each entry I/4 with trace 1/2
     entry = np.eye(2) / 4
-    sigma = Assemblage(((entry, entry), (entry, entry)), 2, (0, 1))
+    sigma = Assemblage(((entry, entry), (entry, entry)), (0, 1))
     out = apply_loss_to_assemblage(sigma, 0.5)
     expected = np.diag([0.125, 0.125, 0.25])
     for x in range(2):
@@ -153,7 +153,7 @@ def test_filter_rejects_non_lossy_input():
     # coherences into the vacuum level are not of lossy form
     psi = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
     coherent = np.outer(psi, psi.conj())
-    sigma = Assemblage(((coherent / 2, coherent / 2),), 3, (0,))
+    sigma = Assemblage(((coherent / 2, coherent / 2),), (0,))
     with pytest.raises(ValueError):
         filter_loss(sigma, 0.5)
 
@@ -243,7 +243,7 @@ def test_lhs_residual_matches_loop_oracle(d, counts, n, seed):
     assert abs(lhs_model_residual(sigma, ensemble, responses) - oracle) <= 1e-14
     # the assemblage the model prepares has no deviation
     exact = Assemblage(tuple(np.array([predicted(a, x) for a in range(k)])
-                             for x, k in enumerate(counts)), d, range(len(counts)))
+                             for x, k in enumerate(counts)), range(len(counts)))
     assert lhs_model_residual(exact, ensemble, responses) <= 1e-14
 
 
@@ -296,6 +296,21 @@ def test_assemblage_document_entry_order_insensitive():
             assert frobenius(back.entry(a, x) - sigma.entry(a, x)) < 1e-14
 
 
+
+def test_assemblage_document_refuses_renumbered_outcomes():
+    # outcomes {0, 7} and a repeated a=0 were both loaded as outcomes 0, 1
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(12)).to_document()
+    for a_values in ((0, 7), (0, 0)):
+        for entry, a in zip(doc["entries"][2:], a_values):  # the entries of setting 1
+            entry["a"] = a
+        with pytest.raises(ValueError, match=r"setting 1 must carry a = 0\.\.n-1 once each"):
+            Assemblage.from_document(doc)
+
+
+def test_assemblage_refuses_blocks_of_different_sides():
+    with pytest.raises(ValueError, match=r"setting 1 has shape \(2, 3, 3\), expected \(n, 2, 2\)"):
+        Assemblage((np.stack([np.eye(2) / 4] * 2), np.stack([np.eye(3) / 6] * 2)), (0, 1))
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(1, 4), outcomes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
        eta=st.floats(1e-3, 1.0), side=st.sampled_from([0, 1]),
@@ -325,7 +340,7 @@ def test_filter_names_the_coherent_entry():
     for a, sign in ((0, 1.0), (1, -1.0)):
         blocks[1][a, 0, 2] += sign * 1e-6
         blocks[1][a, 2, 0] += sign * 1e-6
-    coherent = Assemblage(tuple(blocks), 3, lossy_sigma.settings)
+    coherent = Assemblage(tuple(blocks), lossy_sigma.settings)
     with pytest.raises(ValueError, match=r"entry \(a=0, x=1\) has signal-vacuum coherence"):
         filter_loss(coherent, 0.5)
 

@@ -66,7 +66,6 @@ def test_tetrahedral_parent_exact_without_correction():
         dtype=complex,
     )
     parent = parent_from_states(states, 2)
-    assert frobenius(parent.correction - np.eye(2)) < 1e-12
     for k in range(4):
         raw = 0.5 * np.outer(states[k], states[k].conj())
         assert frobenius(parent.effects[k] - raw) < 1e-12
@@ -74,7 +73,15 @@ def test_tetrahedral_parent_exact_without_correction():
 
 def test_parent_rejects_direct_bad_effects():
     with pytest.raises(ValueError):
-        DiscreteParent(d=2, effects=np.stack([np.eye(2), np.eye(2)]))
+        DiscreteParent(np.stack([np.eye(2), np.eye(2)]))
+
+
+def test_parent_refuses_a_batched_stack():
+    # each (n, d, d) stack of the batch is a POVM, but a parent is one stack
+    effects = np.stack([np.eye(2) / 2, np.eye(2) / 2])
+    with pytest.raises(ValueError, match="one \\(n, d, d\\) stack"):
+        DiscreteParent(np.stack([effects, effects]))
+    assert DiscreteParent(effects).d == 2
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +429,6 @@ def test_verify_detects_tampered_conditionals():
         parent=parent,
         conditionals=tuple(tampered),
         residual=cert.residual,
-        status=cert.status,
         tol=cert.tol,
     )
     assert verify_certificate(bad, targets) > cert.tol
@@ -434,7 +440,6 @@ def test_verify_detects_tampered_conditionals():
             parent=parent,
             conditionals=tuple(broken),
             residual=cert.residual,
-            status=cert.status,
             tol=cert.tol,
         )
 
@@ -447,8 +452,7 @@ def test_nan_conditionals_are_no_certificate():
         nan = list(valid)
         nan[x] = np.full_like(valid[x], np.nan)
         with pytest.raises(ValueError):
-            JmCertificate(parent=parent, conditionals=tuple(nan), residual=0.0,
-                          status=FEASIBLE, tol=1e-4)
+            JmCertificate(parent=parent, conditionals=tuple(nan), residual=0.0, tol=1e-4)
         # the residual carries the NaN instead of reading as exact
         assert np.isnan(certifier._reconstruction_residual(
             parent.effects, nan, [p.effects for p in targets]))
@@ -474,7 +478,7 @@ def test_exact_certificate_from_model():
         p = 0.4
         params = NoiseParams(d=d, eta=0.8 * (1 - p) ** (d - 1), p=p)
         model = build_jm_model(m, params)
-        cert = exact_certificate(model, m, params)
+        cert = exact_certificate(model)
         target = noisify_povm(m, params)
         assert cert.residual < 1e-10
         assert verify_certificate(cert, [target]) < 1e-10
@@ -496,7 +500,6 @@ def test_response_conditionals_mc_error():
         parent=parent,
         conditionals=(table,),
         residual=0.0,
-        status=FEASIBLE,
         tol=1.0,
     )
     hand_residual = verify_certificate(hand_built, [target])
@@ -510,7 +513,7 @@ def test_response_conditionals_requires_atom_states():
     m = random_povm(2, 2, rng)
     params = NoiseParams(d=2, eta=0.25, p=0.5)
     model = build_jm_model(m, params)
-    cert = exact_certificate(model, m, params)
+    cert = exact_certificate(model)
     with pytest.raises(ValueError):
         response_conditionals(model, cert.parent)
 
@@ -536,8 +539,13 @@ def test_certificate_validation():
     parent = discretize_parent(2, 16, seed=16)
     bad = np.full((2, 16), 0.4)  # columns sum to 0.8
     with pytest.raises(ValueError):
-        JmCertificate(parent=parent, conditionals=(bad,), residual=0.0,
-                      status=FEASIBLE, tol=DEFAULT_TOL)
-    with pytest.raises(ValueError):
-        JmCertificate(parent=parent, conditionals=(np.full((2, 16), 0.5),),
-                      residual=0.0, status="bogus", tol=DEFAULT_TOL)
+        JmCertificate(parent=parent, conditionals=(bad,), residual=0.0, tol=DEFAULT_TOL)
+
+
+def test_certificate_status_is_decided_by_the_residual():
+    parent = discretize_parent(2, 16, seed=16)
+    table = (np.full((2, 16), 0.5),)
+    tol = 1e-4
+    assert JmCertificate(parent, table, tol, tol).status == FEASIBLE
+    for residual in (np.nextafter(tol, np.inf), np.nan):
+        assert JmCertificate(parent, table, residual, tol).status == INFEASIBLE_AT_TOLERANCE

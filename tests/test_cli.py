@@ -258,8 +258,9 @@ def test_jm_certificate_verifies_after_json_roundtrip(capsys):
         cert = JmCertificate(
             parent=discretize_parent(d, atoms, seed),
             conditionals=tuple(np.array(table) for table in doc["conditionals"]),
-            residual=doc["residual"], status=doc["status"], tol=doc["tol"],
+            residual=doc["residual"], tol=doc["tol"],
         )
+        assert cert.status == doc["status"]
         targets = [noisify_povm(b, NoiseParams(d=d, eta=eta, p=p)) for b in mub_pair(d)]
         assert verify_certificate(cert, targets) == doc["verified_residual"]
 
@@ -287,6 +288,17 @@ def test_jm_certify_malformed_targets_file(tmp_path, capsys):
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+
+
+def test_jm_certify_refuses_a_target_dimension_below_one(tmp_path, capsys):
+    targets_path = tmp_path / "targets.json"
+    for dim in (0, -1):
+        targets_path.write_text(json.dumps([{"dim": dim, "effects": [{"label": 0,
+                                                                      "entries": []}]}]))
+        code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
+                     "--atoms", "100", "--targets", str(targets_path)])
+        assert code == 2
+        assert f"POVM document dim must be >= 1, got {dim}" in capsys.readouterr().err
 
 def test_jm_certify_missing_file(capsys):
     code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",

@@ -388,7 +388,7 @@ def test_build_jm_model_projective_exact_point():
     model = build_jm_model(comp, params)
     assert model.vacuum_mix == 0.0
     assert model.t == p
-    assert exact_certificate(model, comp, params).residual < 1e-12
+    assert exact_certificate(model).residual < 1e-12
 
 
 def test_build_jm_model_single_outcome():
@@ -401,7 +401,7 @@ def test_build_jm_model_single_outcome():
                 continue
             params = NoiseParams(d=d, eta=eta, p=p)
             model = build_jm_model(trivial, params)
-            assert exact_certificate(model, trivial, params).residual < 1e-12
+            assert exact_certificate(model).residual < 1e-12
 
 
 def test_build_jm_model_extra_noise():
@@ -412,7 +412,7 @@ def test_build_jm_model_extra_noise():
     params = NoiseParams(d=d, eta=eta, p=p)
     model = build_jm_model(m, params)
     assert 0.0 < model.vacuum_mix < 1.0
-    assert exact_certificate(model, m, params).residual < 1e-12
+    assert exact_certificate(model).residual < 1e-12
 
 
 def test_build_jm_model_refuses_above_bound():
@@ -445,20 +445,21 @@ def test_build_jm_model_sampling_dist():
 
 
 def test_model_validation():
-    v0 = np.array([1.0, 0.0], dtype=complex)
-    v1 = np.array([0.0, 1.0], dtype=complex)
-    with pytest.raises(ValueError):
-        ResponseFunctionModel(
-            d=2, t=0.5, targets=((1.0, v0),), piece_labels=(0,), target_labels=(0,)
-        )  # weights sum to 1, not d
-    with pytest.raises(ValueError):
-        ResponseFunctionModel(
-            d=2,
-            t=1.5,
-            targets=((1.0, v0), (1.0, v1)),
-            piece_labels=(0, 1),
-            target_labels=(0, 1),
-        )
+    # the model is its target and noise pair; the constructor refuses every
+    # pair for which build_jm_model has no model
+    comp = mub_pair(2)[0]
+    clicked = Povm(np.concatenate([comp.effects, np.zeros((1, 2, 2))]), (0, 1, NO_CLICK))
+    cases = (
+        (comp, NoiseParams(d=3, eta=0.1, p=0.5), "does not match params d=3"),
+        (clicked, NoiseParams(d=2, eta=0.1, p=0.5), "no-click"),
+        (comp, NoiseParams(d=2, eta=0.6, p=0.5), "exceeds the compatibility bound"),
+    )
+    for make in (build_jm_model, ResponseFunctionModel):
+        for m, params, message in cases:
+            with pytest.raises(ValueError, match=message):
+                make(m, params)
+    model = ResponseFunctionModel(comp, NoiseParams(d=2, eta=0.25, p=0.5))
+    assert (model.d, model.t, model.vacuum_mix) == (2, 0.5, 0.5)
 
 
 def test_response_probabilities_normalized():
@@ -501,7 +502,7 @@ def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
     rebuilt, want = model.reconstruct_povm(), noisify_povm(m, params)
     assert rebuilt.labels == m.labels + (NO_CLICK,)
     assert np.max(np.linalg.norm(rebuilt.effects - want.effects, axis=(1, 2))) <= bound
-    assert exact_certificate(model, m, params).residual <= bound
+    assert exact_certificate(model).residual <= bound
 
     probs = model.response_probabilities(HaarSampler(d=d, seed=seed).sample_array(200))
     assert probs.shape == (len(labels) + 1, 200)

@@ -384,7 +384,8 @@ def test_mub_pair_d2():
 
 
 def test_mub_pair_overlaps():
-    for d in (2, 3, 5, 7):
+    # the computational and Fourier bases are unbiased in every dimension
+    for d in range(2, 14):
         comp, four = mub_pair(d)
         for i in range(d):
             for j in range(d):
@@ -393,8 +394,6 @@ def test_mub_pair_overlaps():
 
 
 def test_mub_pair_rejects_composite():
-    with pytest.raises(ValueError):
-        mub_pair(4)
     with pytest.raises(ValueError):
         mub_pair(1)
 
@@ -437,8 +436,7 @@ def test_array_holding_objects_compare_by_identity():
         lambda: reduce_through_loss_dual(random_povm(3, 2, rng), params),
         lambda: discretize_parent(2, 16, seed=1),
         lambda: build_jm_model(mub_pair(2)[0], params),
-        lambda: exact_certificate(build_jm_model(mub_pair(2)[0], params), mub_pair(2)[0],
-                                  params),
+        lambda: exact_certificate(build_jm_model(mub_pair(2)[0], params)),
         lambda: mc_effect(2, 0.3, PureState(np.eye(2)[0], (2,)), 100, seed=0),
     ]
     for make in makers:

@@ -80,7 +80,7 @@ def test_model_conditionals_give_lhs_model_directly():
 
     # hidden-state ensemble from the parent and relabelling of the model's
     # exact certificate
-    cert = exact_certificate(jm_model, m, params)
+    cert = exact_certificate(jm_model)
     residual = lhs_model_residual(sigma, cert.parent.effects.transpose(0, 2, 1) / d,
                                   cert.conditionals)
     assert residual < 1e-12
