@@ -124,8 +124,14 @@ class Assemblage:
         come in any order, but their ``a`` must be exactly 0..n_x-1."""
         dim = int(doc["dim"])
         settings = list(doc["settings"])
+        for x, setting in enumerate(settings):
+            if setting in settings[:x]:
+                raise ValueError(f"setting {setting!r} appears twice in settings")
         rows: list[list] = [[] for _ in settings]
         for e in doc["entries"]:
+            if e["x"] not in settings:
+                raise ValueError(f"an entry has setting {e['x']!r}, which is not in "
+                                 f"settings {settings}")
             x = settings.index(e["x"])
             rows[x].append((int(e["a"]), entries_to_matrix(e["matrix"], dim, dim)))
         for x, row in enumerate(rows):

@@ -6,11 +6,19 @@ target. With the parent fixed (here: a corrected Haar discretization of
 the covariant parent), feasibility of the resulting linear program is a
 *sufficient* criterion only; failure at tolerance is never proof of
 incompatibility.
+
+HiGHS's dual simplex solves the LP. Only scipy's vendored HiGHS extension
+loads, on the first LP; ``scipy.optimize`` and ``scipy.sparse`` never do.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,11 +40,106 @@ class SolverFailure(RuntimeError):
     """The LP solver did not converge; distinct from infeasibility at tolerance."""
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on call so that only the LP loads scipy."""
-    from scipy import optimize
+#: The name of scipy's vendored HiGHS extension, under which it is loaded.
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
 
-    return optimize.linprog(*args, **kwargs)
+#: ``scipy.optimize._check_result``'s feasibility tolerance at its default ``tol``.
+_RESULT_TOL = 10 * np.sqrt(1e-9)
+
+
+@functools.cache
+def _highspy():
+    """scipy's vendored HiGHS extension, loaded alone on the first LP.
+
+    The file is found through scipy's import spec and loaded under its own
+    name, so neither ``scipy``, ``scipy.optimize`` nor ``scipy.sparse`` is
+    imported, and a later ``import scipy.optimize`` still works.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise SolverFailure("scipy is not installed, and the LP needs its HiGHS extension")
+    folder = Path(spec.submodule_search_locations[0], "optimize", "_highspy")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"_core{suffix}"
+        if path.is_file():
+            loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, str(path))
+            module = importlib.util.module_from_spec(
+                importlib.util.spec_from_file_location(_HIGHS_MODULE, path, loader=loader))
+            loader.exec_module(module)
+            return module
+    raise SolverFailure(f"scipy's HiGHS extension _core is not in {folder}")
+
+
+class LpSolution(NamedTuple):
+    """An optimal vertex: ``x``, objective ``fun`` and simplex iterations ``nit``."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    success: bool
+    message: str
+
+
+def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
+    """Minimize ``c x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and
+    ``bounds[:, 0] <= x <= bounds[:, 1]``.
+
+    The matrices are :func:`_csc` records with the same columns. HiGHS's
+    dual simplex solves the rows ``A_ub`` over ``A_eq`` with the options and
+    column-wise model of ``scipy.optimize.linprog(method="highs")``, so the
+    vertex is the one it returns. As there, a solution that misses a bound or
+    a row by more than ``10 sqrt(1e-9)`` is not accepted.
+
+    Raises
+    ------
+    SolverFailure
+        If HiGHS is missing, fails, or does not report an acceptable optimum.
+    """
+    h = _highspy()
+    n_ub, n_cols = A_ub.shape
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_ub + A_eq.shape[0]
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.ascontiguousarray(bounds.T)
+    lp.row_lower_ = np.append(np.full(n_ub, -np.inf), b_eq)
+    lp.row_upper_ = np.append(b_ub, b_eq)
+    # the column-wise stack: each column's entries of A_ub, then of A_eq
+    start = A_ub.indptr + A_eq.indptr
+    index, value = np.empty(start[-1], dtype=np.int32), np.empty(start[-1])
+    for mat, before, shift in ((A_ub, A_eq.indptr[:-1], 0), (A_eq, A_ub.indptr[1:], n_ub)):
+        at = np.arange(mat.nnz) + np.repeat(before, np.diff(mat.indptr))
+        index[at], value[at] = mat.indices + shift, mat.values
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    options = h.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+
+    highs = h._Highs()
+    for step, args in ((highs.passOptions, (options,)), (highs.passModel, (lp,)),
+                       (highs.run, ())):
+        if step(*args) == h.HighsStatus.kError:
+            raise SolverFailure(f"HiGHS {step.__name__} failed with model status "
+                                f"{highs.modelStatusToString(highs.getModelStatus())}")
+    if highs.getModelStatus() != h.HighsModelStatus.kOptimal:
+        raise SolverFailure(
+            f"LP solver failed: {highs.modelStatusToString(highs.getModelStatus())}")
+    info, solution = highs.getInfo(), highs.getSolution()
+    x, rows = np.array(solution.col_value), np.array(solution.row_value)
+    fun = info.objective_function_value
+    slack, con = b_ub - rows[:n_ub], b_eq - rows[n_ub:]
+    # every comparison with a NaN is False, so a NaN fails the check
+    if np.isnan(fun) or not (np.all(bounds[:, 0] - _RESULT_TOL <= x)
+                             and np.all(x <= bounds[:, 1] + _RESULT_TOL)
+                             and np.all(slack >= -_RESULT_TOL)
+                             and np.all(np.abs(con) <= _RESULT_TOL)):
+        raise SolverFailure("LP solver failed: the solution misses the constraints by "
+                            f"more than {_RESULT_TOL:.2e}")
+    return LpSolution(x, fun, info.simplex_iteration_count, True,
+                      highs.modelStatusToString(h.HighsModelStatus.kOptimal))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +163,12 @@ class DiscreteParent:
                              f"got shape {np.shape(self.effects)}")
         object.__setattr__(self, "effects", psd_stack(self.effects, range(len(self.effects)),
                                                       "parent effect"))
+        if self.states is not None:
+            states = np.asarray(self.states, dtype=complex)
+            if states.shape != (self.n_atoms, self.d):
+                raise ValueError(f"parent states must have shape (n_atoms, d) = "
+                                 f"{(self.n_atoms, self.d)}, got {states.shape}")
+            object.__setattr__(self, "states", states)
 
     @property
     def d(self) -> int:
@@ -213,16 +322,28 @@ def _slack_outcomes(targets: list[Povm], parent: DiscreteParent) -> np.ndarray:
     return slack
 
 
-def _csc(n_rows, *columns):
+class Csc(NamedTuple):
+    """A sparse matrix in compressed sparse column form, row indices sorted
+    within each column; ``shape`` holds Python ints."""
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+
+def _csc(n_rows, *columns) -> Csc:
     """CSC matrix from groups of columns, each (entries per column, rows, values).
 
     A group's entries are in column order, and its values broadcast to the
     shape of its rows. The groups are written into one int32 index array and
     one value array; the indices are then sorted within each column.
     """
-    from scipy import sparse
-
-    indptr = np.append(0, np.cumsum(np.concatenate([k for k, _, _ in columns])))
+    indptr = np.append(0, np.cumsum(np.concatenate([k for k, _, _ in columns]))).astype(np.int32)
     indices, values = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
     start = 0
     for _, rows, vals in columns:
@@ -230,10 +351,10 @@ def _csc(n_rows, *columns):
         indices[start:stop].reshape(np.shape(rows))[...] = rows
         values[start:stop].reshape(np.shape(rows))[...] = vals
         start = stop
-    mat = sparse.csc_array((values, indices, indptr.astype(np.int32)),
-                           shape=(n_rows, indptr.size - 1))
-    mat.sort_indices()
-    return mat
+    n_cols = indptr.size - 1
+    order = np.argsort(np.repeat(np.arange(n_cols) * int(n_rows), np.diff(indptr)) + indices,
+                       kind="stable")
+    return Csc((int(n_rows), n_cols), indptr, indices[order], values[order])
 
 
 def _equality_rows(plus, minus, atom, comps, blocks):
@@ -353,10 +474,7 @@ def lp_feasibility(
     bounds = np.zeros((a_ub.shape[1], 2))  # conditionals and s >= 0, deviations free
     bounds[:, 1] = np.inf
     bounds[f * n:-1, 0] = -np.inf
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq.ravel(), bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise SolverFailure(f"LP solver failed: {res.message}")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq.ravel(), bounds=bounds)
 
     tables = np.zeros((counts.sum(), n))
     tables[outcome, atom] = res.x[: f * n]

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 2 on validation errors and inputs too large for
 memory, 3 on solver failures.
-Only ``jm-certify`` needs scipy, loaded on its first linear program; every
-other command runs on numpy alone.
+Only ``jm-certify`` needs scipy: its first linear program loads scipy's
+vendored HiGHS extension alone, and ``scipy.optimize`` and ``scipy.sparse``
+never load. Every other command runs on numpy alone.
 The STEERLAB_THREADS environment variable caps the Monte Carlo worker
 count (default: available parallelism).
 """

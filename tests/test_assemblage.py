@@ -307,6 +307,20 @@ def test_assemblage_document_refuses_renumbered_outcomes():
             Assemblage.from_document(doc)
 
 
+def test_assemblage_document_names_an_unknown_setting():
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(13)).to_document()
+    doc["entries"][3]["x"] = 5
+    with pytest.raises(ValueError, match=r"setting 5, which is not in settings \[0, 1\]"):
+        Assemblage.from_document(doc)
+
+
+def test_assemblage_document_names_a_repeated_setting():
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(14)).to_document()
+    doc["settings"] = [0, 1, 1]
+    with pytest.raises(ValueError, match="setting 1 appears twice in settings"):
+        Assemblage.from_document(doc)
+
+
 def test_assemblage_refuses_blocks_of_different_sides():
     with pytest.raises(ValueError, match=r"setting 1 has shape \(2, 3, 3\), expected \(n, 2, 2\)"):
         Assemblage((np.stack([np.eye(2) / 4] * 2), np.stack([np.eye(3) / 6] * 2)), (0, 1))

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse
 
 from steerlab import certifier
 from steerlab.certifier import (
@@ -82,6 +85,14 @@ def test_parent_refuses_a_batched_stack():
     with pytest.raises(ValueError, match="one \\(n, d, d\\) stack"):
         DiscreteParent(np.stack([effects, effects]))
     assert DiscreteParent(effects).d == 2
+
+
+def test_parent_refuses_states_that_do_not_match_its_effects():
+    effects = np.stack([np.eye(2) / 2] * 2)
+    with pytest.raises(ValueError, match=r"shape \(n_atoms, d\) = \(2, 2\), got \(5, 3\)"):
+        DiscreteParent(effects, states=np.ones((5, 3)))
+    parent = DiscreteParent(effects, states=np.eye(2))
+    assert parent.states.dtype == complex and np.array_equal(parent.states, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +182,18 @@ class _Captured(Exception):
     pass
 
 
+def _csc_array(mat):
+    """A :func:`certifier._csc` record as a scipy sparse array."""
+    return sparse.csc_array((mat.values, mat.indices, mat.indptr), shape=mat.shape)
+
+
+def _scipy_linprog(c, *, A_ub, A_eq, **kwargs):
+    """The LP solved by ``scipy.optimize.linprog(method="highs")``: the oracle
+    that :func:`certifier.linprog` reproduces."""
+    return optimize.linprog(c, A_ub=_csc_array(A_ub), A_eq=_csc_array(A_eq), method="highs",
+                            **kwargs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.sampled_from([2, 3]),
@@ -199,6 +222,7 @@ def test_lp_rows_are_deviation_coordinates(d, n_atoms, outcomes, seed):
             lp_feasibility(targets, parent)
     a_ub, b_ub, a_eq, b_eq = (captured[k] for k in ("A_ub", "b_ub", "A_eq", "b_eq"))
     assert a_ub.indices.dtype == a_eq.indices.dtype == np.int32
+    a_ub, a_eq = _csc_array(a_ub), _csc_array(a_eq)
 
     # column-stochastic conditionals; at each atom, each target's slack outcome is
     # eliminated, and each target's heaviest outcome has no deviation variables
@@ -289,7 +313,8 @@ def test_bounds_array_solves_like_bound_pairs(d, n_atoms, outcomes, seed):
 
     def both_forms(c, bounds, **kwargs):
         assert np.array_equal(bounds, expected)
-        results.extend([solve(c, bounds=bounds, **kwargs), solve(c, bounds=pairs, **kwargs)])
+        results.extend([solve(c, bounds=bounds, **kwargs),
+                        _scipy_linprog(c, bounds=pairs, **kwargs)])
         return results[0]
 
     with pytest.MonkeyPatch.context() as mp:
@@ -317,14 +342,15 @@ def _plain_lp_optimum(targets, parent):
         start += m.n_outcomes
     c = np.zeros(total * n + 1)
     c[-1] = 1.0
-    res = certifier.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
-                            bounds=(0, None), method="highs")
+    res = optimize.linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(a_eq.shape[0]),
+                           bounds=(0, None), method="highs")
     assert res.success
     return res.fun
 
 
-@settings(max_examples=40, deadline=None)
-@given(
+#: The JM LPs of the property tests below: up to three targets of up to four
+#: outcomes, each maybe with a zero effect and maybe noisified.
+_JM_LP_DRAWS = dict(
     d=st.sampled_from([2, 3]),
     n_atoms=st.integers(9, 24),
     shapes=st.lists(st.tuples(st.integers(1, 4), st.booleans(), st.booleans()),
@@ -333,8 +359,10 @@ def _plain_lp_optimum(targets, parent):
     p=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_lp_optimum_matches_the_plain_lp(d, n_atoms, shapes, eta, p, seed):
-    # the per-atom slack outcomes change the LP's variables, not its optimum
+
+
+def _jm_lp_instance(d, n_atoms, shapes, eta, p, seed):
+    """Targets and parent of one drawn JM LP."""
     rng = np.random.default_rng(seed)
     parent = discretize_parent(d, n_atoms, seed=seed)
     targets = []
@@ -345,6 +373,14 @@ def test_lp_optimum_matches_the_plain_lp(d, n_atoms, shapes, eta, p, seed):
             effects = np.concatenate([np.zeros((1, d, d)), effects])
         m = Povm(effects)
         targets.append(noisify_povm(m, NoiseParams(d=d, eta=eta, p=p)) if noisy else m)
+    return targets, parent
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_JM_LP_DRAWS)
+def test_lp_optimum_matches_the_plain_lp(d, n_atoms, shapes, eta, p, seed):
+    # the per-atom slack outcomes change the LP's variables, not its optimum
+    targets, parent = _jm_lp_instance(d, n_atoms, shapes, eta, p, seed)
     results = []
     solve = certifier.linprog
 
@@ -357,6 +393,69 @@ def test_lp_optimum_matches_the_plain_lp(d, n_atoms, shapes, eta, p, seed):
         lp_feasibility(targets, parent)
     (res,) = results
     assert abs(res.fun - _plain_lp_optimum(targets, parent)) < 1e-9
+
+
+def _captured_lp(targets, parent) -> dict:
+    """The arguments :func:`lp_feasibility` passes to ``certifier.linprog``."""
+    captured = {}
+
+    def capturing_linprog(c, **kwargs):
+        captured.update(kwargs, c=c)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certifier, "linprog", capturing_linprog)
+        with pytest.raises(_Captured):
+            lp_feasibility(targets, parent)
+    return captured
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_JM_LP_DRAWS)
+def test_linprog_returns_the_scipy_vertex(d, n_atoms, shapes, eta, p, seed):
+    # HiGHS driven directly solves the same model with the same options as
+    # scipy.optimize.linprog(method="highs"): the same vertex, bit for bit
+    lp = _captured_lp(*_jm_lp_instance(d, n_atoms, shapes, eta, p, seed))
+    ours, theirs = certifier.linprog(**lp), _scipy_linprog(**lp)
+    assert theirs.success
+    assert np.max(np.abs(ours.x - theirs.x)) == 0
+    assert ours.fun == theirs.fun and ours.nit == theirs.nit
+
+
+def _one_variable_lp(c, b_ub, rows=(0, 1)):
+    """min c x over x >= 0 with the rows x <= b_ub[0] and -x <= b_ub[1]."""
+    a_ub = certifier.Csc((2, 1), np.array([0, 2], dtype=np.int32),
+                         np.array(rows, dtype=np.int32), np.array([1.0, -1.0]))
+    a_eq = certifier.Csc((0, 1), np.zeros(2, dtype=np.int32), np.zeros(0, dtype=np.int32),
+                         np.zeros(0))
+    return certifier.linprog(np.array([c]), A_ub=a_ub, b_ub=np.array(b_ub), A_eq=a_eq,
+                             b_eq=np.zeros(0), bounds=np.array([[0.0, np.inf]]))
+
+
+def test_linprog_accepts_only_a_checked_optimum(monkeypatch):
+    res = _one_variable_lp(1.0, [2.0, -1.0])
+    assert res.success and res.x.tolist() == [1.0] and res.fun == 1.0
+    with pytest.raises(certifier.SolverFailure, match="LP solver failed: Infeasible"):
+        _one_variable_lp(1.0, [0.5, -1.0])
+    with pytest.raises(certifier.SolverFailure, match="LP solver failed: .*nbounded"):
+        _one_variable_lp(-1.0, [np.inf, -1.0])
+    with pytest.raises(certifier.SolverFailure, match="HiGHS passModel failed"):
+        _one_variable_lp(1.0, [2.0, -1.0], rows=(0, 5))  # a row index out of range
+    # the optimum x = 1 meets its row -x <= -1 with no slack, which a negative
+    # tolerance refuses
+    monkeypatch.setattr(certifier, "_RESULT_TOL", -1e-3)
+    with pytest.raises(certifier.SolverFailure, match="misses the constraints by more than"):
+        _one_variable_lp(1.0, [2.0, -1.0])
+
+
+def test_lp_matrices_have_json_counts():
+    # the LP shape and nonzero counts are Python ints, which json can write
+    lp = _captured_lp(_noisified_mubs(2, 0.5, 0.5), discretize_parent(2, 50, seed=1))
+    for mat in (lp["A_ub"], lp["A_eq"]):
+        assert all(type(n) is int for n in mat.shape) and type(mat.nnz) is int
+        assert json.loads(json.dumps({"shape": mat.shape, "nnz": mat.nnz})) == {
+            "shape": list(mat.shape), "nnz": mat.nnz}
+    assert lp["A_ub"].shape[1] == lp["A_eq"].shape[1] == lp["c"].size
 
 
 #: The benchmark's LP instances (d, eta, p, atoms) and the Haar seeds of its

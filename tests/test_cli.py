@@ -1,5 +1,7 @@
 import contextlib
 import hashlib
+import importlib.machinery
+import importlib.util
 import io
 import json
 import os
@@ -420,6 +422,44 @@ assert codes == [0] * len(commands), codes
         env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_jm_certify_loads_only_the_highs_extension():
+    child = """
+import sys
+from steerlab import cli
+code = cli.main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "100",
+                 "--targets", "builtin:mubs", "--emit-conditionals"])
+assert code == 0, code
+loaded = {"scipy.optimize", "scipy.sparse"} & set(sys.modules)
+assert not loaded, loaded
+from scipy.optimize import linprog
+res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+assert res.success and list(res.x) == [1.0, 0.0], res
+"""
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "feasible"
+
+
+def test_jm_certify_without_the_highs_extension_exits_3(tmp_path, capsys, monkeypatch):
+    # a scipy whose package folder holds no HiGHS extension
+    find_spec = importlib.util.find_spec
+    scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    scipy_spec.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        scipy_spec if name == "scipy" else find_spec(name, *args)))
+    certifier._highspy.cache_clear()
+    try:
+        code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5", "--atoms", "50",
+                     "--targets", "builtin:mubs"])
+    finally:
+        certifier._highspy.cache_clear()
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == (f"solver failure: scipy's HiGHS extension _core is not in "
+                            f"{tmp_path / 'optimize' / '_highspy'}\n")
 
 
 # Outputs of the stacked check commands and of `state`, recorded from the
