@@ -104,9 +104,6 @@ class ThresholdReport:
     def p_two_mubs(self) -> float:
         return p_threshold_two_mubs(self.d)
 
-    def eta_bound_at(self, p: float) -> float:
-        return eta_unsteerable_bound(self.d, p)
-
     def to_document(self) -> dict:
         return {
             "d": self.d,
@@ -114,10 +111,6 @@ class ThresholdReport:
             "p_two_mubs": self.p_two_mubs,
             "eta_bound_formula": "(1-p)^(d-1)",
         }
-
-
-def threshold_report(d: int) -> ThresholdReport:
-    return ThresholdReport(d)
 
 
 def classify(d: int, eta: float, p: float) -> RegionLabel:

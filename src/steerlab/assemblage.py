@@ -10,10 +10,10 @@ import numpy as np
 
 from .linalg import (
     dagger,
+    distributions,
     entries_to_matrix,
     first_false,
     frobenius_each,
-    is_distribution,
     locate,
     matrix_to_entries,
     psd_stack,
@@ -122,18 +122,21 @@ class Assemblage:
     def from_document(cls, doc: dict) -> "Assemblage":
         """Inverse of :meth:`to_document`. The entries of each setting may
         come in any order, but their ``a`` must be exactly 0..n_x-1."""
-        dim = int(doc["dim"])
-        settings = list(doc["settings"])
-        for x, setting in enumerate(settings):
-            if setting in settings[:x]:
-                raise ValueError(f"setting {setting!r} appears twice in settings")
-        rows: list[list] = [[] for _ in settings]
-        for e in doc["entries"]:
-            if e["x"] not in settings:
-                raise ValueError(f"an entry has setting {e['x']!r}, which is not in "
-                                 f"settings {settings}")
-            x = settings.index(e["x"])
-            rows[x].append((int(e["a"]), entries_to_matrix(e["matrix"], dim, dim)))
+        try:
+            dim = int(doc["dim"])
+            settings = list(doc["settings"])
+            for x, setting in enumerate(settings):
+                if setting in settings[:x]:
+                    raise ValueError(f"setting {setting!r} appears twice in settings")
+            rows: list[list] = [[] for _ in settings]
+            for e in doc["entries"]:
+                if e["x"] not in settings:
+                    raise ValueError(f"an entry has setting {e['x']!r}, which is not in "
+                                     f"settings {settings}")
+                x = settings.index(e["x"])
+                rows[x].append((int(e["a"]), entries_to_matrix(e["matrix"], dim, dim)))
+        except TypeError as exc:
+            raise ValueError(f"malformed assemblage document: {exc}") from exc
         for x, row in enumerate(rows):
             row.sort(key=lambda entry: entry[0])
             if [a for a, _ in row] != list(range(len(row))):
@@ -282,6 +285,6 @@ def lhs_model_residual(sigma: Assemblage, ensemble, responses) -> float:
         if table.shape != (sigma.outcomes_per_setting[x], len(ensemble)):
             raise ValueError(f"response table {x} has shape {table.shape}, expected "
                              f"({sigma.outcomes_per_setting[x]}, {len(ensemble)})")
-        if not is_distribution(table, 1e-10):
+        if not distributions(table, 1e-10).all():
             raise ValueError(f"response table {x} columns are not distributions")
     return _reconstruction_residual(ensemble, tables, sigma.blocks)

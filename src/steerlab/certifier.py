@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariant import HaarSampler, ResponseFunctionModel
-from .linalg import dagger, inv_sqrt, is_distribution, psd_stack
+from .linalg import dagger, distributions, inv_sqrt, psd_stack
 from .lossy import noisify_povm
 from .objects import Povm
 
@@ -76,8 +76,6 @@ class LpSolution(NamedTuple):
     x: np.ndarray
     fun: float
     nit: int
-    success: bool
-    message: str
 
 
 def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
@@ -138,8 +136,7 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
                              and np.all(np.abs(con) <= _RESULT_TOL)):
         raise SolverFailure("LP solver failed: the solution misses the constraints by "
                             f"more than {_RESULT_TOL:.2e}")
-    return LpSolution(x, fun, info.simplex_iteration_count, True,
-                      highs.modelStatusToString(h.HighsModelStatus.kOptimal))
+    return LpSolution(x, fun, info.simplex_iteration_count)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,7 +234,7 @@ class JmCertificate:
             table = np.asarray(table, dtype=float)
             if table.ndim != 2 or table.shape[1] != self.parent.n_atoms:
                 raise ValueError(f"conditional table {x} has wrong shape {table.shape}")
-            if not is_distribution(table, 1e-12):
+            if not distributions(table, 1e-12).all():
                 raise ValueError(f"conditional table {x} columns are not distributions")
             conds.append(table)
         object.__setattr__(self, "conditionals", tuple(conds))

@@ -5,8 +5,8 @@ memory, 3 on solver failures.
 Only ``jm-certify`` needs scipy: its first linear program loads scipy's
 vendored HiGHS extension alone, and ``scipy.optimize`` and ``scipy.sparse``
 never load. Every other command runs on numpy alone.
-The STEERLAB_THREADS environment variable caps the Monte Carlo worker
-count (default: available parallelism).
+Monte Carlo runs one worker thread per CPU the process may run on, so
+``taskset`` caps it; its output does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _emit(doc, path: str | None) -> None:
 
 
 def _cmd_thresholds(args) -> int:
-    report = analysis.threshold_report(args.d)
+    report = analysis.ThresholdReport(args.d)
     _emit(report.to_document(), None)
     return 0
 

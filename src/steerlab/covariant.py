@@ -26,16 +26,8 @@ _CHUNK = 1 << 16
 
 
 def default_workers() -> int:
-    """Worker count: STEERLAB_THREADS if set, else available parallelism."""
-    env = os.environ.get("STEERLAB_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            n = 0  # rejected below with the other invalid values
-        if n < 1:
-            raise ValueError(f"STEERLAB_THREADS must be an integer >= 1, got {env!r}")
-        return n
+    """Worker count: the CPUs this process may run on (its affinity mask,
+    which ``taskset`` or a cpuset caps)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -65,9 +57,6 @@ class HaarSampler:
         if self.d == 1:
             return np.ones((n, 1), dtype=complex)
         return _unit_rows(*self._normals(n, shard))
-
-    def states(self, n: int) -> list[PureState]:
-        return [PureState(row, (self.d,)) for row in self.sample_array(n)]
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -313,13 +302,13 @@ def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Po
     """Analytic POVM produced by simulating a rank-one target POVM.
 
     ``targets`` lists (weight, vector) pairs whose effects ``weight |v><v|``
-    resolve the identity. This is :func:`build_jm_model` at the exact
+    resolve the identity. This is :class:`ResponseFunctionModel` at the exact
     transmission ``(1-t)^(d-1)``: effect a comes out as ``(alpha_a/d) *
     (aligned |phi_a><phi_a| + orthogonal (I-|phi_a><phi_a|)/(d-1))`` and the
     leftover probability becomes a no-click effect.
     """
     povm = Povm([alpha * np.outer(vec, np.conj(vec)) for alpha, vec in targets])
-    return build_jm_model(povm, noise_params_from_threshold(povm.dim, t)).reconstruct_povm()
+    return ResponseFunctionModel(povm, noise_params_from_threshold(povm.dim, t)).reconstruct_povm()
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,8 +403,3 @@ class ResponseFunctionModel:
         states = np.asarray(states, dtype=complex)
         hits = self.sampling_dist[:, None] * (np.abs(self._vecs.conj() @ states.T) ** 2 >= self.t)
         return self.relabelling() @ np.vstack([hits, 1.0 - hits.sum(axis=0)])
-
-
-def build_jm_model(m: Povm, params: NoiseParams) -> ResponseFunctionModel:
-    """The :class:`ResponseFunctionModel` of ``m`` under ``params``."""
-    return ResponseFunctionModel(m, params)

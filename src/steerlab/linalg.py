@@ -212,12 +212,6 @@ def distributions(q, sum_tol: float, axis: int = 0) -> np.ndarray:
     return np.all(q >= -1e-12, axis=axis) & (np.abs(q.sum(axis=axis) - 1.0) <= sum_tol)
 
 
-def is_distribution(q, sum_tol: float) -> bool:
-    """True iff every column of ``q`` (its sums along the first axis) is a
-    distribution in the sense of :func:`distributions`."""
-    return bool(np.all(distributions(q, sum_tol)))
-
-
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with reproducible output.
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import distributions, first_false, locate, psd_stack
-from .objects import NO_CLICK, Povm, lossy_noisy_channel
+from .objects import NO_CLICK, Povm, _noisify, lossy_noisy_channel
 
 
 @dataclass(frozen=True)
@@ -64,27 +64,23 @@ def check_vacuum(q) -> np.ndarray:
     return q
 
 
-def _noisify(mats: np.ndarray, params: NoiseParams) -> np.ndarray:
-    """A (..., d, d) stack of effects under white noise and loss:
-    eta*p*M + eta*(1-p)*tr(M)*I/d for each effect M."""
-    d, eta, p = params.d, params.eta, params.p
-    eye = np.eye(d, dtype=complex)
-    traces = np.trace(mats, axis1=-2, axis2=-1).real[..., None, None]
-    return eta * p * mats + eta * (1.0 - p) * traces * eye / d
+def _no_click(params: NoiseParams) -> np.ndarray:
+    """The no-click effect ``(1-eta)*I`` of every noisified POVM."""
+    return (1.0 - params.eta) * np.eye(params.d, dtype=complex)
 
 
 def noisify_povm(m: Povm, params: NoiseParams) -> Povm:
     """Imperfect version of a POVM under white noise and loss.
 
-    Each effect becomes ``eta*p*M_a + eta*(1-p)*tr(M_a)*I/d`` and a no-click
+    Each effect is mapped by :func:`~steerlab.objects._noisify` and a no-click
     effect ``(1-eta)*I`` is appended under the reserved label.
     """
     if m.has_no_click:
         raise ValueError("input POVM already has a no-click outcome")
     if m.dim != params.d:
         raise ValueError(f"POVM dim {m.dim} does not match params d={params.d}")
-    no_click = (1.0 - params.eta) * np.eye(params.d, dtype=complex)
-    return Povm(np.concatenate([_noisify(m.effects, params), no_click[None]]),
+    return Povm(np.concatenate([_noisify(m.effects, params.eta, params.p),
+                                _no_click(params)[None]]),
                 m.labels + (NO_CLICK,))
 
 
@@ -120,8 +116,8 @@ def pull_back(effects: np.ndarray, params: NoiseParams, labels) -> PullBack:
     q = check_vacuum(effects[..., d, d].real)
     # noisified reduced effects, computed on the stack: the reduced labels
     # are pass-through names and may themselves include the no-click label
-    no_click = (1.0 - params.eta) * np.eye(d, dtype=complex)
-    deviations = images - (_noisify(reduced, params) + q[..., None, None] * no_click)
+    deviations = images - (_noisify(reduced, params.eta, params.p)
+                           + q[..., None, None] * _no_click(params))
     return PullBack(reduced, q, images, np.linalg.norm(deviations, axis=(-2, -1)))
 
 

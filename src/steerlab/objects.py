@@ -116,9 +116,13 @@ class DensityOperator:
 
     @classmethod
     def from_document(cls, doc: dict) -> "DensityOperator":
-        dims = tuple(int(d) for d in doc["dims"])
-        side = int(np.prod(dims))
-        return cls(entries_to_matrix(doc["entries"], side, side), dims)
+        try:
+            dims = tuple(int(d) for d in doc["dims"])
+            side = int(np.prod(dims))
+            mat = entries_to_matrix(doc["entries"], side, side)
+        except TypeError as exc:
+            raise ValueError(f"malformed density-operator document: {exc}") from exc
+        return cls(mat, dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,10 +193,13 @@ class Povm:
             raise ValueError("a POVM document must be an object with a list of effect objects")
         if not all(isinstance(e.get("label"), (int, str)) for e in effects):
             raise ValueError("effect labels must be integers or strings")
+        dim = doc.get("dim")
+        # a JSON integer only: int() would read 2.9 and "2" as 2, and bool is an int
+        if isinstance(dim, bool) or not isinstance(dim, int):
+            raise ValueError(f"POVM document dim must be an integer, got {dim!r}")
+        if dim < 1:
+            raise ValueError(f"POVM document dim must be >= 1, got {dim}")
         try:
-            dim = int(doc["dim"])
-            if dim < 1:
-                raise ValueError(f"POVM document dim must be >= 1, got {dim}")
             mats = [entries_to_matrix(e["entries"], dim, dim) for e in effects]
         except TypeError as exc:
             raise ValueError(f"malformed POVM document: {exc}") from exc
@@ -212,6 +219,15 @@ def _operand(m, side: int) -> np.ndarray:
             f"expected a ({side}, {side}) matrix or a stack of them, got shape {arr.shape}"
         )
     return arr
+
+
+def _noisify(m: np.ndarray, eta: float, p: float) -> np.ndarray:
+    """``eta*p*M + eta*(1-p)*tr(M)*I/d`` for each matrix M of a (..., d, d) stack:
+    white noise of visibility ``p``, then transmission ``eta`` onto the signal
+    block. The trace is kept complex, so non-Hermitian blocks map linearly."""
+    d = m.shape[-1]
+    traces = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    return eta * p * m + eta * (1.0 - p) * traces * np.eye(d) / d
 
 
 class Channel:
@@ -283,9 +299,7 @@ class WhiteNoise(Channel):
         return ops
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
-        m = _operand(m, self.d)
-        traces = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
-        return self.p * m + (1.0 - self.p) * traces * np.eye(self.d) / self.d
+        return _noisify(_operand(m, self.d), 1.0, self.p)
 
     # the channel is self-dual
     dual = apply_to_matrix

@@ -5,6 +5,7 @@ import pytest
 
 from steerlab.analysis import (
     RegionLabel,
+    ThresholdReport,
     classify,
     eta_grid,
     eta_unsteerable_bound,
@@ -12,7 +13,6 @@ from steerlab.analysis import (
     p_threshold_two_mubs,
     phase_diagram,
     phase_diagram_csv,
-    threshold_report,
 )
 
 
@@ -81,11 +81,11 @@ def test_eta_bound_decreasing():
 
 
 def test_threshold_report_document():
-    report = threshold_report(3)
+    report = ThresholdReport(3)
     doc = report.to_document()
     assert doc["d"] == 3
     assert abs(doc["p_all_meas"] - P_ALL_FROZEN[3]) < 1e-12
-    assert abs(report.eta_bound_at(0.5) - 0.25) < 1e-15
+    assert abs(eta_unsteerable_bound(report.d, 0.5) - 0.25) < 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -321,6 +321,13 @@ def test_assemblage_document_names_a_repeated_setting():
         Assemblage.from_document(doc)
 
 
+def test_assemblage_document_refuses_a_missing_outcome_number():
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(15)).to_document()
+    doc["entries"][1]["a"] = None
+    with pytest.raises(ValueError, match="malformed assemblage document"):
+        Assemblage.from_document(doc)
+
+
 def test_assemblage_refuses_blocks_of_different_sides():
     with pytest.raises(ValueError, match=r"setting 1 has shape \(2, 3, 3\), expected \(n, 2, 2\)"):
         Assemblage((np.stack([np.eye(2) / 4] * 2), np.stack([np.eye(3) / 6] * 2)), (0, 1))

@@ -130,16 +130,6 @@ def test_phase_diagram_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: ") and "Unable to allocate" in captured.err
 
 
-def test_worker_count_env_must_be_an_integer(capsys, monkeypatch):
-    monkeypatch.setenv("STEERLAB_THREADS", "abc")
-    code = main(["simulate-povm", "--d", "2", "--t", "0.3", "--samples", "10",
-                 "--seed", "1"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "error: STEERLAB_THREADS must be an integer >= 1, got 'abc'" in captured.err
-
-
 def test_state_command(tmp_path, capsys):
     emit = tmp_path / "state.json"
     code, out = _run(capsys, "state", "--d", "2", "--eta", "0.5", "--p", "0.7",
@@ -301,6 +291,20 @@ def test_jm_certify_refuses_a_target_dimension_below_one(tmp_path, capsys):
                      "--atoms", "100", "--targets", str(targets_path)])
         assert code == 2
         assert f"POVM document dim must be >= 1, got {dim}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [2.9, "2", True])
+def test_jm_certify_refuses_a_target_dimension_that_is_not_an_integer(tmp_path, capsys, dim):
+    # int() would read 2.9 and "2" as 2, and true as 1
+    targets_path = tmp_path / "targets.json"
+    targets_path.write_text(json.dumps([dict(b.to_document(), dim=dim) for b in mub_pair(2)]))
+    code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
+                 "--atoms", "100", "--targets", str(targets_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: POVM document dim must be an integer, got {dim!r}"]
+
 
 def test_jm_certify_missing_file(capsys):
     code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",

@@ -23,7 +23,6 @@ from steerlab.covariant import (
     _unit_rows,
     aligned_weight,
     analytic_effect,
-    build_jm_model,
     effect_trace,
     mc_effect,
     mc_response_moments,
@@ -51,13 +50,12 @@ def test_sampler_unit_norm_and_determinism():
 
 
 def test_sampler_d1_degenerate():
-    states = HaarSampler(d=1, seed=0).states(5)
-    for psi in states:
-        assert np.allclose(psi.vec, [1.0])
+    for row in HaarSampler(d=1, seed=0).sample_array(5):
+        assert np.allclose(row, [1.0])
 
 
 def test_sample_haar_returns_pure_states():
-    states = HaarSampler(d=3, seed=1).states(50)
+    states = [PureState(row, (3,)) for row in HaarSampler(d=3, seed=1).sample_array(50)]
     assert len(states) == 50
     assert all(psi.dims == (3,) for psi in states)
 
@@ -158,16 +156,13 @@ def test_mc_moments_deterministic_per_worker_count():
         assert np.array_equal(e.stderr_imag, effects[0].stderr_imag)
 
 
-def test_worker_count_env_override(monkeypatch):
-    from steerlab.covariant import default_workers
+def test_worker_count_is_the_affinity_count(monkeypatch):
+    from steerlab import covariant
 
-    monkeypatch.setenv("STEERLAB_THREADS", "2")
-    assert default_workers() == 2
-    monkeypatch.setenv("STEERLAB_THREADS", "0")
-    with pytest.raises(ValueError):
-        default_workers()
-    monkeypatch.delenv("STEERLAB_THREADS")
-    assert default_workers() >= 1
+    monkeypatch.setattr(covariant.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setenv("STEERLAB_THREADS", "1")  # no environment variable overrides it
+    assert covariant.default_workers() == 3
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +380,7 @@ def test_build_jm_model_projective_exact_point():
     eta = (1 - p) ** (d - 1)
     comp = mub_pair(d)[0]
     params = NoiseParams(d=d, eta=eta, p=p)
-    model = build_jm_model(comp, params)
+    model = ResponseFunctionModel(comp, params)
     assert model.vacuum_mix == 0.0
     assert model.t == p
     assert exact_certificate(model).residual < 1e-12
@@ -400,7 +395,7 @@ def test_build_jm_model_single_outcome():
             if eta == 0.0 and p == 0.0:
                 continue
             params = NoiseParams(d=d, eta=eta, p=p)
-            model = build_jm_model(trivial, params)
+            model = ResponseFunctionModel(trivial, params)
             assert exact_certificate(model).residual < 1e-12
 
 
@@ -410,7 +405,7 @@ def test_build_jm_model_extra_noise():
     m = random_povm(d, 4, rng)
     eta = 0.5 * (1 - p) ** (d - 1)  # strictly below the exact point
     params = NoiseParams(d=d, eta=eta, p=p)
-    model = build_jm_model(m, params)
+    model = ResponseFunctionModel(m, params)
     assert 0.0 < model.vacuum_mix < 1.0
     assert exact_certificate(model).residual < 1e-12
 
@@ -419,7 +414,7 @@ def test_build_jm_model_refuses_above_bound():
     rng = np.random.default_rng(17)
     m = random_povm(3, 3, rng)
     with pytest.raises(ValueError):
-        build_jm_model(m, NoiseParams(d=3, eta=0.9, p=0.5))
+        ResponseFunctionModel(m, NoiseParams(d=3, eta=0.9, p=0.5))
 
 
 def test_build_jm_model_refuses_where_unsteerability_is_uncertified():
@@ -428,9 +423,9 @@ def test_build_jm_model_refuses_where_unsteerability_is_uncertified():
     for d, p, eta in ((13, 0.9, 2e-12), (5, 0.6, eta_unsteerable_bound(5, 0.6) + 5e-13)):
         assert not certified_unsteerable(d, eta, p)
         with pytest.raises(ValueError):
-            build_jm_model(mub_pair(d)[0], NoiseParams(d=d, eta=eta, p=p))
+            ResponseFunctionModel(mub_pair(d)[0], NoiseParams(d=d, eta=eta, p=p))
         bound = eta_unsteerable_bound(d, p)
-        model = build_jm_model(mub_pair(d)[0], NoiseParams(d=d, eta=bound, p=p))
+        model = ResponseFunctionModel(mub_pair(d)[0], NoiseParams(d=d, eta=bound, p=p))
         assert model.vacuum_mix == 0.0
 
 
@@ -438,7 +433,7 @@ def test_build_jm_model_sampling_dist():
     rng = np.random.default_rng(18)
     m = random_povm(2, 3, rng)
     params = NoiseParams(d=2, eta=0.3, p=0.5)
-    model = build_jm_model(m, params)
+    model = ResponseFunctionModel(m, params)
     dist = model.sampling_dist
     assert abs(dist.sum() - 1.0) < 1e-10
     assert np.all(dist >= 0)
@@ -446,7 +441,7 @@ def test_build_jm_model_sampling_dist():
 
 def test_model_validation():
     # the model is its target and noise pair; the constructor refuses every
-    # pair for which build_jm_model has no model
+    # pair for which there is no covariant model
     comp = mub_pair(2)[0]
     clicked = Povm(np.concatenate([comp.effects, np.zeros((1, 2, 2))]), (0, 1, NO_CLICK))
     cases = (
@@ -454,10 +449,9 @@ def test_model_validation():
         (clicked, NoiseParams(d=2, eta=0.1, p=0.5), "no-click"),
         (comp, NoiseParams(d=2, eta=0.6, p=0.5), "exceeds the compatibility bound"),
     )
-    for make in (build_jm_model, ResponseFunctionModel):
-        for m, params, message in cases:
-            with pytest.raises(ValueError, match=message):
-                make(m, params)
+    for m, params, message in cases:
+        with pytest.raises(ValueError, match=message):
+            ResponseFunctionModel(m, params)
     model = ResponseFunctionModel(comp, NoiseParams(d=2, eta=0.25, p=0.5))
     assert (model.d, model.t, model.vacuum_mix) == (2, 0.5, 0.5)
 
@@ -466,7 +460,7 @@ def test_response_probabilities_normalized():
     rng = np.random.default_rng(19)
     m = random_povm(3, 3, rng)
     params = NoiseParams(d=3, eta=0.2, p=0.4)
-    model = build_jm_model(m, params)
+    model = ResponseFunctionModel(m, params)
     z = HaarSampler(d=3, seed=20).sample_array(500)
     probs = model.response_probabilities(z)
     assert probs.shape == (4, 500)
@@ -492,7 +486,7 @@ def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
     # with E = I - sum_a M_a, which differs from I by at most ||E||_F
     bound = 1e-12 + frobenius(m.effects.sum(axis=0) - np.eye(d))
     params = NoiseParams(d=d, eta=scale * eta_unsteerable_bound(d, p), p=p)
-    model = build_jm_model(m, params)
+    model = ResponseFunctionModel(m, params)
 
     table = model.relabelling()
     assert table.shape == (len(labels) + 1, len(model.parent_effects()))

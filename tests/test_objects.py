@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from steerlab.assemblage import steer
 from steerlab.certifier import discretize_parent, exact_certificate
-from steerlab.covariant import build_jm_model, mc_effect
+from steerlab.covariant import ResponseFunctionModel, mc_effect
 from steerlab.linalg import frobenius, is_psd, tensor
 from steerlab.lossy import NoiseParams, reduce_through_loss_dual
 from steerlab.objects import (
@@ -138,6 +138,42 @@ def test_closed_forms_match_kraus():
         assert frobenius(chan.apply_to_matrix(rho.mat) - generic.apply_to_matrix(rho.mat)) < 1e-12
         effect = random_povm(chan.out_dim, 3, rng).effects[0]
         assert frobenius(chan.dual(effect) - generic.dual(effect)) < 1e-12
+
+
+#: The closed-form channels, built from a dimension and a noise pair.
+_CLOSED_FORMS = {
+    "white noise": lambda d, eta, p: WhiteNoise(p, d),
+    "loss": lambda d, eta, p: Loss(eta, d),
+    "noise then loss": lossy_noisy_channel,
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(sorted(_CLOSED_FORMS)), d=st.integers(1, 4),
+       eta=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0),
+       lead=st.lists(st.integers(1, 3), max_size=2), seed=st.integers(0, 2**32 - 1))
+def test_closed_forms_match_kraus_on_complex_stacks(kind, d, eta, p, lead, seed):
+    # apply_channel maps non-Hermitian blocks, whose traces are complex
+    chan = _CLOSED_FORMS[kind](d, eta, p)
+    generic = KrausChannel(chan.kraus_operators())
+    rng = np.random.default_rng(seed)
+    for side, closed, kraus in ((chan.in_dim, chan.apply_to_matrix, generic.apply_to_matrix),
+                                (chan.out_dim, chan.dual, generic.dual)):
+        shape = (*lead, side, side)
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got, want = closed(m), kraus(m)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-12
+
+
+def test_white_noise_keeps_its_bits():
+    # white noise is the noisification at eta = 1, bit for bit p*M + (1-p)*tr(M)*I/d
+    rng = np.random.default_rng(21)
+    m = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
+    traces = np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    for p in (0.0, 0.3, 0.7, 1.0):
+        want = p * m + (1 - p) * traces * np.eye(3) / 3
+        assert WhiteNoise(p, 3).apply_to_matrix(m).tobytes() == want.tobytes()
 
 
 def test_dual_unitality():
@@ -411,6 +447,12 @@ def test_density_document_roundtrip():
     assert np.max(np.abs(back.mat - rho.mat)) < 1e-15
 
 
+def test_density_document_refuses_malformed_fields():
+    for doc in ({"dims": [2], "entries": 5}, {"dims": 2, "entries": []}):
+        with pytest.raises(ValueError, match="malformed density-operator document"):
+            DensityOperator.from_document(doc)
+
+
 def test_povm_document_roundtrip():
     rng = np.random.default_rng(5)
     povm = random_povm(3, 4, rng)
@@ -435,8 +477,8 @@ def test_array_holding_objects_compare_by_identity():
         lambda: steer(phi_plus(2).to_density(), list(mub_pair(2)), measured_side=0),
         lambda: reduce_through_loss_dual(random_povm(3, 2, rng), params),
         lambda: discretize_parent(2, 16, seed=1),
-        lambda: build_jm_model(mub_pair(2)[0], params),
-        lambda: exact_certificate(build_jm_model(mub_pair(2)[0], params)),
+        lambda: ResponseFunctionModel(mub_pair(2)[0], params),
+        lambda: exact_certificate(ResponseFunctionModel(mub_pair(2)[0], params)),
         lambda: mc_effect(2, 0.3, PureState(np.eye(2)[0], (2,)), 100, seed=0),
     ]
     for make in makers:

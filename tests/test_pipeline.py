@@ -6,7 +6,7 @@ import numpy as np
 
 from steerlab.assemblage import lhs_model_residual, steer
 from steerlab.certifier import discretize_parent, exact_certificate, lp_feasibility
-from steerlab.covariant import build_jm_model
+from steerlab.covariant import ResponseFunctionModel
 from steerlab.linalg import frobenius
 from steerlab.lossy import NoiseParams, embed_with_vacuum, noisify_povm
 from steerlab.objects import (
@@ -67,7 +67,7 @@ def test_model_conditionals_give_lhs_model_directly():
     rho = one_way_state(d, eta, p)
     m = mub_pair(d)[1]
     params = NoiseParams(d=d, eta=eta, p=p)
-    jm_model = build_jm_model(m, params)
+    jm_model = ResponseFunctionModel(m, params)
 
     # Bob measures the vacuum-embedded version on his enlarged side; its
     # pull-back is exactly the noisified POVM
