@@ -11,6 +11,7 @@ import numpy as np
 from .linalg import (
     dagger,
     distributions,
+    document_int,
     entries_to_matrix,
     first_false,
     frobenius_each,
@@ -123,7 +124,7 @@ class Assemblage:
         """Inverse of :meth:`to_document`. The entries of each setting may
         come in any order, but their ``a`` must be exactly 0..n_x-1."""
         try:
-            dim = int(doc["dim"])
+            dim = document_int(doc["dim"], "malformed assemblage document: dim")
             settings = list(doc["settings"])
             for x, setting in enumerate(settings):
                 if setting in settings[:x]:
@@ -134,7 +135,8 @@ class Assemblage:
                     raise ValueError(f"an entry has setting {e['x']!r}, which is not in "
                                      f"settings {settings}")
                 x = settings.index(e["x"])
-                rows[x].append((int(e["a"]), entries_to_matrix(e["matrix"], dim, dim)))
+                a = document_int(e["a"], "malformed assemblage document: entry a")
+                rows[x].append((a, entries_to_matrix(e["matrix"], dim, dim)))
         except TypeError as exc:
             raise ValueError(f"malformed assemblage document: {exc}") from exc
         for x, row in enumerate(rows):

@@ -7,8 +7,9 @@ the covariant parent), feasibility of the resulting linear program is a
 *sufficient* criterion only; failure at tolerance is never proof of
 incompatibility.
 
-HiGHS's dual simplex solves the LP. Only scipy's vendored HiGHS extension
-loads, on the first LP; ``scipy.optimize`` and ``scipy.sparse`` never do.
+HiGHS's dual simplex solves the LP with no output and presolve off (see
+:func:`linprog`); the model goes over as arrays in one call. Only scipy's
+vendored HiGHS extension loads, never ``scipy.optimize`` or ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
     """Minimize ``c x`` subject to ``A_ub x <= b_ub``, ``A_eq x = b_eq`` and
     ``bounds[:, 0] <= x <= bounds[:, 1]``.
 
-    The matrices are :func:`_csc` records with the same columns. HiGHS's
-    dual simplex solves the rows ``A_ub`` over ``A_eq`` with the options and
-    column-wise model of ``scipy.optimize.linprog(method="highs")``, so the
-    vertex is the one it returns. As there, a solution that misses a bound or
-    a row by more than ``10 sqrt(1e-9)`` is not accepted.
+    The matrices are :func:`_csc` records with the same columns. The rows
+    ``A_ub`` over ``A_eq`` go to HiGHS as one column-wise model in one array
+    ``passModel`` call; its dual simplex solves them with presolve off and no
+    output, as ``scipy.optimize.linprog(method="highs", options={"presolve":
+    False})`` does. Presolve removed nothing from JM LPs of targets with more
+    than two outcomes yet took a third of each solve; where it does reduce an
+    LP, the vertex can differ while the optimum does not. A solution that
+    misses a bound or a row by more than ``10 sqrt(1e-9)`` is not accepted.
 
     Raises
     ------
@@ -95,29 +99,25 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
     """
     h = _highspy()
     n_ub, n_cols = A_ub.shape
-    lp = h.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
-    lp.num_row_ = lp.a_matrix_.num_row_ = n_ub + A_eq.shape[0]
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.ascontiguousarray(bounds.T)
-    lp.row_lower_ = np.append(np.full(n_ub, -np.inf), b_eq)
-    lp.row_upper_ = np.append(b_ub, b_eq)
     # the column-wise stack: each column's entries of A_ub, then of A_eq
     start = A_ub.indptr + A_eq.indptr
     index, value = np.empty(start[-1], dtype=np.int32), np.empty(start[-1])
     for mat, before, shift in ((A_ub, A_eq.indptr[:-1], 0), (A_eq, A_ub.indptr[1:], n_ub)):
         at = np.arange(mat.nnz) + np.repeat(before, np.diff(mat.indptr))
         index[at], value[at] = mat.indices + shift, mat.values
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    # an empty integrality array makes passModel fail, so it holds one 0 per column
+    model = (n_cols, n_ub + A_eq.shape[0], start[-1], h.MatrixFormat.kColwise,
+             h.ObjSense.kMinimize, 0.0, c, *np.ascontiguousarray(bounds.T),
+             np.append(np.full(n_ub, -np.inf), b_eq), np.append(b_ub, b_eq),
+             start[:-1], index, value, np.zeros(n_cols, np.int32))
     options = h.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False
     options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
 
     highs = h._Highs()
-    for step, args in ((highs.passOptions, (options,)), (highs.passModel, (lp,)),
+    for step, args in ((highs.passOptions, (options,)), (highs.passModel, model),
                        (highs.run, ())):
         if step(*args) == h.HighsStatus.kError:
             raise SolverFailure(f"HiGHS {step.__name__} failed with model status "

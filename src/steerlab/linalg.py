@@ -56,6 +56,14 @@ def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
+def document_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer, else a ValueError naming ``what``:
+    ``int()`` would read 2.9 and "2" as 2, and a bool is an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix, or of each matrix of a (..., d, d) stack."""
     return np.swapaxes(np.asarray(m).conj(), -1, -2)

@@ -15,6 +15,7 @@ import numpy as np
 from .linalg import (
     as_complex_matrix,
     dagger,
+    document_int,
     entries_to_matrix,
     first_false,
     freeze_array,
@@ -117,7 +118,8 @@ class DensityOperator:
     @classmethod
     def from_document(cls, doc: dict) -> "DensityOperator":
         try:
-            dims = tuple(int(d) for d in doc["dims"])
+            dims = tuple(document_int(d, "density-operator document dims entry")
+                         for d in doc["dims"])
             side = int(np.prod(dims))
             mat = entries_to_matrix(doc["entries"], side, side)
         except TypeError as exc:
@@ -193,10 +195,7 @@ class Povm:
             raise ValueError("a POVM document must be an object with a list of effect objects")
         if not all(isinstance(e.get("label"), (int, str)) for e in effects):
             raise ValueError("effect labels must be integers or strings")
-        dim = doc.get("dim")
-        # a JSON integer only: int() would read 2.9 and "2" as 2, and bool is an int
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise ValueError(f"POVM document dim must be an integer, got {dim!r}")
+        dim = document_int(doc.get("dim"), "POVM document dim")
         if dim < 1:
             raise ValueError(f"POVM document dim must be >= 1, got {dim}")
         try:

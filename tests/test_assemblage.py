@@ -321,6 +321,24 @@ def test_assemblage_document_names_a_repeated_setting():
         Assemblage.from_document(doc)
 
 
+@pytest.mark.parametrize("dim", [2.7, "2", True])
+def test_assemblage_document_refuses_a_dimension_that_is_not_an_integer(dim):
+    # int() read 2.7 and "2" as 2, and true as 1
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(16)).to_document()
+    doc["dim"] = dim
+    with pytest.raises(ValueError, match=f"dim must be an integer, got {dim!r}"):
+        Assemblage.from_document(doc)
+
+
+@pytest.mark.parametrize("a", [0.9, "0", False])
+def test_assemblage_document_refuses_an_outcome_that_is_not_an_integer(a):
+    # int() read 0.9 and "0" as outcome 0, and false as 0
+    doc = _random_assemblage(2, 2, 2, np.random.default_rng(17)).to_document()
+    doc["entries"][0]["a"] = a
+    with pytest.raises(ValueError, match=f"entry a must be an integer, got {a!r}"):
+        Assemblage.from_document(doc)
+
+
 def test_assemblage_document_refuses_a_missing_outcome_number():
     doc = _random_assemblage(2, 2, 2, np.random.default_rng(15)).to_document()
     doc["entries"][1]["a"] = None

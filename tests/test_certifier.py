@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, sparse
 
-from steerlab import certifier
+from steerlab import certifier, cli
 from steerlab.certifier import (
     DEFAULT_TOL,
     FEASIBLE,
@@ -188,10 +189,10 @@ def _csc_array(mat):
 
 
 def _scipy_linprog(c, *, A_ub, A_eq, **kwargs):
-    """The LP solved by ``scipy.optimize.linprog(method="highs")``: the oracle
-    that :func:`certifier.linprog` reproduces."""
+    """The LP solved by ``scipy.optimize.linprog(method="highs")`` with presolve
+    off: the oracle that :func:`certifier.linprog` reproduces."""
     return optimize.linprog(c, A_ub=_csc_array(A_ub), A_eq=_csc_array(A_eq), method="highs",
-                            **kwargs)
+                            options={"presolve": False}, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,6 +491,39 @@ def test_slack_outcomes_start_near_the_threshold_response(d, eta, p, atoms):
             for a in np.delete(np.arange(len(tr)), h):
                 assigned = weights[row == a].sum()
                 assert 0.0 <= tr[a] - assigned < weights.max()
+
+
+#: sha256 of ``jm-certify ... --tol 1e-4 --emit-conditionals`` stdout for each
+#: benchmark instance, one digest per parent of ``_BENCH_PARENT_SEEDS``.
+_BENCH_DIGESTS = {
+    (2, 0.5, 0.5, 500): (
+        "22f7d7405c6ce356234cd857838176621bdfc2ef64e790ab5a92a314ec1e7f0a",
+        "e79e3546346f8e7021aee3324fec91bafe99554cb8ea4123c940a3a5942cf2e3",
+        "138ac1b813ce6f1f811b5f5dbd84a2c7cef07323be795404d4c11841658c2b2c",
+        "195377893507ca27d45ebb2c582b8054e6269f2fcf36e1e943c15f02ed110174"),
+    (2, 0.9, 0.9, 500): (
+        "bf4701b681b6cbd891805f355359e60ec721babddd3226ec1f610fff118aba6e",
+        "d7d3d2b8516f978b049aeba14d7771077a1feb0f6461e83a27cf73d67deb7c4c",
+        "a310f64cb7fed1a6a2ddb412faf6a06cdbabbe1792073ee733d52908d2ffc9ee",
+        "8855e54feb6a914c09c1eb7f0abae214f58c6451b497ee381fbe763c6f9ab4c4"),
+    (3, 0.25, 0.5, 300): (
+        "a2363936907e56ace4a9e45f4585e8ec7432f2d8dc7384025f468d68c5876e5e",
+        "e2d7153cd043f432176eace7e2cad768b0463c3e97844936aa68eaa0270a4740",
+        "5ed93ef4787750a1e9ada43fe68b4684a8af6d3e0f1a6d02f2dcf909ade39543",
+        "c2fd01e7c519c95a219e48a172ba9e921bb405f744d81b73ba7f87f215e3ac0d"),
+}
+
+
+@pytest.mark.parametrize("d, eta, p, atoms", _BENCH_INSTANCES)
+def test_benchmark_certificates_keep_their_vertex(d, eta, p, atoms, capsys):
+    # the printed conditionals are the LP's optimal vertex: a change of solver
+    # options or of how the model reaches HiGHS that moves the vertex fails here
+    for seed, digest in zip(_BENCH_PARENT_SEEDS, _BENCH_DIGESTS[d, eta, p, atoms]):
+        code = cli.main(["jm-certify", "--d", str(d), "--eta", str(eta), "--p", str(p),
+                         "--atoms", str(atoms), "--targets", "builtin:mubs", "--tol", "1e-4",
+                         "--seed", str(seed), "--emit-conditionals"])
+        assert code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_slack_outcomes_lightest_outcome_chooses_first():

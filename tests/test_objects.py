@@ -453,6 +453,15 @@ def test_density_document_refuses_malformed_fields():
             DensityOperator.from_document(doc)
 
 
+@pytest.mark.parametrize("dims, bad", [([2.9, 3], 2.9), ([2, "3"], "3"), ([True, 2], True)])
+def test_density_document_refuses_dims_that_are_not_integers(dims, bad):
+    # int() read [2.9, "3"] as (2, 3), and true as 1
+    doc = one_way_state(2, 0.6, 0.4).to_document()
+    doc["dims"] = dims
+    with pytest.raises(ValueError, match=f"dims entry must be an integer, got {bad!r}"):
+        DensityOperator.from_document(doc)
+
+
 def test_povm_document_roundtrip():
     rng = np.random.default_rng(5)
     povm = random_povm(3, 4, rng)
