@@ -46,8 +46,11 @@ def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_entries`; refuses non-finite parts."""
+    """Inverse of :func:`matrix_to_entries`; refuses boolean and non-finite parts."""
     flat = np.array([complex(re, im) for re, im in entries])
+    bad = next((i for i, e in enumerate(entries) if bool in map(type, e)), None)
+    if bad is not None:
+        raise ValueError(f"matrix entry {bad} has a boolean part: {list(entries[bad])}")
     if flat.size != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, got {flat.size}")
     bad = first_false(np.isfinite(flat))

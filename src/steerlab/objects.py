@@ -14,12 +14,10 @@ import numpy as np
 
 from .linalg import (
     as_complex_matrix,
-    dagger,
     document_int,
     entries_to_matrix,
     first_false,
     freeze_array,
-    frobenius,
     locate,
     matrix_to_entries,
     partial_trace,
@@ -33,6 +31,16 @@ NO_CLICK = "ø"
 Label = int | str
 
 
+def _subsystem_dims(dims) -> tuple[int, ...]:
+    """``dims`` as a tuple of ints: at least one subsystem, each of dimension >= 1."""
+    dims = tuple(int(d) for d in dims)
+    if not dims:
+        raise ValueError("a state needs at least one subsystem dimension")
+    if min(dims) < 1:
+        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    return dims
+
+
 @dataclass(frozen=True, eq=False)
 class PureState:
     """Unit vector on a tensor product of finite-dimensional factors."""
@@ -42,9 +50,7 @@ class PureState:
 
     def __post_init__(self):
         vec = np.asarray(self.vec, dtype=complex).ravel()
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+        dims = _subsystem_dims(self.dims)
         if vec.size != int(np.prod(dims)):
             raise ValueError(
                 f"vector length {vec.size} does not match dims {dims}"
@@ -92,7 +98,7 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = as_complex_matrix(self.mat)
-        dims = tuple(int(d) for d in self.dims)
+        dims = _subsystem_dims(self.dims)
         side = int(np.prod(dims))
         if mat.shape != (side, side):
             raise ValueError(
@@ -118,8 +124,8 @@ class DensityOperator:
     @classmethod
     def from_document(cls, doc: dict) -> "DensityOperator":
         try:
-            dims = tuple(document_int(d, "density-operator document dims entry")
-                         for d in doc["dims"])
+            dims = _subsystem_dims(document_int(d, "density-operator document dims entry")
+                                   for d in doc["dims"])
             side = int(np.prod(dims))
             mat = entries_to_matrix(doc["entries"], side, side)
         except TypeError as exc:
@@ -193,8 +199,9 @@ class Povm:
         effects = doc.get("effects") if isinstance(doc, dict) else None
         if not isinstance(effects, list) or not all(isinstance(e, dict) for e in effects):
             raise ValueError("a POVM document must be an object with a list of effect objects")
-        if not all(isinstance(e.get("label"), (int, str)) for e in effects):
-            raise ValueError("effect labels must be integers or strings")
+        for label in (e.get("label") for e in effects):
+            if isinstance(label, bool) or not isinstance(label, (int, str)):
+                raise ValueError(f"effect labels must be integers or strings, got {label!r}")
         dim = document_int(doc.get("dim"), "POVM document dim")
         if dim < 1:
             raise ValueError(f"POVM document dim must be >= 1, got {dim}")
@@ -230,47 +237,29 @@ def _noisify(m: np.ndarray, eta: float, p: float) -> np.ndarray:
 
 
 class Channel:
-    """Completely positive trace-preserving map given by Kraus operators.
+    """Completely positive trace-preserving map from ``in_dim`` to ``out_dim``.
 
-    :meth:`apply_to_matrix` and :meth:`dual` take one matrix or a
-    (..., n, n) stack and map each matrix of it. Subclasses with
-    closed-form action override both; the Kraus list stays available for
-    independent cross-checks (complete positivity, brute-force duals).
+    An interface: every channel computes :meth:`apply_to_matrix` and
+    :meth:`dual` in closed form, each taking one matrix or a (..., n, n)
+    stack and mapping each matrix of it. There is no Kraus-sum fallback.
+    :meth:`kraus_operators` lists Kraus operators only for independent
+    checks and for the benchmark, which counts them.
     """
 
     in_dim: int
     out_dim: int
 
     def kraus_operators(self) -> list[np.ndarray]:
+        """Kept for the tests' Kraus-sum oracle and steerbench's objects.kraus_ops count."""
         raise NotImplementedError
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
-        """Schroedinger picture: sum_k K m K^dag."""
-        m = _operand(m, self.in_dim)
-        out = np.zeros(m.shape[:-2] + (self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus_operators():
-            out += k @ m @ dagger(k)
-        return out
+        """Schroedinger picture: the image of ``m`` under the channel."""
+        raise NotImplementedError
 
     def dual(self, effect: np.ndarray) -> np.ndarray:
-        """Heisenberg picture: sum_k K^dag E K."""
-        effect = _operand(effect, self.out_dim)
-        out = np.zeros(effect.shape[:-2] + (self.in_dim, self.in_dim), dtype=complex)
-        for k in self.kraus_operators():
-            out += dagger(k) @ effect @ k
-        return out
-
-    def choi(self) -> np.ndarray:
-        """Choi matrix sum_ij |i><j| (x) C(|i><j|); PSD iff the map is CP."""
-        d, m = self.in_dim, self.out_dim
-        # entry (i, j) of the identity reshaped to (d, d, d, d) is |i><j|
-        images = self.apply_to_matrix(np.eye(d * d).reshape(d, d, d, d))
-        return images.transpose(0, 2, 1, 3).reshape(d * m, d * m)
-
-    def kraus_closure_residual(self) -> float:
-        """Frobenius distance of sum_k K^dag K from the identity."""
-        total = sum(dagger(k) @ k for k in self.kraus_operators())
-        return frobenius(total - np.eye(self.in_dim))
+        """Heisenberg picture: the effect pulled back through the channel."""
+        raise NotImplementedError
 
 
 class WhiteNoise(Channel):
@@ -288,14 +277,9 @@ class WhiteNoise(Channel):
 
     def kraus_operators(self) -> list[np.ndarray]:
         d, p = self.d, self.p
-        ops = [np.sqrt(p) * np.eye(d, dtype=complex)]
-        scale = np.sqrt((1.0 - p) / d)
-        for i in range(d):
-            for j in range(d):
-                k = np.zeros((d, d), dtype=complex)
-                k[i, j] = scale
-                ops.append(k)
-        return ops
+        # sqrt(p) I, then sqrt((1-p)/d) |i><j| for each matrix unit in row-major order
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        return [np.sqrt(p) * np.eye(d, dtype=complex), *(np.sqrt((1.0 - p) / d) * units)]
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
         return _noisify(_operand(m, self.d), 1.0, self.p)
@@ -324,14 +308,10 @@ class Loss(Channel):
 
     def kraus_operators(self) -> list[np.ndarray]:
         d, eta = self.d, self.eta
-        embed = np.zeros((d + 1, d), dtype=complex)
-        embed[:d, :] = np.eye(d)
-        ops = [np.sqrt(eta) * embed]
-        for k in range(d):
-            kk = np.zeros((d + 1, d), dtype=complex)
-            kk[d, k] = np.sqrt(1.0 - eta)
-            ops.append(kk)
-        return ops
+        # sqrt(eta) times the embedding, then sqrt(1-eta) |ø><k| for each k
+        to_vacuum = np.zeros((d, d + 1, d), dtype=complex)
+        to_vacuum[:, d, :] = np.sqrt(1.0 - eta) * np.eye(d)
+        return [np.sqrt(eta) * np.eye(d + 1, d, dtype=complex), *to_vacuum]
 
     def apply_to_matrix(self, m: np.ndarray) -> np.ndarray:
         m = _operand(m, self.d)
@@ -349,27 +329,6 @@ class Loss(Channel):
 
     def __repr__(self):
         return f"Loss(eta={self.eta}, d={self.d})"
-
-
-class KrausChannel(Channel):
-    """Channel defined directly by a list of Kraus operators."""
-
-    def __init__(self, kraus: list[np.ndarray]):
-        kraus = [as_complex_matrix(k) for k in kraus]
-        if not kraus:
-            raise ValueError("at least one Kraus operator is required")
-        out_dim, in_dim = kraus[0].shape
-        for k in kraus:
-            if k.shape != (out_dim, in_dim):
-                raise ValueError("Kraus operators must share one shape")
-        self._kraus = kraus
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        if self.kraus_closure_residual() > 1e-10:
-            raise ValueError("Kraus operators are not trace preserving within 1e-10")
-
-    def kraus_operators(self) -> list[np.ndarray]:
-        return list(self._kraus)
 
 
 class Composition(Channel):
@@ -419,9 +378,8 @@ def lossy_noisy_channel(d: int, eta: float, p: float) -> Composition:
 def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> DensityOperator:
     """Apply a channel to one subsystem of a (possibly multipartite) state.
 
-    Maps every block in one call to the channel's own
-    :meth:`Channel.apply_to_matrix`, so closed-form channels never expand
-    into Kraus sums here.
+    Maps every block in one call to the channel's closed-form
+    :meth:`Channel.apply_to_matrix`.
     """
     dims = rho.dims
     if not 0 <= on_subsystem < len(dims):

@@ -306,6 +306,31 @@ def test_jm_certify_refuses_a_target_dimension_that_is_not_an_integer(tmp_path, 
         f"error: POVM document dim must be an integer, got {dim!r}"]
 
 
+def _with_bool_entry(doc):
+    doc["effects"][0]["entries"][0] = [True, False]  # reads as 1+0j through complex()
+
+
+def _with_bool_label(doc):
+    doc["effects"][1]["label"] = True  # equals the label 1 it replaces
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_with_bool_entry, "matrix entry 0 has a boolean part: [True, False]"),
+    (_with_bool_label, "effect labels must be integers or strings, got True"),
+], ids=["entry", "label"])
+def test_jm_certify_refuses_json_booleans_in_targets(tmp_path, capsys, spoil, message):
+    # JSON true is no number and no label, although Python's bool is an int
+    docs = [b.to_document() for b in mub_pair(2)]
+    spoil(docs[0])
+    targets_path = tmp_path / "targets.json"
+    targets_path.write_text(json.dumps(docs))
+    code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
+                 "--atoms", "100", "--targets", str(targets_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+
+
 def test_jm_certify_missing_file(capsys):
     code = main(["jm-certify", "--d", "2", "--eta", "0.5", "--p", "0.5",
                  "--atoms", "100", "--targets", "/nonexistent.json"])

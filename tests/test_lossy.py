@@ -14,8 +14,10 @@ from steerlab.lossy import (
     pull_back,
     reduce_through_loss_dual,
 )
-from steerlab.objects import NO_CLICK, KrausChannel, Povm, lossy_noisy_channel, mub_pair
+from steerlab.objects import NO_CLICK, Povm, lossy_noisy_channel, mub_pair
 from steerlab.rand import random_povm
+
+from kraus_oracle import KrausChannel
 
 
 def _z_basis():

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from steerlab.assemblage import steer
 from steerlab.certifier import discretize_parent, exact_certificate
 from steerlab.covariant import ResponseFunctionModel, mc_effect
-from steerlab.linalg import frobenius, is_psd, tensor
+from steerlab.linalg import frobenius, is_psd, matrix_to_entries, tensor
 from steerlab.lossy import NoiseParams, reduce_through_loss_dual
 from steerlab.objects import (
     NO_CLICK,
+    Channel,
     Composition,
     DensityOperator,
-    KrausChannel,
     Loss,
     Povm,
     PureState,
@@ -26,6 +26,8 @@ from steerlab.objects import (
     schmidt_rank,
 )
 from steerlab.rand import random_density, random_povm, random_unitary
+
+from kraus_oracle import KrausChannel, choi_matrix, kraus_closure_residual
 
 
 def test_phi_plus_d2():
@@ -69,6 +71,28 @@ def test_density_operator_validation():
         DensityOperator(np.diag([0.5, 0.6]), (2,))
     with pytest.raises(ValueError):
         DensityOperator(np.diag([1.5, -0.5]), (2,))
+
+
+#: Subsystem dimensions no state may carry: negative, none at all, a zero.
+_BAD_DIMS = [(-1, -2), (), (0, 3)]
+
+
+@pytest.mark.parametrize("dims", _BAD_DIMS)
+def test_states_refuse_bad_subsystem_dims(dims):
+    side = max(int(np.prod(dims)), 1)
+    with pytest.raises(ValueError, match="subsystem dimension"):
+        PureState(np.eye(side)[0], dims)
+    with pytest.raises(ValueError, match="subsystem dimension"):
+        DensityOperator(np.eye(side) / side, dims)
+
+
+@pytest.mark.parametrize("dims", _BAD_DIMS)
+def test_density_document_refuses_bad_subsystem_dims(dims):
+    # (-1, -2) multiply to a valid side of 2 and () to a side of 1
+    side = max(int(np.prod(dims)), 1)
+    doc = {"dims": list(dims), "entries": matrix_to_entries(np.eye(side) / side)}
+    with pytest.raises(ValueError, match="subsystem dimension"):
+        DensityOperator.from_document(doc)
 
 
 def test_density_operator_immutable():
@@ -126,8 +150,8 @@ def test_loss_on_pure_state():
 def test_channel_kraus_closure_and_choi_psd():
     for val in (0.0, 0.25, 0.5, 0.75, 1.0):
         for chan in (WhiteNoise(val, 3), Loss(val, 3)):
-            assert chan.kraus_closure_residual() < 1e-12
-            assert is_psd(chan.choi(), 1e-9)
+            assert kraus_closure_residual(chan) < 1e-12
+            assert is_psd(choi_matrix(chan), 1e-9)
 
 
 def test_closed_forms_match_kraus():
@@ -227,6 +251,24 @@ def test_apply_channel_updates_dims():
         apply_channel(Loss(0.5, 2), rho, on_subsystem=1)
 
 
+class _KrausListOnly(Channel):
+    """A channel that lists Kraus operators and maps nothing itself."""
+
+    in_dim = out_dim = 2
+
+    def kraus_operators(self):
+        return [np.eye(2, dtype=complex)]
+
+
+def test_channel_has_no_kraus_sum_fallback():
+    chan = _KrausListOnly()
+    for method in (chan.apply_to_matrix, chan.dual):
+        with pytest.raises(NotImplementedError):
+            method(np.eye(2))
+    with pytest.raises(NotImplementedError):
+        apply_channel(chan, random_density(2, np.random.default_rng(0)), 0)
+
+
 def _random_kraus_channel(d: int, out_dim: int, rng) -> KrausChannel:
     # Kraus operators are the blocks of a random isometry
     n_ops = -(-d // out_dim) + 1
@@ -313,7 +355,7 @@ def test_channels_map_stacks(kind, d, lead, eta, p, out_dim, seed):
     units = np.eye(d * d).reshape(d, d, d, d)
     choi = sum(tensor(units[i, j], chan.apply_to_matrix(units[i, j]))
                for i in range(d) for j in range(d))
-    assert np.max(np.abs(chan.choi() - choi)) < 1e-12
+    assert np.max(np.abs(choi_matrix(chan) - choi)) < 1e-12
 
 
 @pytest.mark.parametrize("kind", ["white-noise", "loss", "lossy-noisy", "kraus"])
