@@ -6,6 +6,11 @@ pure states, together with threshold response functions
 transmission does not exceed ``(1-t)^(d-1)`` at visibility ``t``. The
 closed-form moments of the construction, a Monte Carlo estimator for them,
 and the explicit joint-measurability model built from them all live here.
+
+The Monte Carlo estimators split the samples into shards of at most
+``_CHUNK`` and stream each shard through its accumulator block by block: a
+worker's memory is one shard's real Gaussian plane plus one block, and
+neither the samples nor the estimates depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,6 +29,12 @@ from .objects import NO_CLICK, Povm, PureState
 
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
+#: A shard's imaginary plane is drawn and accumulated in blocks of
+#: max(_BLOCK // d, _BLOCK_ROWS) rows: _BLOCK Gaussian numbers per plane
+#: bound a block's memory, and _BLOCK_ROWS bounds the numpy calls per sample
+#: at large d.
+_BLOCK = 1 << 16
+_BLOCK_ROWS = 1 << 12
 
 
 def default_workers() -> int:
@@ -45,10 +57,31 @@ class HaarSampler:
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
 
+    def _rng(self, shard: int) -> np.random.Generator:
+        return np.random.default_rng([self.seed, shard])
+
     def _normals(self, n: int, shard: int) -> np.ndarray:
         """The (2, n, d) standard normals of stream ``shard``, in one draw:
         the real plane, then the imaginary plane."""
-        return np.random.default_rng([self.seed, shard]).standard_normal((2, n, self.d))
+        return self._rng(shard).standard_normal((2, n, self.d))
+
+    def _blocks(self, shard: int, re: np.ndarray, buf: np.ndarray):
+        """The planes of ``_normals(len(re), shard)``, ``buf.shape[1]`` rows
+        at a time.
+
+        The generator fills ``re`` with the whole (n, d) real plane, then
+        draws the imaginary plane block by block into ``buf[1]``, which gives
+        the numbers of one draw. Each block is yielded as a (2, b, d) view of
+        ``buf`` that the next block overwrites.
+        """
+        rng = self._rng(shard)
+        rng.standard_normal(out=re)
+        rows = buf.shape[1]
+        for lo in range(0, len(re), rows):
+            g = buf[:, :min(rows, len(re) - lo)]
+            g[0] = re[lo:lo + g.shape[1]]
+            rng.standard_normal(out=g[1])
+            yield g
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent stream."""
@@ -148,25 +181,39 @@ class EffectEstimate:
 
 def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -> list:
     """Sums of ``accumulate(g)`` over the Gaussian planes ``g`` of ``n`` Haar
-    samples, drawn in shards.
+    samples, drawn in shards and streamed in blocks.
 
     The samples are split into ceil(n / _CHUNK) shards whose sizes differ
-    by at most one; shard k passes ``accumulate`` the (2, m, d) normals of
-    ``sampler.sample_array(m, shard=k)``, unnormalized. Threads only
-    schedule shards and the results are summed in shard order, so the sums
-    depend on the seed and n but not on the worker count. The accumulators
-    call no BLAS routine, whose own threads would compete with the workers.
+    by at most one, and worker w runs shards w, w + workers, ... Shard k
+    streams the (2, m, d) normals of ``sampler.sample_array(m, shard=k)``,
+    unnormalized, through ``accumulate`` in blocks of
+    ``max(_BLOCK // d, _BLOCK_ROWS)`` rows (see :meth:`HaarSampler._blocks`).
+    A worker allocates one (m, d) real plane and one block buffer once and
+    reuses them for each of its shards, so its memory is those two plus one
+    block's temporaries. The block sums are added in block order and the
+    shard sums in shard order, so the sums depend on the seed and n but not
+    on the worker count. The accumulators call no BLAS routine, whose own
+    threads would compete with the workers.
     """
-    workers = default_workers() if workers is None else workers
     shards = -(-n // _CHUNK)
+    workers = min(default_workers() if workers is None else workers, shards)
     base, extra = divmod(n, shards)
 
-    def run(k: int):
-        return accumulate(sampler._normals(base + (k < extra), k))
+    def run(w: int) -> list:
+        re = np.empty((base + 1, sampler.d))
+        rows = max(_BLOCK // sampler.d, _BLOCK_ROWS)
+        buf = np.empty((2, min(base + 1, rows), sampler.d))
+        return [reduce(_add, map(accumulate, sampler._blocks(k, re[:base + (k < extra)], buf)))
+                for k in range(w, shards, workers)]
 
-    with ThreadPoolExecutor(max_workers=min(workers, shards)) as pool:
-        results = list(pool.map(run, range(shards)))
-    return [sum(parts) for parts in zip(*results)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_worker = list(pool.map(run, range(workers)))
+    # shard k is the (k // workers)-th shard of worker k % workers
+    return reduce(_add, (per_worker[k % workers][k // workers] for k in range(shards)))
+
+
+def _add(sums, part):
+    return [s + p for s, p in zip(sums, part)]
 
 
 def _accumulate_moments(d, t, g):

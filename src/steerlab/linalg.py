@@ -46,8 +46,16 @@ def matrix_to_entries(m: np.ndarray) -> list[list[float]]:
 
 
 def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`matrix_to_entries`; refuses boolean and non-finite parts."""
-    flat = np.array([complex(re, im) for re, im in entries])
+    """Inverse of :func:`matrix_to_entries`; refuses an entry that is not a
+    [re, im] pair, and boolean and non-finite parts."""
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError):
+        bad = next((i for i, e in enumerate(entries)
+                    if not isinstance(e, (list, tuple)) or len(e) != 2), None)
+        if bad is None:
+            raise
+        raise ValueError(f"matrix entry {bad} is not a [re, im] pair: {entries[bad]!r}") from None
     bad = next((i for i, e in enumerate(entries) if bool in map(type, e)), None)
     if bad is not None:
         raise ValueError(f"matrix entry {bad} has a boolean part: {list(entries[bad])}")

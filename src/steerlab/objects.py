@@ -32,7 +32,16 @@ Label = int | str
 
 
 def _subsystem_dims(dims) -> tuple[int, ...]:
-    """``dims`` as a tuple of ints: at least one subsystem, each of dimension >= 1."""
+    """``dims`` as a tuple of ints: at least one subsystem, each of dimension >= 1.
+
+    Python and numpy integers pass; ``int()`` would read 2.9 as 2, and a
+    bool is an int, so other types are refused.
+    """
+    dims = tuple(dims)
+    bad = next((d for d in dims if isinstance(d, bool) or not isinstance(d, (int, np.integer))),
+               None)
+    if bad is not None:
+        raise ValueError(f"subsystem dimensions must be integers, got {bad!r}")
     dims = tuple(int(d) for d in dims)
     if not dims:
         raise ValueError("a state needs at least one subsystem dimension")
@@ -444,19 +453,6 @@ def one_way_state(d: int, eta: float, p: float) -> DensityOperator:
     vac[d, d] = 1.0
     mat += (1.0 - eta) / d * tensor(np.eye(d), vac)
     return DensityOperator(mat, (d, db))
-
-
-def schmidt_rank(psi: PureState, tol: float = 1e-10) -> tuple[int, np.ndarray]:
-    """Schmidt rank and descending Schmidt coefficients of a bipartite pure state.
-
-    The rank counts singular values of the coefficient matrix above ``tol``.
-    """
-    if len(psi.dims) != 2:
-        raise ValueError("schmidt_rank requires a bipartite state")
-    da, db = psi.dims
-    coeffs = np.linalg.svd(psi.vec.reshape(da, db), compute_uv=False)
-    rank = int(np.sum(coeffs > tol))
-    return rank, coeffs
 
 
 def mub_pair(d: int) -> tuple[Povm, Povm]:

@@ -310,6 +310,14 @@ def _with_bool_entry(doc):
     doc["effects"][0]["entries"][0] = [True, False]  # reads as 1+0j through complex()
 
 
+def _with_triple_entry(doc):
+    doc["effects"][0]["entries"][1] = [1, 0, 0]
+
+
+def _with_scalar_entry(doc):
+    doc["effects"][0]["entries"][2] = 0.5
+
+
 def _with_bool_label(doc):
     doc["effects"][1]["label"] = True  # equals the label 1 it replaces
 
@@ -317,9 +325,12 @@ def _with_bool_label(doc):
 @pytest.mark.parametrize("spoil, message", [
     (_with_bool_entry, "matrix entry 0 has a boolean part: [True, False]"),
     (_with_bool_label, "effect labels must be integers or strings, got True"),
-], ids=["entry", "label"])
+    (_with_triple_entry, "matrix entry 1 is not a [re, im] pair: [1, 0, 0]"),
+    (_with_scalar_entry, "matrix entry 2 is not a [re, im] pair: 0.5"),
+], ids=["entry", "label", "triple", "scalar"])
 def test_jm_certify_refuses_json_booleans_in_targets(tmp_path, capsys, spoil, message):
-    # JSON true is no number and no label, although Python's bool is an int
+    # JSON true is no number and no label, although Python's bool is an int;
+    # an entry is an [re, im] pair, not three numbers or one
     docs = [b.to_document() for b in mub_pair(2)]
     spoil(docs[0])
     targets_path = tmp_path / "targets.json"

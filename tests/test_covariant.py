@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
 from steerlab.certifier import exact_certificate
 import steerlab
 from steerlab.covariant import (
+    _BLOCK,
+    _BLOCK_ROWS,
     _CHUNK,
     EffectEstimate,
     HaarSampler,
@@ -176,6 +179,15 @@ def _basis_state(d, k=0):
     return PureState(v, (d,))
 
 
+def _block_sums(accumulate, sampler, n, shard, block):
+    # the accumulator's sums over the blocks of one shard, added in order;
+    # the buffers are larger than needed, as a worker's are
+    re = np.empty((n + 1, sampler.d))
+    buf = np.empty((2, block, sampler.d))
+    parts = [accumulate(g) for g in sampler._blocks(shard, re[:n], buf)]
+    return [sum(p) for p in zip(*parts)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     d=st.integers(2, 6),
@@ -183,9 +195,11 @@ def _basis_state(d, k=0):
     n=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
     shard=st.integers(0, 20),
+    block=st.integers(1, 4000),
 )
-def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
-    # the shard input is the unnormalized planes of sample_array's stream
+def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block):
+    # the shard input is the unnormalized planes of sample_array's stream,
+    # streamed in blocks through one buffer
     sampler = HaarSampler(d=d, seed=seed)
     z = sampler.sample_array(n, shard=shard)
     phi = sampler.sample_array(1, shard=shard + 1)[0]
@@ -193,7 +207,7 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
     proj = np.einsum("ni,nj->nij", zh, zh.conj())
     want = (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
             d * d * (proj.imag**2).sum(axis=0))
-    sums = _accumulate_effect(d, t, phi, sampler._normals(n, shard))
+    sums = _block_sums(lambda g: _accumulate_effect(d, t, phi, g), sampler, n, shard, block)
     for got, ref in zip(sums, want):
         assert got.shape == (d, d)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -210,32 +224,61 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard):
     n=st.integers(1, 3000),
     seed=st.integers(0, 2**32 - 1),
     shard=st.integers(0, 20),
+    block=st.integers(1, 4000),
 )
-def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard):
+def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
     sampler = HaarSampler(d=d, seed=seed)
     overlap = np.abs(sampler.sample_array(n, shard=shard)[:, 0]) ** 2
     xa = d * overlap[overlap >= t]
-    s_a, s_a2, s_t = _accumulate_moments(d, t, sampler._normals(n, shard))
+    s_a, s_a2, s_t = _block_sums(lambda g: _accumulate_moments(d, t, g), sampler, n, shard,
+                                 block)
     assert s_t == d * xa.size
     assert abs(s_a - xa.sum()) <= 1e-12 * max(1.0, xa.sum())
     assert abs(s_a2 - (xa**2).sum()) <= 1e-12 * max(1.0, (xa**2).sum())
 
 
 def test_shards_draw_the_sampler_streams():
-    # one Gaussian stream: shard k normalizes to sample_array(m, shard=k)
+    # one Gaussian stream: the blocks of shard k normalize to sample_array(m, shard=k)
     sampler = HaarSampler(d=3, seed=4)
     n = 2 * _CHUNK + 3
     drawn = []
 
     def keep(g):
-        drawn.append(g)
+        drawn.append(g.copy())  # the next block overwrites g
         return (0,)
 
-    _run_shards(sampler, n, 1, keep)  # one worker runs the shards in order
-    sizes = [g.shape[1] for g in drawn]
-    assert len(sizes) == 3 and sum(sizes) == n and max(sizes) - min(sizes) <= 1
-    for k, g in enumerate(drawn):
-        assert _unit_rows(*g).tobytes() == sampler.sample_array(len(g[0]), shard=k).tobytes()
+    _run_shards(sampler, n, 1, keep)  # one worker runs the shards and blocks in order
+    assert max(g.shape[1] for g in drawn) == _BLOCK // 3 and sum(g.shape[1] for g in drawn) == n
+    base, extra = divmod(n, 3)
+    for k in range(3):
+        m, rows = base + (k < extra), 0
+        shard = []
+        while rows < m:
+            shard.append(drawn.pop(0))
+            rows += shard[-1].shape[1]
+        assert rows == m
+        g = np.concatenate(shard, axis=1)
+        assert g.tobytes() == sampler._normals(m, k).tobytes()
+        assert _unit_rows(*g).tobytes() == sampler.sample_array(m, shard=k).tobytes()
+    assert not drawn
+
+
+@pytest.mark.parametrize("d, t", [(5, 0.3), (16, 0.05)])
+def test_mc_memory_is_one_real_plane_and_a_few_blocks(d, t):
+    # one worker holds a shard's (m, d) real plane, not both planes, and its
+    # temporaries are sized by the block, not the shard
+    n = 200_000
+    m = -(-n // -(-n // _CHUNK))
+    bound = 8 * m * d + 4 * (8 * 2 * d * max(_BLOCK // d, _BLOCK_ROWS))
+    for run in (lambda: mc_effect(d, t, _basis_state(d), n, seed=1, workers=1),
+                lambda: mc_response_moments(d, t, n, seed=1, workers=1)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_sampler_stream_is_pinned():

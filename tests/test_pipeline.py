@@ -8,7 +8,7 @@ from steerlab.assemblage import lhs_model_residual, steer
 from steerlab.certifier import discretize_parent, exact_certificate, lp_feasibility
 from steerlab.covariant import ResponseFunctionModel
 from steerlab.linalg import frobenius
-from steerlab.lossy import NoiseParams, embed_with_vacuum, noisify_povm
+from steerlab.lossy import NoiseParams, noisify_povm
 from steerlab.objects import (
     Povm,
     lossy_noisy_channel,
@@ -16,6 +16,8 @@ from steerlab.objects import (
     one_way_state,
 )
 from steerlab.rand import random_povm
+
+from test_lossy import embed_with_vacuum
 
 
 def test_steered_assemblage_is_transposed_dual():
