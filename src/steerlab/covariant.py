@@ -8,9 +8,9 @@ closed-form moments of the construction, a Monte Carlo estimator for them,
 and the explicit joint-measurability model built from them all live here.
 
 The Monte Carlo estimators split the samples into shards of at most
-``_CHUNK`` and stream each shard through its accumulator block by block: a
-worker's memory is one shard's real Gaussian plane plus one block, and
-neither the samples nor the estimates depend on the worker count.
+``_CHUNK`` and stream each shard through its accumulator in (2, d, b)
+blocks, sample index last: a worker holds one shard's real plane plus one
+block, and neither the samples nor the estimates depend on the worker count.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from .objects import NO_CLICK, Povm, PureState
 
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
-#: A shard's imaginary plane is drawn and accumulated in blocks of
-#: max(_BLOCK // d, _BLOCK_ROWS) rows: _BLOCK Gaussian numbers per plane
-#: bound a block's memory, and _BLOCK_ROWS bounds the numpy calls per sample
-#: at large d.
+#: A shard is accumulated in (2, d, b) blocks, sample index last, of
+#: b = max(_BLOCK // d, _BLOCK_ROWS) samples, each block's imaginary rows drawn
+#: into its spent real rows: _BLOCK Gaussian numbers per plane bound a block's
+#: memory, and _BLOCK_ROWS bounds the numpy calls per sample at large d.
 _BLOCK = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
@@ -54,8 +54,7 @@ class HaarSampler:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        _check_count("dimension d", self.d)
 
     def _rng(self, shard: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, shard])
@@ -66,30 +65,45 @@ class HaarSampler:
         return self._rng(shard).standard_normal((2, n, self.d))
 
     def _blocks(self, shard: int, re: np.ndarray, buf: np.ndarray):
-        """The planes of ``_normals(len(re), shard)``, ``buf.shape[1]`` rows
-        at a time.
-
-        The generator fills ``re`` with the whole (n, d) real plane, then
-        draws the imaginary plane block by block into ``buf[1]``, which gives
-        the numbers of one draw. Each block is yielded as a (2, b, d) view of
-        ``buf`` that the next block overwrites.
-        """
+        """The planes of ``_normals(len(re), shard)`` as (2, d, b) views of
+        ``buf``, sample index last, ``b = buf.shape[2]``: ``re`` takes the whole
+        real plane, and each block's imaginary rows are drawn into its spent
+        real rows, which gives the numbers of one draw. Each view is
+        overwritten by the next."""
         rng = self._rng(shard)
         rng.standard_normal(out=re)
-        rows = buf.shape[1]
+        rows = buf.shape[2]
         for lo in range(0, len(re), rows):
-            g = buf[:, :min(rows, len(re) - lo)]
-            g[0] = re[lo:lo + g.shape[1]]
-            rng.standard_normal(out=g[1])
+            spent = re[lo:lo + rows]
+            g = buf[:, :, :len(spent)]
+            _transpose_into(g[0], spent)
+            rng.standard_normal(out=spent)
+            _transpose_into(g[1], spent)
             yield g
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent stream."""
-        if n < 1:
-            raise ValueError(f"sample count must be >= 1, got {n}")
+        _check_count("sample count n", n)
         if self.d == 1:
             return np.ones((n, 1), dtype=complex)
         return _unit_rows(*self._normals(n, shard))
+
+
+def _transpose_into(out: np.ndarray, rows: np.ndarray) -> None:
+    """``out[...] = rows.T``, in slices of at most ``_BLOCK`` numbers: at
+    d = 64 a whole block no longer fits in cache and transposes twice as slowly."""
+    step = max(_BLOCK // rows.shape[1], 1)
+    for j in range(0, len(rows), step):
+        out[:, j:j + step] = rows[j:j + step].T
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a ``value`` below 1 or not a Python or numpy integer; a bool
+    is an int, so it is refused too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -185,16 +199,20 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
 
     The samples are split into ceil(n / _CHUNK) shards whose sizes differ
     by at most one, and worker w runs shards w, w + workers, ... Shard k
-    streams the (2, m, d) normals of ``sampler.sample_array(m, shard=k)``,
-    unnormalized, through ``accumulate`` in blocks of
-    ``max(_BLOCK // d, _BLOCK_ROWS)`` rows (see :meth:`HaarSampler._blocks`).
+    streams the normals of ``sampler.sample_array(m, shard=k)``, unnormalized,
+    through ``accumulate`` in (2, d, b) blocks, sample index last, of
+    ``b = max(_BLOCK // d, _BLOCK_ROWS)`` (see :meth:`HaarSampler._blocks`).
     A worker allocates one (m, d) real plane and one block buffer once and
-    reuses them for each of its shards, so its memory is those two plus one
-    block's temporaries. The block sums are added in block order and the
-    shard sums in shard order, so the sums depend on the seed and n but not
-    on the worker count. The accumulators call no BLAS routine, whose own
-    threads would compete with the workers.
+    reuses them for each of its shards, drawing each imaginary block into the
+    spent real rows, so its memory is those two plus one block's temporaries.
+    The block sums are added in block order and the shard sums in shard
+    order, so the sums depend on the seed and n but not on the worker count.
+    The accumulators call no BLAS routine, whose own threads would compete
+    with the workers.
     """
+    _check_count("sample count n", n)
+    if workers is not None:
+        _check_count("workers", workers)
     shards = -(-n // _CHUNK)
     workers = min(default_workers() if workers is None else workers, shards)
     base, extra = divmod(n, shards)
@@ -202,7 +220,7 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
     def run(w: int) -> list:
         re = np.empty((base + 1, sampler.d))
         rows = max(_BLOCK // sampler.d, _BLOCK_ROWS)
-        buf = np.empty((2, min(base + 1, rows), sampler.d))
+        buf = np.empty((2, sampler.d, min(base + 1, rows)))
         return [reduce(_add, map(accumulate, sampler._blocks(k, re[:base + (k < extra)], buf)))
                 for k in range(w, shards, workers)]
 
@@ -220,9 +238,9 @@ def _accumulate_moments(d, t, g):
     """Sums of the aligned-weight samples ``d |z_0|^2`` over accepted
     samples, of their squares, and of ``d`` per accepted sample, with
     ``|z_0|^2 = |g_0|^2 / |g|^2`` taken from the planes."""
-    g0 = g[:, :, 0]
-    overlap = (g0[0] ** 2 + g0[1] ** 2) / np.einsum("kni,kni->n", g, g)
-    xa = d * overlap[overlap >= t]
+    g0 = g[:, 0]
+    overlap = (g0[0] ** 2 + g0[1] ** 2) / np.einsum("kin,kin->n", g, g)
+    xa = d * np.compress(overlap >= t, overlap)
     return float(xa.sum()), float((xa**2).sum()), float(xa.size) * d
 
 
@@ -239,8 +257,6 @@ def mc_response_moments(
     :func:`_run_shards`.
     """
     _check_dt(d, t)
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
     sampler = HaarSampler(d=d, seed=seed)
     s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda g: _accumulate_moments(d, t, g))
     # x_t takes values 0 or d, so its square sums to d * s_t
@@ -264,23 +280,23 @@ def _accumulate_effect(d, t, phi, g):
     Re(z_i z_j*) = x_i x_j + y_i y_j and Im(z_i z_j*) = y_i x_j - x_i y_j.
 
     A sample is accepted when |<phi|g>|^2 >= t |g|^2, so only the accepted
-    rows of the planes ``g`` are normalized.
+    samples of the (2, d, b) planes ``g`` are normalized.
     """
     a, b = phi.real, phi.imag
     # <phi|g> = (x.a + y.b) + i (y.a - x.b)
-    ov_re = np.einsum("kni,ki->n", g, np.stack([a, b]))
-    ov_im = np.einsum("kni,ki->n", g, np.stack([-b, a]))
-    norm2 = np.einsum("kni,kni->n", g, g)
+    ov_re = np.einsum("kin,ki->n", g, np.stack([a, b]))
+    ov_im = np.einsum("kin,ki->n", g, np.stack([-b, a]))
+    norm2 = np.einsum("kin,kin->n", g, g)
     hit = ov_re**2 + ov_im**2 >= t * norm2
-    # (2, d, k) with the sample index last, where einsum sums fastest
-    zt = np.compress(hit, g, axis=1).transpose(0, 2, 1).copy()
-    zt /= np.sqrt(norm2[hit])
+    zt = np.compress(hit, g, axis=2)
+    zt /= np.sqrt(np.compress(hit, norm2))
     x, y = zt
-    sq, xy = zt * zt, x * y
-    x2, y2 = sq
     re = np.einsum("kin,kjn->ij", zt, zt)
     im = np.einsum("in,jn->ij", y, x)
     first = (re + re.T) / 2 + 1j * (im - im.T)
+    xy = x * y
+    sq = np.square(zt, out=zt)  # zt is spent
+    x2, y2 = sq
     cross = 2.0 * np.einsum("in,jn->ij", xy, xy)
     mixed = np.einsum("in,jn->ij", y2, x2)
     sq_im = mixed + mixed.T - cross
@@ -306,8 +322,6 @@ def mc_effect(
     _check_dt(d, t)
     if phi.dim != d:
         raise ValueError(f"target state has dim {phi.dim}, expected {d}")
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
     sampler = HaarSampler(d=d, seed=seed)
     target = np.asarray(phi.vec)
     s1, s2_re, s2_im = _run_shards(

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -42,6 +43,32 @@ from steerlab.rand import random_povm, random_rank1_targets, random_unitary
 def test_sampler_validation():
     with pytest.raises(ValueError):
         HaarSampler(d=0)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: HaarSampler(2.5), "dimension d must be an integer, got 2.5"),
+    (lambda: HaarSampler(True), "dimension d must be an integer, got True"),
+    (lambda: mc_response_moments(3, 0.4, True), "sample count n must be an integer, got True"),
+    (lambda: mc_response_moments(3, 0.4, 70000.0),
+     "sample count n must be an integer, got 70000.0"),
+    (lambda: mc_effect(3, 0.4, _basis_state(3), 0), "sample count n must be >= 1, got 0"),
+    (lambda: mc_response_moments(3, 0.4, 1000, workers=True),
+     "workers must be an integer, got True"),
+    (lambda: mc_response_moments(3, 0.4, 1000, workers=0), "workers must be >= 1, got 0"),
+    (lambda: mc_effect(3, 0.4, _basis_state(3), 1000, workers=-1),
+     "workers must be >= 1, got -1"),
+], ids=["d-float", "d-bool", "n-bool", "n-float", "n-zero", "workers-bool", "workers-zero",
+        "workers-negative"])
+def test_mc_refuses_bad_counts_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_mc_takes_numpy_integer_counts():
+    want = mc_response_moments(3, 0.4, 1000, seed=2, workers=2)
+    assert mc_response_moments(np.int64(3), 0.4, np.int64(1000), seed=2,
+                               workers=np.int32(2)) == want
+    assert HaarSampler(np.int16(3), seed=2).sample_array(np.uint8(5)).shape == (5, 3)
 
 
 def test_sampler_unit_norm_and_determinism():
@@ -180,10 +207,10 @@ def _basis_state(d, k=0):
 
 
 def _block_sums(accumulate, sampler, n, shard, block):
-    # the accumulator's sums over the blocks of one shard, added in order;
-    # the buffers are larger than needed, as a worker's are
+    # the accumulator's sums over the (2, d, b) blocks of one shard, added in
+    # order; the buffers are larger than needed, as a worker's are
     re = np.empty((n + 1, sampler.d))
-    buf = np.empty((2, block, sampler.d))
+    buf = np.empty((2, sampler.d, block))
     parts = [accumulate(g) for g in sampler._blocks(shard, re[:n], buf)]
     return [sum(p) for p in zip(*parts)]
 
@@ -248,19 +275,34 @@ def test_shards_draw_the_sampler_streams():
         return (0,)
 
     _run_shards(sampler, n, 1, keep)  # one worker runs the shards and blocks in order
-    assert max(g.shape[1] for g in drawn) == _BLOCK // 3 and sum(g.shape[1] for g in drawn) == n
+    assert all(g.shape[:2] == (2, 3) for g in drawn)  # the sample index is last
+    assert max(g.shape[2] for g in drawn) == _BLOCK // 3 and sum(g.shape[2] for g in drawn) == n
     base, extra = divmod(n, 3)
+    short = 0
     for k in range(3):
         m, rows = base + (k < extra), 0
         shard = []
         while rows < m:
             shard.append(drawn.pop(0))
-            rows += shard[-1].shape[1]
+            rows += shard[-1].shape[2]
         assert rows == m
-        g = np.concatenate(shard, axis=1)
+        short += shard[-1].shape[2] < _BLOCK // 3
+        g = np.concatenate(shard, axis=2).transpose(0, 2, 1)
         assert g.tobytes() == sampler._normals(m, k).tobytes()
         assert _unit_rows(*g).tobytes() == sampler.sample_array(m, shard=k).tobytes()
     assert not drawn
+    assert short == 3  # no shard is a multiple of the block, so each ends on a short block
+
+
+def test_blocks_transpose_large_d_in_slices():
+    # at d = 40 a 4096-sample block exceeds _BLOCK numbers per plane, so it is
+    # transposed in slices; the blocks still hold the stream of _normals
+    sampler = HaarSampler(d=40, seed=5)
+    assert _BLOCK // 40 < 4096
+    blocks = [g.copy() for g in sampler._blocks(2, np.empty((5000, 40)), np.empty((2, 40, 4096)))]
+    assert [g.shape for g in blocks] == [(2, 40, 4096), (2, 40, 904)]
+    g = np.concatenate(blocks, axis=2).transpose(0, 2, 1)
+    assert g.tobytes() == sampler._normals(5000, 2).tobytes()
 
 
 @pytest.mark.parametrize("d, t", [(5, 0.3), (16, 0.05)])
@@ -279,6 +321,31 @@ def test_mc_memory_is_one_real_plane_and_a_few_blocks(d, t):
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+MC_PINS = json.loads((Path(__file__).parent / "mc_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pins", MC_PINS, ids=lambda pins: f"seed{pins['benchmark_seed']}")
+def test_mc_estimates_are_pinned(pins):
+    # the mc-simulate calls of one benchmark seed at 200,000 samples: the hit
+    # count, so the trace moment, repeats bit for bit; sums added in another
+    # order may move the other estimates by rounding only
+    seeds = np.random.default_rng(pins["benchmark_seed"]).integers(0, 2**31, 3)
+    assert [e["seed"] for e in pins["effects"]] + [pins["moments"]["seed"]] == seeds.tolist()
+    for rec in pins["effects"]:
+        d = rec["d"]
+        est = mc_effect(d, rec["t"], _basis_state(d), 200_000, seed=rec["seed"], workers=2)
+        re_im = np.array(rec["estimate"])
+        for got, want in [(est.estimate.ravel(), re_im[:, 0] + 1j * re_im[:, 1]),
+                          (est.stderr_real.ravel(), np.array(rec["stderr_real"])),
+                          (est.stderr_imag.ravel(), np.array(rec["stderr_imag"]))]:
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    rec = pins["moments"]
+    est = mc_response_moments(rec["d"], rec["t"], 200_000, seed=rec["seed"], workers=2)
+    assert (est.trace, est.trace_stderr) == (rec["trace"], rec["trace_stderr"])
+    for key in ("aligned", "aligned_stderr"):
+        assert abs(getattr(est, key) - rec[key]) <= 1e-13 * rec[key]
 
 
 def test_sampler_stream_is_pinned():

@@ -499,9 +499,10 @@ def test_mub_pair_overlaps():
                 assert abs(overlap - 1.0 / d) < 1e-12
 
 
-def test_mub_pair_rejects_composite():
-    with pytest.raises(ValueError):
-        mub_pair(1)
+@pytest.mark.parametrize("d", [1, 0, -3])
+def test_mub_pair_rejects_dimension_below_two(d):
+    with pytest.raises(ValueError, match="dimension >= 2"):
+        mub_pair(d)
 
 
 # ---------------------------------------------------------------------------
