@@ -13,6 +13,8 @@ from enum import Enum
 
 import numpy as np
 
+from .linalg import check_int, check_unit
+
 
 class RegionLabel(Enum):
     UNLIMITED_ONE_WAY = "UNLIMITED_ONE_WAY"
@@ -24,8 +26,7 @@ class RegionLabel(Enum):
 def p_threshold_all(d: int) -> float:
     """Visibility above which full-dimension steering is certified with all
     measurements: (d sqrt(d/(d+1)) - 1)/(d - 1). The inequality is strict."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_int("dimension d", d, 2)
     return (d * np.sqrt(d / (d + 1.0)) - 1.0) / (d - 1.0)
 
 
@@ -33,26 +34,17 @@ def p_threshold_two_mubs(d: int) -> float:
     """Visibility at which a pair of mutually unbiased bases certifies
     full-dimension steering: ((d + sqrt(d) - 1) sqrt(d-1) - 1) /
     ((d-1)(sqrt(d-1) + 1))."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_int("dimension d", d, 2)
     rd = np.sqrt(float(d))
     rdm1 = np.sqrt(d - 1.0)
     return ((d + rd - 1.0) * rdm1 - 1.0) / ((d - 1.0) * (rdm1 + 1.0))
 
 
-def _check_unit(name: str, x) -> None:
-    """Reject any value outside [0, 1] (NaN included)."""
-    x = np.asarray(x)
-    if np.any(~((x >= 0.0) & (x <= 1.0))):
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
-
-
 def eta_unsteerable_bound(d: int, p):
     """Transmission below which the lossy-noisy side is unsteerable: (1-p)^(d-1).
     The inequality is non-strict. ``p`` may be a float or an array."""
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    _check_unit("p", p)
+    check_int("dimension d", d, 2)
+    check_unit("p", p)
     return (1.0 - p) ** (d - 1)
 
 
@@ -93,8 +85,7 @@ class ThresholdReport:
     d: int
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
+        object.__setattr__(self, "d", check_int("dimension d", self.d, 2))
 
     @property
     def p_all_meas(self) -> float:
@@ -121,8 +112,8 @@ def classify(d: int, eta: float, p: float) -> RegionLabel:
     unsteerability certificate needs ``eta <= (1-p)^(d-1)``. Points
     satisfying neither are UNDETERMINED, not declared anything.
     """
-    _check_unit("eta", eta)
-    _check_unit("p", p)
+    check_unit("eta", eta)
+    check_unit("p", p)
     return _REGIONS[_region_code(d, eta, p)]
 
 
@@ -180,10 +171,8 @@ def phase_diagram(d: int, grid_n: int) -> PhaseDiagram:
     is guaranteed to contain at least one UNLIMITED_ONE_WAY cell, and that
     is checked.
     """
-    if grid_n < 2:
-        raise ValueError(f"grid_n must be >= 2, got {grid_n}")
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
+    check_int("grid_n", grid_n, 2)
+    check_int("dimension d", d, 2)
     etas = eta_grid(d, grid_n)
     ps = np.linspace(0.0, 1.0, grid_n + 1)
     codes = _region_code(d, etas[:, None], ps[None, :])

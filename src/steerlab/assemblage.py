@@ -9,9 +9,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    check_int,
     dagger,
     distributions,
-    document_int,
     entries_to_matrix,
     first_false,
     frobenius_each,
@@ -124,7 +124,7 @@ class Assemblage:
         """Inverse of :meth:`to_document`. The entries of each setting may
         come in any order, but their ``a`` must be exactly 0..n_x-1."""
         try:
-            dim = document_int(doc["dim"], "malformed assemblage document: dim")
+            dim = check_int("malformed assemblage document: dim", doc["dim"], 1)
             settings = list(doc["settings"])
             for x, setting in enumerate(settings):
                 if setting in settings[:x]:
@@ -135,7 +135,7 @@ class Assemblage:
                     raise ValueError(f"an entry has setting {e['x']!r}, which is not in "
                                      f"settings {settings}")
                 x = settings.index(e["x"])
-                a = document_int(e["a"], "malformed assemblage document: entry a")
+                a = check_int("malformed assemblage document: entry a", e["a"], 0)
                 rows[x].append((a, entries_to_matrix(e["matrix"], dim, dim)))
         except TypeError as exc:
             raise ValueError(f"malformed assemblage document: {exc}") from exc
@@ -225,9 +225,7 @@ def filter_entries(entries, eta: float, counts) -> np.ndarray:
     stack as :func:`~steerlab.linalg.locate` does.
     """
     _check_eta(eta)
-    d = entries.shape[-1] - 1
-    if d < 1:
-        raise ValueError("lossy assemblage must have dimension at least 2")
+    d = check_int("lossy assemblage dimension", entries.shape[-1], 2) - 1
     coherence = np.maximum(np.abs(entries[..., :d, d]).max(axis=-1),
                            np.abs(entries[..., d, :d]).max(axis=-1))
     bad = first_false(coherence <= 1e-8)

@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .covariant import HaarSampler, ResponseFunctionModel
-from .linalg import dagger, distributions, inv_sqrt, psd_stack
+from .linalg import check_int, dagger, distributions, inv_sqrt, psd_stack
 from .lossy import noisify_povm
 from .objects import Povm
 
@@ -166,6 +166,8 @@ class DiscreteParent:
                 raise ValueError(f"parent states must have shape (n_atoms, d) = "
                                  f"{(self.n_atoms, self.d)}, got {states.shape}")
             object.__setattr__(self, "states", states)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
     @property
     def d(self) -> int:

@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .analysis import certified_unsteerable, eta_unsteerable_bound
-from .linalg import eig_hermitian
+from .linalg import check_int, check_unit, eig_hermitian
 from .lossy import NoiseParams
 from .objects import NO_CLICK, Povm, PureState
 
@@ -54,7 +54,8 @@ class HaarSampler:
     seed: int = 0
 
     def __post_init__(self):
-        _check_count("dimension d", self.d)
+        object.__setattr__(self, "d", check_int("dimension d", self.d, 1))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
     def _rng(self, shard: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, shard])
@@ -83,7 +84,7 @@ class HaarSampler:
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent stream."""
-        _check_count("sample count n", n)
+        check_int("sample count n", n, 1)
         if self.d == 1:
             return np.ones((n, 1), dtype=complex)
         return _unit_rows(*self._normals(n, shard))
@@ -95,15 +96,6 @@ def _transpose_into(out: np.ndarray, rows: np.ndarray) -> None:
     step = max(_BLOCK // rows.shape[1], 1)
     for j in range(0, len(rows), step):
         out[:, j:j + step] = rows[j:j + step].T
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse a ``value`` below 1 or not a Python or numpy integer; a bool
-    is an int, so it is refused too."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -119,10 +111,8 @@ def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 
 
 def _check_dt(d: int, t: float) -> None:
-    if d < 2:
-        raise ValueError(f"dimension must be >= 2, got {d}")
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"threshold t must lie in [0, 1], got {t}")
+    check_int("dimension d", d, 2)
+    check_unit("threshold t", t)
 
 
 def aligned_weight(d: int, t: float) -> float:
@@ -210,9 +200,9 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
     The accumulators call no BLAS routine, whose own threads would compete
     with the workers.
     """
-    _check_count("sample count n", n)
+    check_int("sample count n", n, 1)
     if workers is not None:
-        _check_count("workers", workers)
+        check_int("workers", workers, 1)
     shards = -(-n // _CHUNK)
     workers = min(default_workers() if workers is None else workers, shards)
     base, extra = divmod(n, shards)

@@ -67,12 +67,23 @@ def entries_to_matrix(entries, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def document_int(value, what: str) -> int:
-    """``value`` if it is a JSON integer, else a ValueError naming ``what``:
-    ``int()`` would read 2.9 and "2" as 2, and a bool is an int."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+def check_int(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int if it is a Python or numpy integer >= ``minimum``,
+    else a ValueError naming ``name``: ``int()`` would read 2.9 and "2" as 2,
+    and a bool is an int, so floats, strings and bools are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def check_unit(name: str, x) -> None:
+    """Refuse a probability ``x``, a scalar or an array, with a value outside
+    [0, 1], NaN included, by a ValueError naming ``name``."""
+    x = np.asarray(x)
+    if not np.all((x >= 0.0) & (x <= 1.0)):
+        raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -118,9 +129,7 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     The reduced operator on the kept subsystem. The trace is preserved.
     """
     m = as_complex_matrix(m)
-    da, db = int(dims[0]), int(dims[1])
-    if da < 1 or db < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
+    da, db = (check_int("subsystem dimension", d, 1) for d in dims)
     if m.shape != (da * db, da * db):
         raise ValueError(
             f"matrix side {m.shape} does not match dims {da}x{db} = {da * db}"

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import distributions, first_false, locate, psd_stack
+from .linalg import check_int, check_unit, distributions, first_false, locate, psd_stack
 from .objects import NO_CLICK, Povm, _noisify, lossy_noisy_channel
 
 
@@ -26,12 +26,9 @@ class NoiseParams:
     p: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        object.__setattr__(self, "d", check_int("dimension d", self.d, 1))
+        check_unit("eta", self.eta)
+        check_unit("p", self.p)
 
 
 @dataclass(frozen=True, eq=False)

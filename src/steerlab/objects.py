@@ -14,7 +14,8 @@ import numpy as np
 
 from .linalg import (
     as_complex_matrix,
-    document_int,
+    check_int,
+    check_unit,
     entries_to_matrix,
     first_false,
     freeze_array,
@@ -32,21 +33,11 @@ Label = int | str
 
 
 def _subsystem_dims(dims) -> tuple[int, ...]:
-    """``dims`` as a tuple of ints: at least one subsystem, each of dimension >= 1.
-
-    Python and numpy integers pass; ``int()`` would read 2.9 as 2, and a
-    bool is an int, so other types are refused.
-    """
-    dims = tuple(dims)
-    bad = next((d for d in dims if isinstance(d, bool) or not isinstance(d, (int, np.integer))),
-               None)
-    if bad is not None:
-        raise ValueError(f"subsystem dimensions must be integers, got {bad!r}")
-    dims = tuple(int(d) for d in dims)
+    """``dims`` as a tuple of ints: at least one subsystem, each of dimension
+    >= 1 (:func:`~steerlab.linalg.check_int`)."""
+    dims = tuple(check_int("subsystem dimension", d, 1) for d in dims)
     if not dims:
         raise ValueError("a state needs at least one subsystem dimension")
-    if min(dims) < 1:
-        raise ValueError(f"subsystem dimensions must be >= 1, got {dims}")
     return dims
 
 
@@ -133,8 +124,8 @@ class DensityOperator:
     @classmethod
     def from_document(cls, doc: dict) -> "DensityOperator":
         try:
-            dims = _subsystem_dims(document_int(d, "density-operator document dims entry")
-                                   for d in doc["dims"])
+            dims = tuple(check_int("density-operator document dims entry", d, 1)
+                         for d in doc["dims"])
             side = int(np.prod(dims))
             mat = entries_to_matrix(doc["entries"], side, side)
         except TypeError as exc:
@@ -211,9 +202,7 @@ class Povm:
         for label in (e.get("label") for e in effects):
             if isinstance(label, bool) or not isinstance(label, (int, str)):
                 raise ValueError(f"effect labels must be integers or strings, got {label!r}")
-        dim = document_int(doc.get("dim"), "POVM document dim")
-        if dim < 1:
-            raise ValueError(f"POVM document dim must be >= 1, got {dim}")
+        dim = check_int("POVM document dim", doc.get("dim"), 1)
         try:
             mats = [entries_to_matrix(e["entries"], dim, dim) for e in effects]
         except TypeError as exc:
@@ -276,12 +265,9 @@ class WhiteNoise(Channel):
     replaces it with the maximally mixed state."""
 
     def __init__(self, p: float, d: int):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"visibility p must lie in [0, 1], got {p}")
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        check_unit("visibility p", p)
         self.p = float(p)
-        self.d = int(d)
+        self.d = check_int("dimension d", d, 1)
         self.in_dim = self.out_dim = self.d
 
     def kraus_operators(self) -> list[np.ndarray]:
@@ -306,12 +292,9 @@ class Loss(Channel):
     space."""
 
     def __init__(self, eta: float, d: int):
-        if not 0.0 <= eta <= 1.0:
-            raise ValueError(f"transmission eta must lie in [0, 1], got {eta}")
-        if d < 1:
-            raise ValueError(f"dimension must be >= 1, got {d}")
+        check_unit("transmission eta", eta)
         self.eta = float(eta)
-        self.d = int(d)
+        self.d = check_int("dimension d", d, 1)
         self.in_dim = self.d
         self.out_dim = self.d + 1
 
@@ -417,8 +400,7 @@ def apply_channel(c: Channel, rho: DensityOperator, on_subsystem: int) -> Densit
 
 def phi_plus(d: int) -> PureState:
     """Maximally entangled two-qudit state (1/sqrt(d)) sum_k |k,k>."""
-    if d < 2:
-        raise ValueError(f"phi_plus requires d >= 2, got {d}")
+    d = check_int("dimension d", d, 2)
     vec = np.zeros(d * d, dtype=complex)
     for k in range(d):
         vec[k * d + k] = 1.0
@@ -432,12 +414,9 @@ def one_way_state(d: int, eta: float, p: float) -> DensityOperator:
     with the d-dimensional second factor embedded as the first d levels of
     the enlarged (d+1)-dimensional space.
     """
-    if d < 2:
-        raise ValueError(f"one_way_state requires d >= 2, got {d}")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"eta must lie in [0, 1], got {eta}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
+    d = check_int("dimension d", d, 2)
+    check_unit("eta", eta)
+    check_unit("p", p)
     db = d + 1
     mat = np.zeros((d * db, d * db), dtype=complex)
     # maximally entangled block
@@ -461,8 +440,7 @@ def mub_pair(d: int) -> tuple[Povm, Povm]:
     The two bases are mutually unbiased in every dimension d >= 2: every
     cross overlap |<e_i|f_j>|^2 equals 1/d.
     """
-    if d < 2:
-        raise ValueError(f"mub_pair requires a dimension >= 2, got {d}")
+    d = check_int("dimension d", d, 2)
     comp = np.zeros((d, d, d), dtype=complex)
     comp[np.arange(d), np.arange(d), np.arange(d)] = 1.0
     omega = np.exp(2j * np.pi / d)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import dagger, inv_sqrt
+from .linalg import check_int, dagger, inv_sqrt
 from .objects import DensityOperator, Povm
 
 
@@ -26,6 +26,7 @@ def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 
 def random_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed unitary via phase-fixed QR of a Ginibre matrix."""
+    check_int("dimension d", d, 1)
     rng = rng_from(rng)
     q, r = np.linalg.qr(_ginibre(rng, d, d))
     phases = np.diag(r) / np.abs(np.diag(r))
@@ -55,6 +56,7 @@ def gram_povms(normals: np.ndarray) -> np.ndarray:
 
 def random_density(d: int, rng, dims: tuple[int, ...] | None = None) -> DensityOperator:
     """Full-rank random density matrix from a normalized Gram matrix."""
+    check_int("dimension d", d, 1)
     rng = rng_from(rng)
     return DensityOperator(gram_densities(rng.standard_normal((2, d, d))),
                            dims if dims is not None else (d,))
@@ -62,6 +64,8 @@ def random_density(d: int, rng, dims: tuple[int, ...] | None = None) -> DensityO
 
 def random_povm(d: int, n_outcomes: int, rng) -> Povm:
     """Generic full-rank POVM with ``n_outcomes`` effects on dimension ``d``."""
+    check_int("dimension d", d, 1)
+    check_int("outcome count n_outcomes", n_outcomes, 1)
     rng = rng_from(rng)
     return Povm(gram_povms(rng.standard_normal((n_outcomes, 2, d, d))))
 
@@ -72,7 +76,8 @@ def random_rank1_targets(d: int, n_outcomes: int, rng) -> list[tuple[float, np.n
     The weights sum to d and sum_i w_i |phi_i><phi_i| = I exactly (up to
     roundoff); requires ``n_outcomes >= d``.
     """
-    if n_outcomes < d:
+    check_int("dimension d", d, 1)
+    if check_int("outcome count n_outcomes", n_outcomes, 1) < d:
         raise ValueError("need at least d rank-one effects to resolve the identity")
     rng = rng_from(rng)
     vecs = [_ginibre(rng, d, 1).ravel() for _ in range(n_outcomes)]

@@ -1,4 +1,5 @@
 import functools
+import json
 import re
 
 import numpy as np
@@ -6,7 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steerlab.analysis import (
+    ThresholdReport,
+    classify,
+    eta_unsteerable_bound,
+    p_threshold_all,
+    p_threshold_two_mubs,
+    phase_diagram,
+)
+from steerlab.assemblage import Assemblage, steer
+from steerlab.certifier import JmCertificate, discretize_parent
+from steerlab.covariant import HaarSampler, ResponseFunctionModel, aligned_weight
 from steerlab.linalg import (
+    check_int,
+    check_unit,
     dagger,
     eig_hermitian,
     frobenius,
@@ -17,8 +31,18 @@ from steerlab.linalg import (
     psd_stack,
     tensor,
 )
-from steerlab.certifier import discretize_parent
-from steerlab.rand import random_povm, random_unitary
+from steerlab.lossy import NoiseParams
+from steerlab.objects import (
+    DensityOperator,
+    Loss,
+    Povm,
+    PureState,
+    WhiteNoise,
+    mub_pair,
+    one_way_state,
+    phi_plus,
+)
+from steerlab.rand import random_density, random_povm, random_rank1_targets, random_unitary
 
 
 def _rand_complex(rng, rows, cols):
@@ -400,3 +424,125 @@ def test_inv_sqrt_names_a_singular_matrix():
         inv_sqrt(mats)
     with pytest.raises(ValueError, match=r"^matrix is singular"):
         inv_sqrt(mats[1, 2])
+
+
+# ---------------------------------------------------------------------------
+# integer and probability arguments
+# ---------------------------------------------------------------------------
+
+
+def test_check_int_returns_a_python_int():
+    for value in (3, np.int64(3), np.uint8(3)):
+        assert type(check_int("n", value, 1)) is int and check_int("n", value, 1) == 3
+    for value in (np.float64(3.0), np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {re.escape(repr(value))}"):
+            check_int("n", value, 1)
+
+
+def test_check_unit_refuses_any_entry_outside_the_unit_interval():
+    check_unit("p", np.linspace(0.0, 1.0, 5))
+    check_unit("p", 0.0)
+    for bad in (np.array([0.5, np.nan]), np.array([[0.0], [-1e-300]]), 1.0 + 1e-15):
+        with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got"):
+            check_unit("p", bad)
+
+
+def _assemblage_document(**changes):
+    doc = steer(one_way_state(2, 0.6, 0.4), list(mub_pair(2)), 0).to_document()
+    return dict(doc, **changes)
+
+
+def _assemblage_document_with_a(a):
+    doc = _assemblage_document()
+    doc["entries"][0] = dict(doc["entries"][0], a=a)
+    return doc
+
+
+#: (name in the message, its least value, a valid value, call with the value)
+_INT_ARGUMENTS = {
+    "WhiteNoise-d": ("dimension d", 1, 2, lambda v: WhiteNoise(0.5, v)),
+    "Loss-d": ("dimension d", 1, 2, lambda v: Loss(0.5, v)),
+    "NoiseParams-d": ("dimension d", 1, 2, lambda v: NoiseParams(v, 0.5, 0.5)),
+    "ResponseFunctionModel-d": ("dimension d", 1, 2, lambda v: ResponseFunctionModel(
+        mub_pair(2)[0], NoiseParams(v, 0.1, 0.5))),
+    "p_threshold_all-d": ("dimension d", 2, 3, p_threshold_all),
+    "p_threshold_two_mubs-d": ("dimension d", 2, 3, p_threshold_two_mubs),
+    "eta_unsteerable_bound-d": ("dimension d", 2, 3, lambda v: eta_unsteerable_bound(v, 0.5)),
+    "ThresholdReport-d": ("dimension d", 2, 3, ThresholdReport),
+    "phase_diagram-d": ("dimension d", 2, 3, lambda v: phase_diagram(v, 10)),
+    "phase_diagram-grid_n": ("grid_n", 2, 10, lambda v: phase_diagram(3, v)),
+    "partial_trace-dims": ("subsystem dimension", 1, 2,
+                           lambda v: partial_trace(np.eye(4) / 4, (v, 2), 0)),
+    "PureState-dims": ("subsystem dimension", 1, 2, lambda v: PureState(np.eye(2)[0], (v,))),
+    "phi_plus-d": ("dimension d", 2, 3, phi_plus),
+    "one_way_state-d": ("dimension d", 2, 3, lambda v: one_way_state(v, 0.5, 0.5)),
+    "mub_pair-d": ("dimension d", 2, 3, mub_pair),
+    "aligned_weight-d": ("dimension d", 2, 3, lambda v: aligned_weight(v, 0.4)),
+    "HaarSampler-d": ("dimension d", 1, 3, HaarSampler),
+    "HaarSampler-seed": ("seed", 0, 3, lambda v: HaarSampler(3, seed=v)),
+    "discretize_parent-seed": ("seed", 0, 3, lambda v: discretize_parent(2, 10, seed=v)),
+    "random_unitary-d": ("dimension d", 1, 2, lambda v: random_unitary(v, 0)),
+    "random_density-d": ("dimension d", 1, 2, lambda v: random_density(v, 0)),
+    "random_povm-d": ("dimension d", 1, 2, lambda v: random_povm(v, 2, 0)),
+    "random_povm-n_outcomes": ("outcome count n_outcomes", 1, 2, lambda v: random_povm(2, v, 0)),
+    "random_rank1_targets-d": ("dimension d", 1, 2, lambda v: random_rank1_targets(v, 3, 0)),
+    "random_rank1_targets-n_outcomes": ("outcome count n_outcomes", 1, 3,
+                                        lambda v: random_rank1_targets(1, v, 0)),
+    "Povm-document-dim": ("POVM document dim", 1, 2, lambda v: Povm.from_document(
+        dict(mub_pair(2)[0].to_document(), dim=v))),
+    "DensityOperator-document-dims": (
+        "density-operator document dims entry", 1, 2, lambda v: DensityOperator.from_document(
+            dict(one_way_state(2, 0.6, 0.4).to_document(), dims=[v, 3]))),
+    "Assemblage-document-dim": ("malformed assemblage document: dim", 1, 3,
+                                lambda v: Assemblage.from_document(_assemblage_document(dim=v))),
+    "Assemblage-document-a": ("malformed assemblage document: entry a", 0, 0,
+                              lambda v: Assemblage.from_document(_assemblage_document_with_a(v))),
+}
+
+#: (name in the message, call with the value)
+_UNIT_ARGUMENTS = {
+    "WhiteNoise-p": ("visibility p", lambda v: WhiteNoise(v, 2)),
+    "Loss-eta": ("transmission eta", lambda v: Loss(v, 2)),
+    "NoiseParams-eta": ("eta", lambda v: NoiseParams(2, v, 0.5)),
+    "NoiseParams-p": ("p", lambda v: NoiseParams(2, 0.5, v)),
+    "one_way_state-eta": ("eta", lambda v: one_way_state(2, v, 0.5)),
+    "one_way_state-p": ("p", lambda v: one_way_state(2, 0.5, v)),
+    "eta_unsteerable_bound-p": ("p", lambda v: eta_unsteerable_bound(2, v)),
+    "classify-eta": ("eta", lambda v: classify(2, v, 0.5)),
+    "classify-p": ("p", lambda v: classify(2, 0.5, v)),
+    "aligned_weight-t": ("threshold t", lambda v: aligned_weight(2, v)),
+}
+
+
+def _argument_cases():
+    for key, (name, least, good, call) in _INT_ARGUMENTS.items():
+        yield pytest.param(call, good + 0.5, f"{name} must be an integer, got {good + 0.5!r}",
+                           id=f"{key}-float")
+        yield pytest.param(call, True, f"{name} must be an integer, got True", id=f"{key}-bool")
+        yield pytest.param(call, least - 1, f"{name} must be >= {least}, got {least - 1}",
+                           id=f"{key}-below")
+        yield pytest.param(call, np.int64(good), None, id=f"{key}-numpy")
+    for key, (name, call) in _UNIT_ARGUMENTS.items():
+        for value in (np.nan, 1.5):
+            yield pytest.param(call, value, f"{name} must lie in [0, 1], got {value}",
+                               id=f"{key}-{value}")
+
+
+@pytest.mark.parametrize("call, value, message", _argument_cases())
+def test_arguments_are_refused_by_name(call, value, message):
+    # a numpy integer is a valid argument; a float, a bool, a value below the
+    # least one and a probability outside [0, 1] are refused by name
+    if message is None:
+        call(value)
+        return
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+def test_documents_from_numpy_integers_are_json():
+    report = ThresholdReport(np.int64(3)).to_document()
+    parent = discretize_parent(2, 10, seed=np.int64(3))
+    cert = JmCertificate(parent, (np.full((2, 10), 0.5),), residual=0.0, tol=1e-4)
+    assert json.loads(json.dumps(report))["d"] == 3
+    assert json.loads(json.dumps(cert.to_document()))["seed"] == 3
+    assert type(NoiseParams(np.int8(2), 0.5, 0.5).d) is int

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,9 +91,10 @@ def test_states_refuse_bad_subsystem_dims(dims):
                          ids=["float", "bool", "str", "numpy-float"])
 def test_states_refuse_subsystem_dims_that_are_not_integers(dims):
     # int() would read each of these as a valid dimension
-    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+    message = re.escape(f"subsystem dimension must be an integer, got {dims[0]!r}")
+    with pytest.raises(ValueError, match=message):
         PureState(np.eye(2)[0], dims)
-    with pytest.raises(ValueError, match="subsystem dimensions must be integers"):
+    with pytest.raises(ValueError, match=message):
         DensityOperator(np.eye(2) / 2, dims)
 
 
@@ -106,7 +109,9 @@ def test_density_document_refuses_bad_subsystem_dims(dims):
     # (-1, -2) multiply to a valid side of 2 and () to a side of 1
     side = max(int(np.prod(dims)), 1)
     doc = {"dims": list(dims), "entries": matrix_to_entries(np.eye(side) / side)}
-    with pytest.raises(ValueError, match="subsystem dimension"):
+    message = (f"density-operator document dims entry must be >= 1, got {dims[0]}" if dims
+               else "subsystem dimension")
+    with pytest.raises(ValueError, match=message):
         DensityOperator.from_document(doc)
 
 
@@ -501,7 +506,7 @@ def test_mub_pair_overlaps():
 
 @pytest.mark.parametrize("d", [1, 0, -3])
 def test_mub_pair_rejects_dimension_below_two(d):
-    with pytest.raises(ValueError, match="dimension >= 2"):
+    with pytest.raises(ValueError, match=f"dimension d must be >= 2, got {d}"):
         mub_pair(d)
 
 
