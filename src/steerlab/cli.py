@@ -34,7 +34,7 @@ _LEMMA1_TRIALS, _LEMMA1_SETTINGS, _LEMMA1_OUTCOMES = 50, 2, 2
 
 
 def _emit(doc, path: str | None) -> None:
-    text = json.dumps(doc, ensure_ascii=False, allow_nan=False)
+    text = json.dumps(doc, ensure_ascii=False, allow_nan=False, check_circular=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

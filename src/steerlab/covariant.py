@@ -23,7 +23,7 @@ from functools import reduce
 import numpy as np
 
 from .analysis import certified_unsteerable, eta_unsteerable_bound
-from .linalg import check_int, check_unit, eig_hermitian
+from .linalg import check_int, check_unit, dagger
 from .lossy import NoiseParams
 from .objects import NO_CLICK, Povm, PureState
 
@@ -328,11 +328,12 @@ def mc_effect(
     )
 
 
-def _simulated_piece(d: int, t: float, alpha: float, vec: np.ndarray) -> np.ndarray:
-    """Simulated effect of one rank-one piece ``alpha |phi><phi|``:
-    ``(alpha/d) (aligned P + orthogonal (I - P)/(d-1))`` with P = |phi><phi|."""
-    proj = np.outer(vec, vec.conj())
-    return (alpha / d) * (
+def _simulated_piece(d: int, t: float, alphas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """(n, d, d) stack of the simulated effects ``(alpha/d) (aligned P +
+    orthogonal (I - P)/(d-1))`` of the pieces ``alpha P``, P = |phi><phi|, one
+    per entry of ``alphas`` and row ``phi`` of ``vecs``; the phase of phi cancels."""
+    proj = vecs[:, :, None] * vecs[:, None, :].conj()
+    return (alphas[:, None, None] / d) * (
         aligned_weight(d, t) * proj
         + orthogonal_weight(d, t) * (np.eye(d, dtype=complex) - proj) / (d - 1)
     )
@@ -341,7 +342,7 @@ def _simulated_piece(d: int, t: float, alpha: float, vec: np.ndarray) -> np.ndar
 def analytic_effect(d: int, t: float, phi: PureState) -> np.ndarray:
     """Closed form of the single-target simulated effect."""
     _check_dt(d, t)
-    return _simulated_piece(d, t, d, phi.vec)
+    return _simulated_piece(d, t, np.array([d]), phi.vec[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +369,12 @@ class ResponseFunctionModel:
     a parent POVM and one relabelling table.
 
     Each effect of the target is refined into rank-one pieces, its
-    eigenvalues above 1e-12 with their eigenvectors. The response keeps a
-    proposed piece when the covariant parent's outcome overlaps its state by
-    at least ``t = p``. Grouping parent outcomes by the accepted piece, plus
-    the never-accepted remainder, gives :meth:`parent_effects`;
+    eigenvalues above 1e-12 with their eigenvectors, all from one batched
+    ``eigh`` of the effects' Hermitian parts; the order of an outcome's
+    pieces and the phases of their vectors are unspecified. The response
+    keeps a proposed piece when the covariant parent's outcome overlaps its
+    state by at least ``t = p``. Grouping parent outcomes by the accepted
+    piece, plus the never-accepted remainder, gives :meth:`parent_effects`;
     :meth:`relabelling` reports each piece's outcome, turned into no-click
     with probability ``vacuum_mix`` (the extra noise needed below the exact
     transmission ``(1-p)^(d-1)``). Refuses a target with a no-click outcome
@@ -392,13 +395,11 @@ class ResponseFunctionModel:
             raise ValueError(f"transmission eta={params.eta} exceeds the compatibility bound "
                              f"(1-p)^(d-1)={eta_unsteerable_bound(params.d, params.p)}; "
                              "no covariant model is available")
-        # (owning outcome, eigenvalue, eigenvector) of each rank-one piece
-        pieces = [(a, lam, vec) for a, (evals, evecs) in enumerate(map(eig_hermitian, m.effects))
-                  for lam, vec in zip(evals, evecs.T) if lam > 1e-12]
-        owners, alphas, vecs = zip(*pieces)
-        object.__setattr__(self, "_alphas", np.array(alphas))
-        object.__setattr__(self, "_vecs", np.array(vecs))
-        object.__setattr__(self, "_owners", np.array(owners))
+        evals, evecs = np.linalg.eigh((m.effects + dagger(m.effects)) / 2.0)
+        owners, k = np.nonzero(evals > 1e-12)
+        object.__setattr__(self, "_alphas", evals[owners, k])
+        object.__setattr__(self, "_vecs", evecs[owners, :, k])
+        object.__setattr__(self, "_owners", owners)
 
     @property
     def d(self) -> int:
@@ -422,9 +423,8 @@ class ResponseFunctionModel:
     def parent_effects(self) -> np.ndarray:
         """The parent POVM: the simulated effect of each rank-one piece, then
         the never-accepted remainder ``I - sum``, as an (n_pieces + 1, d, d) array."""
-        pieces = [_simulated_piece(self.d, self.t, alpha, vec)
-                  for alpha, vec in zip(self._alphas.tolist(), self._vecs)]
-        return np.stack(pieces + [np.eye(self.d, dtype=complex) - sum(pieces)])
+        pieces = _simulated_piece(self.d, self.t, self._alphas, self._vecs)
+        return np.concatenate([pieces, [np.eye(self.d, dtype=complex) - pieces.sum(axis=0)]])
 
     def relabelling(self) -> np.ndarray:
         """The post-processing p(outcome | parent outcome) of the parent.

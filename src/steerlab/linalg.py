@@ -18,11 +18,6 @@ import numpy as np
 #: Absolute tolerance for Hermiticity checks; downstream PSD checks inherit it.
 HERMITICITY_TOL = 1e-10
 
-#: Cutoff used when locating the first nonzero eigenvector component
-#: for deterministic phase fixing (unit vectors always have a component
-#: of magnitude >= 1/sqrt(d), far above this).
-_PHASE_FIX_CUTOFF = 1e-8
-
 
 def as_complex_matrix(m) -> np.ndarray:
     """Return ``m`` as a 2-d complex128 array, rejecting other shapes."""
@@ -79,9 +74,11 @@ def check_int(name: str, value, minimum: int) -> int:
 
 
 def check_unit(name: str, x) -> None:
-    """Refuse a probability ``x``, a scalar or an array, with a value outside
-    [0, 1], NaN included, by a ValueError naming ``name``."""
+    """Refuse a probability ``x``, a scalar or an array, that is boolean or
+    has a value outside [0, 1], NaN included, by a ValueError naming ``name``."""
     x = np.asarray(x)
+    if x.dtype == bool:
+        raise ValueError(f"{name} must be a number, got {x}")
     if not np.all((x >= 0.0) & (x <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1], got {x}")
 
@@ -129,6 +126,8 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     The reduced operator on the kept subsystem. The trace is preserved.
     """
     m = as_complex_matrix(m)
+    if len(dims) != 2:
+        raise ValueError(f"dims must be a pair of subsystem dimensions, got {dims}")
     da, db = (check_int("subsystem dimension", d, 1) for d in dims)
     if m.shape != (da * db, da * db):
         raise ValueError(
@@ -140,14 +139,6 @@ def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray
     if keep == 0:
         return np.einsum("ijkj->ik", t)
     return np.einsum("ijil->jl", t)
-
-
-def is_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    """True iff ``m`` is square and equals its conjugate transpose within ``tol``."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.max(np.abs(m - dagger(m))) <= tol)
 
 
 def _min_eigenvalues(stack: np.ndarray, tol: float) -> np.ndarray | None:
@@ -178,7 +169,7 @@ def is_psd(m: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     m = as_complex_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ValueError("is_psd requires a square matrix")
-    return is_hermitian(m, tol) and _min_eigenvalues(m, tol) is None
+    return bool(np.max(np.abs(m - dagger(m))) <= tol) and _min_eigenvalues(m, tol) is None
 
 
 def locate(index: tuple) -> str:
@@ -238,36 +229,6 @@ def distributions(q, sum_tol: float, axis: int = 0) -> np.ndarray:
     entry is below -1e-12 and the sum is within ``sum_tol`` of 1; NaN fails."""
     q = np.asarray(q, dtype=float)
     return np.all(q >= -1e-12, axis=axis) & (np.abs(q.sum(axis=axis) - 1.0) <= sum_tol)
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with reproducible output.
-
-    Eigenvalues are returned in descending order. Each eigenvector (column
-    ``i`` of the second return value) has its first component of magnitude
-    above a fixed cutoff phase-fixed to be real positive, so repeated runs
-    on identical input produce identical output.
-
-    Raises
-    ------
-    ValueError
-        If ``m`` is not Hermitian within the module tolerance.
-    """
-    m = as_complex_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("eig_hermitian requires a square matrix")
-    if not is_hermitian(m, HERMITICITY_TOL):
-        raise ValueError("matrix is not Hermitian within tolerance 1e-10")
-    evals, evecs = np.linalg.eigh((m + dagger(m)) / 2.0)
-    evals = evals[::-1].copy()
-    evecs = evecs[:, ::-1].copy()
-    for i in range(evecs.shape[1]):
-        col = evecs[:, i]
-        idx = np.flatnonzero(np.abs(col) > _PHASE_FIX_CUTOFF)
-        j = idx[0] if idx.size else int(np.argmax(np.abs(col)))
-        phase = col[j] / abs(col[j])
-        evecs[:, i] = col / phase
-    return evals, evecs
 
 
 def inv_sqrt(m: np.ndarray) -> np.ndarray:

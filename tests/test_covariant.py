@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerlab.analysis import certified_unsteerable, eta_unsteerable_bound
-from steerlab.certifier import exact_certificate
+from steerlab.certifier import exact_certificate, verify_certificate
 import steerlab
 from steerlab.covariant import (
     _BLOCK,
@@ -612,3 +612,31 @@ def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
     assert probs.shape == (len(labels) + 1, 200)
     assert np.all(probs >= -1e-12)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(2, 6),
+    n_outcomes=st.integers(1, 4),
+    data=st.data(),
+    p=st.floats(0.0, 0.95),
+    scale=st.sampled_from([1.0]) | st.floats(1e-6, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_model_is_exact_on_degenerate_and_rank_deficient_targets(d, n_outcomes, data, p,
+                                                                 scale, seed):
+    # each basis vector of a random unitary goes whole to one outcome or half
+    # to each of two, so the effects repeat the weights 1 and 1/2 and most
+    # miss some basis vectors; the pieces must still rebuild them exactly
+    outcome = st.integers(0, n_outcomes - 1)
+    split = data.draw(st.lists(st.tuples(outcome, outcome), min_size=d, max_size=d))
+    weights = np.zeros((n_outcomes, d))
+    for k, (a, b) in enumerate(split):
+        weights[a, k] += 0.5
+        weights[b, k] += 0.5
+    u = random_unitary(d, seed)
+    target = Povm((u * weights[:, None, :]) @ dagger(u))
+    params = NoiseParams(d=d, eta=scale * eta_unsteerable_bound(d, p), p=p)
+    model = ResponseFunctionModel(target, params)
+    assert len(model.parent_effects()) == np.count_nonzero(weights) + 1
+    assert verify_certificate(exact_certificate(model), [noisify_povm(target, params)]) <= 1e-12

@@ -22,7 +22,6 @@ from steerlab.linalg import (
     check_int,
     check_unit,
     dagger,
-    eig_hermitian,
     frobenius,
     frobenius_each,
     inv_sqrt,
@@ -193,50 +192,6 @@ def test_psd_stack_agrees_with_per_matrix_oracle(d, n, kind, size, seed):
         assert "do not sum to the identity" in str(exc.value)
     else:
         assert f"effect {labels[k]!r} is not" in str(exc.value)
-
-
-def test_eig_hermitian_diagonal():
-    evals, evecs = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(evals, [3.0, 2.0, 1.0])
-    assert np.allclose(np.abs(evecs), np.eye(3)[:, [0, 2, 1]])
-
-
-def test_eig_hermitian_pauli_x():
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    evals, evecs = eig_hermitian(sx)
-    assert np.allclose(evals, [1.0, -1.0])
-    assert np.allclose(evecs[:, 0], np.array([1.0, 1.0]) / np.sqrt(2))
-    assert np.allclose(evecs[:, 1], np.array([1.0, -1.0]) / np.sqrt(2))
-
-
-def test_eig_hermitian_reconstruction():
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        d = rng.integers(2, 13)
-        g = _rand_complex(rng, d, d)
-        h = (g + dagger(g)) / 2
-        evals, evecs = eig_hermitian(h)
-        rebuilt = (evecs * evals) @ dagger(evecs)
-        assert frobenius(rebuilt - h) < 1e-9
-        assert frobenius(dagger(evecs) @ evecs - np.eye(d)) < 1e-10
-        assert np.all(np.diff(evals) <= 1e-12)
-
-
-def test_eig_hermitian_phase_fix_deterministic():
-    rng = np.random.default_rng(7)
-    g = _rand_complex(rng, 5, 5)
-    h = (g + dagger(g)) / 2
-    _, v1 = eig_hermitian(h)
-    _, v2 = eig_hermitian(h.copy())
-    assert np.array_equal(v1, v2)
-    for i in range(5):
-        lead = v1[np.flatnonzero(np.abs(v1[:, i]) > 1e-8)[0], i]
-        assert abs(lead.imag) < 1e-12 and lead.real > 0
-
-
-def test_eig_hermitian_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @settings(max_examples=150, deadline=None)
@@ -445,6 +400,17 @@ def test_check_unit_refuses_any_entry_outside_the_unit_interval():
     for bad in (np.array([0.5, np.nan]), np.array([[0.0], [-1e-300]]), 1.0 + 1e-15):
         with pytest.raises(ValueError, match=r"p must lie in \[0, 1\], got"):
             check_unit("p", bad)
+    for bad in (True, np.bool_(False), np.array([True, False])):
+        message = f"p must be a number, got {np.asarray(bad)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_unit("p", bad)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4,)])
+def test_partial_trace_refuses_dims_that_are_not_a_pair(dims):
+    message = f"dims must be a pair of subsystem dimensions, got {dims}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        partial_trace(np.eye(4) / 4, dims, 0)
 
 
 def _assemblage_document(**changes):
@@ -526,12 +492,14 @@ def _argument_cases():
         for value in (np.nan, 1.5):
             yield pytest.param(call, value, f"{name} must lie in [0, 1], got {value}",
                                id=f"{key}-{value}")
+        yield pytest.param(call, True, f"{name} must be a number, got True", id=f"{key}-bool")
 
 
 @pytest.mark.parametrize("call, value, message", _argument_cases())
 def test_arguments_are_refused_by_name(call, value, message):
     # a numpy integer is a valid argument; a float, a bool, a value below the
-    # least one and a probability outside [0, 1] are refused by name
+    # least one, and a probability that is a bool or outside [0, 1] are
+    # refused by name
     if message is None:
         call(value)
         return

@@ -4,6 +4,7 @@ explicit hidden-state model assembled from a joint-measurability certificate.
 
 import numpy as np
 
+import steerlab
 from steerlab.assemblage import lhs_model_residual, steer
 from steerlab.certifier import discretize_parent, exact_certificate, lp_feasibility
 from steerlab.covariant import ResponseFunctionModel
@@ -86,3 +87,11 @@ def test_model_conditionals_give_lhs_model_directly():
     residual = lhs_model_residual(sigma, cert.parent.effects.transpose(0, 2, 1) / d,
                                   cert.conditionals)
     assert residual < 1e-12
+
+
+def test_public_names_resolve():
+    # every exported name exists, so a star import works and binds them all
+    assert all(hasattr(steerlab, name) for name in steerlab.__all__)
+    namespace = {}
+    exec("from steerlab import *", namespace)
+    assert set(steerlab.__all__) <= set(namespace)
