@@ -10,6 +10,7 @@ import numpy as np
 
 from .linalg import (
     check_int,
+    check_unit,
     dagger,
     distributions,
     entries_to_matrix,
@@ -189,8 +190,9 @@ def steer(
 
 
 def _check_eta(eta: float) -> None:
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    check_unit("transmission eta", eta)
+    if eta == 0.0:
+        raise ValueError(f"transmission eta must be > 0, got {eta}")
 
 
 def lossy_entries(entries, eta: float, counts) -> np.ndarray:

@@ -208,8 +208,8 @@ def discretize_parent(d: int, n_atoms: int, seed: int = 0) -> DiscreteParent:
     Samples ``n_atoms`` pure states with uniform weights ``1/n_atoms`` and
     corrects them via :func:`parent_from_states`.
     """
-    if n_atoms < d * d:
-        raise ValueError(f"need at least d^2 = {d * d} atoms, got {n_atoms}")
+    d = check_int("dimension d", d, 1)
+    check_int("atom count n_atoms", n_atoms, d * d)
     sampler = HaarSampler(d=d, seed=seed)
     return parent_from_states(sampler.sample_array(n_atoms), d, seed=seed)
 
@@ -425,6 +425,8 @@ def lp_feasibility(
     SolverFailure
         If the LP solver does not converge.
     """
+    if isinstance(tol, (bool, np.bool_)):
+        raise ValueError(f"tol must be a number, got {tol}")
     if not 0 <= tol < np.inf:
         raise ValueError(f"tol must be >= 0 and finite, got {tol}")
     if not targets:

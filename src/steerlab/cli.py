@@ -181,7 +181,8 @@ def _cmd_lemma1_roundtrip(args) -> int:
     block run as one stack, drawing their normals in one call, in the
     order the per-trial objects would draw them.
     """
-    assemblage._check_eta(args.eta)
+    if not 0.0 < args.eta <= 1.0:  # the filter divides by eta
+        raise ValueError(f"eta must lie in (0, 1], got {args.eta}")
     rng = rand.rng_from(args.seed)
     d = args.d
     entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES

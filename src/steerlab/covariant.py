@@ -9,8 +9,10 @@ and the explicit joint-measurability model built from them all live here.
 
 The Monte Carlo estimators split the samples into shards of at most
 ``_CHUNK`` and stream each shard through its accumulator in (2, d, b)
-blocks, sample index last: a worker holds one shard's real plane plus one
-block, and neither the samples nor the estimates depend on the worker count.
+blocks, sample index last, each drawn straight into one per-worker buffer:
+shard k's blocks, flattened in order, are the first 2·d·m numbers of
+``default_rng([seed, k])``. A worker holds one block plus its temporaries,
+and neither the samples nor the estimates depend on the worker count.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ from .objects import NO_CLICK, Povm, PureState
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
 #: A shard is accumulated in (2, d, b) blocks, sample index last, of
-#: b = max(_BLOCK // d, _BLOCK_ROWS) samples, each block's imaginary rows drawn
-#: into its spent real rows: _BLOCK Gaussian numbers per plane bound a block's
-#: memory, and _BLOCK_ROWS bounds the numpy calls per sample at large d.
+#: b = max(_BLOCK // d, _BLOCK_ROWS) samples, each filled by one draw: _BLOCK
+#: Gaussian numbers per plane bound a block's memory, and _BLOCK_ROWS bounds the
+#: numpy calls per sample at large d. The block size fixes which normals form
+#: a sample, so it fixes the Monte Carlo estimates.
 _BLOCK = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
@@ -60,49 +63,29 @@ class HaarSampler:
     def _rng(self, shard: int) -> np.random.Generator:
         return np.random.default_rng([self.seed, shard])
 
-    def _normals(self, n: int, shard: int) -> np.ndarray:
-        """The (2, n, d) standard normals of stream ``shard``, in one draw:
-        the real plane, then the imaginary plane."""
-        return self._rng(shard).standard_normal((2, n, self.d))
-
-    def _blocks(self, shard: int, re: np.ndarray, buf: np.ndarray):
-        """The planes of ``_normals(len(re), shard)`` as (2, d, b) views of
-        ``buf``, sample index last, ``b = buf.shape[2]``: ``re`` takes the whole
-        real plane, and each block's imaginary rows are drawn into its spent
-        real rows, which gives the numbers of one draw. Each view is
-        overwritten by the next."""
+    def _blocks(self, shard: int, m: int, buf: np.ndarray):
+        """The Gaussian planes of ``m`` samples of stream ``shard`` as (2, d, b)
+        blocks, sample index last, of ``b = len(buf) // (2d)`` samples, the last
+        one shorter: each is a C-contiguous view at the start of the flat
+        ``buf``, filled by one draw and overwritten by the next. Flattened in
+        order, the blocks are the first 2·d·m numbers of the stream."""
         rng = self._rng(shard)
-        rng.standard_normal(out=re)
-        rows = buf.shape[2]
-        for lo in range(0, len(re), rows):
-            spent = re[lo:lo + rows]
-            g = buf[:, :, :len(spent)]
-            _transpose_into(g[0], spent)
-            rng.standard_normal(out=spent)
-            _transpose_into(g[1], spent)
+        rows = len(buf) // (2 * self.d)
+        for lo in range(0, m, rows):
+            g = buf[:2 * self.d * min(rows, m - lo)].reshape(2, self.d, -1)
+            rng.standard_normal(out=g)
             yield g
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
-        """(n, d) array of unit vectors; ``shard`` selects an independent stream."""
+        """(n, d) array of unit vectors; ``shard`` selects an independent
+        stream, drawn as (2, n, d) normals: the real plane, then the imaginary."""
         check_int("sample count n", n, 1)
         if self.d == 1:
             return np.ones((n, 1), dtype=complex)
-        return _unit_rows(*self._normals(n, shard))
-
-
-def _transpose_into(out: np.ndarray, rows: np.ndarray) -> None:
-    """``out[...] = rows.T``, in slices of at most ``_BLOCK`` numbers: at
-    d = 64 a whole block no longer fits in cache and transposes twice as slowly."""
-    step = max(_BLOCK // rows.shape[1], 1)
-    for j in range(0, len(rows), step):
-        out[:, j:j + step] = rows[j:j + step].T
-
-
-def _unit_rows(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """The rows of ``re + i im``, each divided by its norm."""
-    z = np.empty(re.shape, dtype=complex)
-    z.real, z.imag = re, im
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+        re, im = self._rng(shard).standard_normal((2, n, self.d))
+        z = np.empty(re.shape, dtype=complex)
+        z.real, z.imag = re, im
+        return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +171,16 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
     samples, drawn in shards and streamed in blocks.
 
     The samples are split into ceil(n / _CHUNK) shards whose sizes differ
-    by at most one, and worker w runs shards w, w + workers, ... Shard k
-    streams the normals of ``sampler.sample_array(m, shard=k)``, unnormalized,
-    through ``accumulate`` in (2, d, b) blocks, sample index last, of
-    ``b = max(_BLOCK // d, _BLOCK_ROWS)`` (see :meth:`HaarSampler._blocks`).
-    A worker allocates one (m, d) real plane and one block buffer once and
-    reuses them for each of its shards, drawing each imaginary block into the
-    spent real rows, so its memory is those two plus one block's temporaries.
-    The block sums are added in block order and the shard sums in shard
-    order, so the sums depend on the seed and n but not on the worker count.
+    by at most one, and worker w runs shards w, w + workers, ... Shard k of
+    m samples streams through ``accumulate`` in (2, d, b) blocks, sample index
+    last, of ``b = max(_BLOCK // d, _BLOCK_ROWS)`` (see
+    :meth:`HaarSampler._blocks`): its blocks, flattened in order, are the first
+    2·d·m numbers of ``default_rng([seed, k])``, so the block size fixes which
+    normals form a sample. A worker allocates one flat block buffer once and
+    reuses it for each of its shards, so its memory is one block plus that
+    block's temporaries. The block sums are added in block order and the
+    shard sums in shard order, so the sums depend on the seed and n but not
+    on the worker count.
     The accumulators call no BLAS routine, whose own threads would compete
     with the workers.
     """
@@ -208,10 +192,9 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
     base, extra = divmod(n, shards)
 
     def run(w: int) -> list:
-        re = np.empty((base + 1, sampler.d))
         rows = max(_BLOCK // sampler.d, _BLOCK_ROWS)
-        buf = np.empty((2, sampler.d, min(base + 1, rows)))
-        return [reduce(_add, map(accumulate, sampler._blocks(k, re[:base + (k < extra)], buf)))
+        buf = np.empty(2 * sampler.d * min(base + 1, rows))
+        return [reduce(_add, map(accumulate, sampler._blocks(k, base + (k < extra), buf)))
                 for k in range(w, shards, workers)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -179,6 +179,14 @@ def test_lp_rejects_dimension_mismatch():
         lp_feasibility([random_povm(3, 2, np.random.default_rng(0))], parent)
 
 
+@pytest.mark.parametrize("tol", [True, np.bool_(False)])
+def test_lp_refuses_a_bool_tolerance(tol):
+    # the certificate's JSON would print "tol": true
+    parent = discretize_parent(2, 50, seed=8)
+    with pytest.raises(ValueError, match=f"^tol must be a number, got {tol}$"):
+        lp_feasibility(list(mub_pair(2)), parent, tol=tol)
+
+
 class _Captured(Exception):
     pass
 

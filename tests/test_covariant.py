@@ -24,7 +24,6 @@ from steerlab.covariant import (
     _accumulate_effect,
     _accumulate_moments,
     _run_shards,
-    _unit_rows,
     aligned_weight,
     analytic_effect,
     effect_trace,
@@ -208,11 +207,20 @@ def _basis_state(d, k=0):
 
 def _block_sums(accumulate, sampler, n, shard, block):
     # the accumulator's sums over the (2, d, b) blocks of one shard, added in
-    # order; the buffers are larger than needed, as a worker's are
-    re = np.empty((n + 1, sampler.d))
-    buf = np.empty((2, sampler.d, block))
-    parts = [accumulate(g) for g in sampler._blocks(shard, re[:n], buf)]
+    # order; the flat buffer holds a few numbers more than a block
+    buf = np.empty(2 * sampler.d * block + 1)
+    parts = [accumulate(g) for g in sampler._blocks(shard, n, buf)]
     return [sum(p) for p in zip(*parts)]
+
+
+def _stream_samples(d, seed, shard, n, block):
+    # the unit vectors of one shard: default_rng([seed, shard]) read as
+    # (2, d, b) blocks of `block` samples, the last one shorter
+    rng = np.random.default_rng([seed, shard])
+    x, y = np.concatenate([rng.standard_normal((2, d, min(block, n - lo)))
+                           for lo in range(0, n, block)], axis=2)
+    z = (x + 1j * y).T
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,10 +233,10 @@ def _block_sums(accumulate, sampler, n, shard, block):
     block=st.integers(1, 4000),
 )
 def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block):
-    # the shard input is the unnormalized planes of sample_array's stream,
+    # the shard input is the unnormalized planes of the shard's stream,
     # streamed in blocks through one buffer
     sampler = HaarSampler(d=d, seed=seed)
-    z = sampler.sample_array(n, shard=shard)
+    z = _stream_samples(d, seed, shard, n, block)
     phi = sampler.sample_array(1, shard=shard + 1)[0]
     zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
     proj = np.einsum("ni,nj->nij", zh, zh.conj())
@@ -255,7 +263,7 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block):
 )
 def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
     sampler = HaarSampler(d=d, seed=seed)
-    overlap = np.abs(sampler.sample_array(n, shard=shard)[:, 0]) ** 2
+    overlap = np.abs(_stream_samples(d, seed, shard, n, block)[:, 0]) ** 2
     xa = d * overlap[overlap >= t]
     s_a, s_a2, s_t = _block_sums(lambda g: _accumulate_moments(d, t, g), sampler, n, shard,
                                  block)
@@ -264,54 +272,43 @@ def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
     assert abs(s_a2 - (xa**2).sum()) <= 1e-12 * max(1.0, (xa**2).sum())
 
 
-def test_shards_draw_the_sampler_streams():
-    # one Gaussian stream: the blocks of shard k normalize to sample_array(m, shard=k)
-    sampler = HaarSampler(d=3, seed=4)
+@pytest.mark.parametrize("d", [3, 40])
+def test_shards_draw_the_sampler_streams(d):
+    # shard k's blocks, flattened in order, are the first 2·d·m numbers of
+    # default_rng([seed, k]); at d = 40 the _BLOCK_ROWS floor sets the block
+    sampler = HaarSampler(d=d, seed=4)
     n = 2 * _CHUNK + 3
+    rows = max(_BLOCK // d, _BLOCK_ROWS)
     drawn = []
 
     def keep(g):
-        drawn.append(g.copy())  # the next block overwrites g
+        drawn.append((g.shape, hashlib.sha256(g).hexdigest()))  # the next block overwrites g
         return (0,)
 
     _run_shards(sampler, n, 1, keep)  # one worker runs the shards and blocks in order
-    assert all(g.shape[:2] == (2, 3) for g in drawn)  # the sample index is last
-    assert max(g.shape[2] for g in drawn) == _BLOCK // 3 and sum(g.shape[2] for g in drawn) == n
+    assert all(shape[:2] == (2, d) for shape, _ in drawn)  # the sample index is last
+    assert max(shape[2] for shape, _ in drawn) == rows
+    assert sum(shape[2] for shape, _ in drawn) == n
     base, extra = divmod(n, 3)
     short = 0
     for k in range(3):
-        m, rows = base + (k < extra), 0
-        shard = []
-        while rows < m:
-            shard.append(drawn.pop(0))
-            rows += shard[-1].shape[2]
-        assert rows == m
-        short += shard[-1].shape[2] < _BLOCK // 3
-        g = np.concatenate(shard, axis=2).transpose(0, 2, 1)
-        assert g.tobytes() == sampler._normals(m, k).tobytes()
-        assert _unit_rows(*g).tobytes() == sampler.sample_array(m, shard=k).tobytes()
+        stream = np.random.default_rng([4, k]).standard_normal(2 * d * (base + (k < extra)))
+        at = 0
+        while at < stream.size:
+            shape, digest = drawn.pop(0)
+            assert digest == hashlib.sha256(stream[at:at + 2 * d * shape[2]]).hexdigest()
+            at += 2 * d * shape[2]
+        assert at == stream.size
+        short += shape[2] < rows
     assert not drawn
     assert short == 3  # no shard is a multiple of the block, so each ends on a short block
 
 
-def test_blocks_transpose_large_d_in_slices():
-    # at d = 40 a 4096-sample block exceeds _BLOCK numbers per plane, so it is
-    # transposed in slices; the blocks still hold the stream of _normals
-    sampler = HaarSampler(d=40, seed=5)
-    assert _BLOCK // 40 < 4096
-    blocks = [g.copy() for g in sampler._blocks(2, np.empty((5000, 40)), np.empty((2, 40, 4096)))]
-    assert [g.shape for g in blocks] == [(2, 40, 4096), (2, 40, 904)]
-    g = np.concatenate(blocks, axis=2).transpose(0, 2, 1)
-    assert g.tobytes() == sampler._normals(5000, 2).tobytes()
-
-
 @pytest.mark.parametrize("d, t", [(5, 0.3), (16, 0.05)])
-def test_mc_memory_is_one_real_plane_and_a_few_blocks(d, t):
-    # one worker holds a shard's (m, d) real plane, not both planes, and its
-    # temporaries are sized by the block, not the shard
+def test_mc_memory_is_a_few_blocks(d, t):
+    # one worker's temporaries are sized by the block, not the shard
     n = 200_000
-    m = -(-n // -(-n // _CHUNK))
-    bound = 8 * m * d + 4 * (8 * 2 * d * max(_BLOCK // d, _BLOCK_ROWS))
+    bound = 3 * (8 * 2 * d * max(_BLOCK // d, _BLOCK_ROWS))
     for run in (lambda: mc_effect(d, t, _basis_state(d), n, seed=1, workers=1),
                 lambda: mc_response_moments(d, t, n, seed=1, workers=1)):
         tracemalloc.start()

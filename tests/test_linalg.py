@@ -15,7 +15,7 @@ from steerlab.analysis import (
     p_threshold_two_mubs,
     phase_diagram,
 )
-from steerlab.assemblage import Assemblage, steer
+from steerlab.assemblage import Assemblage, apply_loss_to_assemblage, filter_loss, steer
 from steerlab.certifier import JmCertificate, discretize_parent
 from steerlab.covariant import HaarSampler, ResponseFunctionModel, aligned_weight
 from steerlab.linalg import (
@@ -447,6 +447,9 @@ _INT_ARGUMENTS = {
     "HaarSampler-d": ("dimension d", 1, 3, HaarSampler),
     "HaarSampler-seed": ("seed", 0, 3, lambda v: HaarSampler(3, seed=v)),
     "discretize_parent-seed": ("seed", 0, 3, lambda v: discretize_parent(2, 10, seed=v)),
+    "discretize_parent-d": ("dimension d", 1, 2, lambda v: discretize_parent(v, 10)),
+    "discretize_parent-n_atoms": ("atom count n_atoms", 4, 10,
+                                  lambda v: discretize_parent(2, v)),
     "random_unitary-d": ("dimension d", 1, 2, lambda v: random_unitary(v, 0)),
     "random_density-d": ("dimension d", 1, 2, lambda v: random_density(v, 0)),
     "random_povm-d": ("dimension d", 1, 2, lambda v: random_povm(v, 2, 0)),
@@ -477,6 +480,10 @@ _UNIT_ARGUMENTS = {
     "classify-eta": ("eta", lambda v: classify(2, v, 0.5)),
     "classify-p": ("p", lambda v: classify(2, 0.5, v)),
     "aligned_weight-t": ("threshold t", lambda v: aligned_weight(2, v)),
+    "apply_loss_to_assemblage-eta": ("transmission eta", lambda v: apply_loss_to_assemblage(
+        steer(one_way_state(2, 0.6, 0.4), list(mub_pair(2)), 0), v)),
+    "filter_loss-eta": ("transmission eta", lambda v: filter_loss(apply_loss_to_assemblage(
+        steer(one_way_state(2, 0.6, 0.4), list(mub_pair(2)), 0), 0.5), v)),
 }
 
 
