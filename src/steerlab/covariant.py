@@ -7,12 +7,19 @@ transmission does not exceed ``(1-t)^(d-1)`` at visibility ``t``. The
 closed-form moments of the construction, a Monte Carlo estimator for them,
 and the explicit joint-measurability model built from them all live here.
 
-The Monte Carlo estimators split the samples into shards of at most
-``_CHUNK`` and stream each shard through its accumulator in (2, d, b)
-blocks, sample index last, each drawn straight into one per-worker buffer:
-shard k's blocks, flattened in order, are the first 2·d·m numbers of
-``default_rng([seed, k])``. A worker holds one block plus its temporaries,
-and neither the samples nor the estimates depend on the worker count.
+The Monte Carlo estimators draw each Haar sample in polar form. The squared
+moduli of a standard complex Gaussian vector are independent standard
+exponentials E_i and its phases are uniform and independent of them, so
+the unit vector with ``|z_i|^2 = E_i / sum(E)`` and uniform phases is Haar.
+The samples are split into shards of at most ``_CHUNK``, and each shard
+streams through its accumulator in (d, b) blocks of exponentials, sample
+index last, each drawn straight into one per-worker buffer: shard k's
+blocks, flattened in order, are the first d·m numbers of
+``default_rng([seed, k])``. A sample is accepted when ``E_0 >= t sum(E)``,
+and only the accepted samples of a block draw their d-1 relative phases,
+as a (d-1, m) block of uniforms from ``default_rng([seed, k, 1])``. A
+worker holds one block plus its temporaries; the block size fixes the
+estimates, and the worker count does not.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
+from itertools import starmap
 
 import numpy as np
 
@@ -31,11 +39,11 @@ from .objects import NO_CLICK, Povm, PureState
 
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
-#: A shard is accumulated in (2, d, b) blocks, sample index last, of
-#: b = max(_BLOCK // d, _BLOCK_ROWS) samples, each filled by one draw: _BLOCK
-#: Gaussian numbers per plane bound a block's memory, and _BLOCK_ROWS bounds the
-#: numpy calls per sample at large d. The block size fixes which normals form
-#: a sample, so it fixes the Monte Carlo estimates.
+#: A shard is accumulated in (d, b) blocks of exponentials, sample index last,
+#: of b = max(_BLOCK // d, _BLOCK_ROWS) samples, each filled by one draw:
+#: _BLOCK numbers bound a block's memory, and _BLOCK_ROWS bounds the numpy
+#: calls per sample at large d. The block size fixes which exponentials form
+#: a sample and which phases it gets, so it fixes the Monte Carlo estimates.
 _BLOCK = 1 << 16
 _BLOCK_ROWS = 1 << 12
 
@@ -50,8 +58,9 @@ def default_workers() -> int:
 
 @dataclass(frozen=True)
 class HaarSampler:
-    """Reproducible sampler of Haar-distributed pure states: draws 2d
-    standard normals per state and normalizes."""
+    """Reproducible sampler of Haar-distributed pure states: ``sample_array``
+    normalizes 2d standard normals per state, and the Monte Carlo estimators
+    stream moduli and phases from :meth:`_blocks`."""
 
     d: int
     seed: int = 0
@@ -60,21 +69,23 @@ class HaarSampler:
         object.__setattr__(self, "d", check_int("dimension d", self.d, 1))
         object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
-    def _rng(self, shard: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, shard])
+    def _rng(self, *stream: int) -> np.random.Generator:
+        return np.random.default_rng([self.seed, *stream])
 
     def _blocks(self, shard: int, m: int, buf: np.ndarray):
-        """The Gaussian planes of ``m`` samples of stream ``shard`` as (2, d, b)
-        blocks, sample index last, of ``b = len(buf) // (2d)`` samples, the last
-        one shorter: each is a C-contiguous view at the start of the flat
-        ``buf``, filled by one draw and overwritten by the next. Flattened in
-        order, the blocks are the first 2·d·m numbers of the stream."""
-        rng = self._rng(shard)
-        rows = len(buf) // (2 * self.d)
+        """The squared moduli of ``m`` samples of stream ``shard``, up to
+        normalization, as (d, b) blocks of standard exponentials, sample index
+        last, of ``b = len(buf) // d`` samples, the last one shorter: each is a
+        C-contiguous view at the start of the flat ``buf``, filled by one draw
+        and overwritten by the next. Flattened in order, the blocks are the
+        first d·m numbers of ``default_rng([seed, shard])``. Each block comes
+        with the shard's phase generator ``default_rng([seed, shard, 1])``."""
+        rng, phases = self._rng(shard), self._rng(shard, 1)
+        rows = len(buf) // self.d
         for lo in range(0, m, rows):
-            g = buf[:2 * self.d * min(rows, m - lo)].reshape(2, self.d, -1)
-            rng.standard_normal(out=g)
-            yield g
+            e = buf[:self.d * min(rows, m - lo)].reshape(self.d, -1)
+            rng.standard_exponential(out=e)
+            yield e, phases
 
     def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
         """(n, d) array of unit vectors; ``shard`` selects an independent
@@ -167,20 +178,23 @@ class EffectEstimate:
 
 
 def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -> list:
-    """Sums of ``accumulate(g)`` over the Gaussian planes ``g`` of ``n`` Haar
-    samples, drawn in shards and streamed in blocks.
+    """Sums of ``accumulate(e, phases)`` over the blocks ``e`` of exponentials
+    of ``n`` Haar samples, drawn in shards and streamed in blocks, each with
+    its shard's phase generator.
 
     The samples are split into ceil(n / _CHUNK) shards whose sizes differ
     by at most one, and worker w runs shards w, w + workers, ... Shard k of
-    m samples streams through ``accumulate`` in (2, d, b) blocks, sample index
+    m samples streams through ``accumulate`` in (d, b) blocks, sample index
     last, of ``b = max(_BLOCK // d, _BLOCK_ROWS)`` (see
     :meth:`HaarSampler._blocks`): its blocks, flattened in order, are the first
-    2·d·m numbers of ``default_rng([seed, k])``, so the block size fixes which
-    normals form a sample. A worker allocates one flat block buffer once and
-    reuses it for each of its shards, so its memory is one block plus that
-    block's temporaries. The block sums are added in block order and the
-    shard sums in shard order, so the sums depend on the seed and n but not
-    on the worker count.
+    d·m numbers of ``default_rng([seed, k])``, the moduli. An accumulator
+    that needs phases draws them for the accepted samples only, block after
+    block, from ``default_rng([seed, k, 1])`` (see :func:`_accepted_states`).
+    So the block size fixes which numbers form a sample. A worker allocates
+    one flat block buffer once and reuses it for each of its shards, so its
+    memory is one block plus that block's temporaries. The block sums are
+    added in block order and the shard sums in shard order, so the sums
+    depend on the seed and n but not on the worker count.
     The accumulators call no BLAS routine, whose own threads would compete
     with the workers.
     """
@@ -193,8 +207,8 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
 
     def run(w: int) -> list:
         rows = max(_BLOCK // sampler.d, _BLOCK_ROWS)
-        buf = np.empty(2 * sampler.d * min(base + 1, rows))
-        return [reduce(_add, map(accumulate, sampler._blocks(k, base + (k < extra), buf)))
+        buf = np.empty(sampler.d * min(base + 1, rows))
+        return [reduce(_add, starmap(accumulate, sampler._blocks(k, base + (k < extra), buf)))
                 for k in range(w, shards, workers)]
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -207,13 +221,20 @@ def _add(sums, part):
     return [s + p for s, p in zip(sums, part)]
 
 
-def _accumulate_moments(d, t, g):
+def _accepted(t, e):
+    """Mask of the samples of the (d, b) block ``e`` of exponentials that the
+    threshold accepts, ``E_0 >= t sum(E)``, and the accepted ``sum(E)``."""
+    norm = e.sum(axis=0)
+    hit = e[0] >= t * norm
+    return hit, np.compress(hit, norm)
+
+
+def _accumulate_moments(d, t, e):
     """Sums of the aligned-weight samples ``d |z_0|^2`` over accepted
     samples, of their squares, and of ``d`` per accepted sample, with
-    ``|z_0|^2 = |g_0|^2 / |g|^2`` taken from the planes."""
-    g0 = g[:, 0]
-    overlap = (g0[0] ** 2 + g0[1] ** 2) / np.einsum("kin,kin->n", g, g)
-    xa = d * np.compress(overlap >= t, overlap)
+    ``|z_0|^2 = E_0 / sum(E)`` taken from the moduli."""
+    hit, norm = _accepted(t, e)
+    xa = d * np.compress(hit, e[0]) / norm
     return float(xa.sum()), float((xa**2).sum()), float(xa.size) * d
 
 
@@ -231,7 +252,8 @@ def mc_response_moments(
     """
     _check_dt(d, t)
     sampler = HaarSampler(d=d, seed=seed)
-    s_a, s_a2, s_t = _run_shards(sampler, n, workers, lambda g: _accumulate_moments(d, t, g))
+    s_a, s_a2, s_t = _run_shards(sampler, n, workers,
+                                 lambda e, _: _accumulate_moments(d, t, e))
     # x_t takes values 0 or d, so its square sums to d * s_t
     s_t2 = d * s_t
     mean_a = s_a / n
@@ -247,22 +269,48 @@ def mc_response_moments(
     )
 
 
-def _accumulate_effect(d, t, phi, g):
+def _accepted_states(t, e, phases):
+    """(2, d, m) planes x, y of the m samples of the (d, b) block ``e`` of
+    exponentials that the threshold accepts (see :func:`_accepted`), sample
+    index last: ``|z_i| = sqrt(E_i / sum(E))``, z_0 real, and z_i for i >= 1
+    with the phase ``theta = pi (2U - 1)``, U read from a (d-1, m) draw of
+    ``phases``. cos and sin come from ``tau = tan(theta / 2)`` as
+    ``((1 - tau^2), 2 tau) / (1 + tau^2)``: one tangent is cheaper than both."""
+    hit, norm = _accepted(t, e)
+    zt = np.empty((2, len(e), len(norm)))
+    x, y = zt
+    np.compress(hit, e, axis=1, out=x)
+    x /= norm
+    np.sqrt(x, out=x)
+    y[0] = 0.0
+    tau = y[1:]
+    phases.random(out=tau)
+    tau -= 0.5
+    tau *= np.pi
+    np.tan(tau, out=tau)
+    h = np.square(tau)
+    h += 1.0
+    np.divide(2.0, h, out=h)  # 1 + cos(theta)
+    tau *= h  # sin(theta)
+    h -= 1.0
+    tau *= x[1:]
+    x[1:] *= h
+    return zt
+
+
+def _accumulate_effect(d, t, rot, e, phases):
     """Sums over accepted samples of d |z><z| and of its entries' squared real
     and imaginary parts, by einsum sums over the planes z = x + iy:
     Re(z_i z_j*) = x_i x_j + y_i y_j and Im(z_i z_j*) = y_i x_j - x_i y_j.
 
-    A sample is accepted when |<phi|g>|^2 >= t |g|^2, so only the accepted
-    samples of the (2, d, b) planes ``g`` are normalized.
+    The samples are those of :func:`_accepted_states`, accepted on their
+    first coordinate. With ``rot``, the real (2, 2, d, d) form
+    ``[[Re U, -Im U], [Im U, Re U]]`` of a unitary U, they are mapped to U z
+    first, so a target ``phi`` with ``U e_0 ∝ phi`` accepts them.
     """
-    a, b = phi.real, phi.imag
-    # <phi|g> = (x.a + y.b) + i (y.a - x.b)
-    ov_re = np.einsum("kin,ki->n", g, np.stack([a, b]))
-    ov_im = np.einsum("kin,ki->n", g, np.stack([-b, a]))
-    norm2 = np.einsum("kin,kin->n", g, g)
-    hit = ov_re**2 + ov_im**2 >= t * norm2
-    zt = np.compress(hit, g, axis=2)
-    zt /= np.sqrt(np.compress(hit, norm2))
+    zt = _accepted_states(t, e, phases)
+    if rot is not None:
+        zt = np.einsum("klij,ljn->kin", rot, zt)
     x, y = zt
     re = np.einsum("kin,kjn->ij", zt, zt)
     im = np.einsum("in,jn->ij", y, x)
@@ -297,8 +345,15 @@ def mc_effect(
         raise ValueError(f"target state has dim {phi.dim}, expected {d}")
     sampler = HaarSampler(d=d, seed=seed)
     target = np.asarray(phi.vec)
+    rot = None
+    if target[1:].any():
+        # the samples are accepted on their first coordinate, so a target
+        # other than e_0 needs a unitary U with U e_0 ∝ phi: the first QR
+        # factor of [phi, I]
+        u = np.linalg.qr(np.column_stack([target, np.eye(d)]))[0]
+        rot = np.array([[u.real, -u.imag], [u.imag, u.real]])
     s1, s2_re, s2_im = _run_shards(
-        sampler, n, workers, lambda g: _accumulate_effect(d, t, target, g)
+        sampler, n, workers, lambda e, phases: _accumulate_effect(d, t, rot, e, phases)
     )
     mean = s1 / n
     var_re = np.maximum(s2_re / n - mean.real**2, 0.0)

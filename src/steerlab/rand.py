@@ -45,7 +45,11 @@ def gram_densities(normals: np.ndarray) -> np.ndarray:
 def gram_povms(normals: np.ndarray) -> np.ndarray:
     """POVM effects S^{-1/2} G_i S^{-1/2} (symmetrized), one POVM per
     (n, 2, d, d) block of a (..., n, 2, d, d) array of Ginibre parts as in
-    :func:`gram_densities`; S is the sum of each block's n Gram matrices."""
+    :func:`gram_densities`; S is the sum of each block's n Gram matrices.
+    A one-outcome block is exactly the identity, which ``S^{-1/2} S S^{-1/2}``
+    misses by rounding when S is ill-conditioned."""
+    if normals.shape[-4] == 1:
+        return np.tile(np.eye(normals.shape[-1], dtype=complex), normals.shape[:-3] + (1, 1))
     factors = normals[..., 0, :, :] + 1j * normals[..., 1, :, :]
     grams = factors @ dagger(factors)
     s_inv_root = inv_sqrt(grams.sum(axis=-3))[..., None, :, :]

@@ -21,6 +21,7 @@ from steerlab.covariant import (
     EffectEstimate,
     HaarSampler,
     ResponseFunctionModel,
+    _accepted_states,
     _accumulate_effect,
     _accumulate_moments,
     _run_shards,
@@ -206,21 +207,29 @@ def _basis_state(d, k=0):
 
 
 def _block_sums(accumulate, sampler, n, shard, block):
-    # the accumulator's sums over the (2, d, b) blocks of one shard, added in
+    # the accumulator's sums over the (d, b) blocks of one shard, added in
     # order; the flat buffer holds a few numbers more than a block
-    buf = np.empty(2 * sampler.d * block + 1)
-    parts = [accumulate(g) for g in sampler._blocks(shard, n, buf)]
+    buf = np.empty(sampler.d * block + 1)
+    parts = [accumulate(e, phases) for e, phases in sampler._blocks(shard, n, buf)]
     return [sum(p) for p in zip(*parts)]
 
 
-def _stream_samples(d, seed, shard, n, block):
-    # the unit vectors of one shard: default_rng([seed, shard]) read as
-    # (2, d, b) blocks of `block` samples, the last one shorter
-    rng = np.random.default_rng([seed, shard])
-    x, y = np.concatenate([rng.standard_normal((2, d, min(block, n - lo)))
-                           for lo in range(0, n, block)], axis=2)
-    z = (x + 1j * y).T
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def _stream_samples(d, t, seed, shard, n, block):
+    # the accepted unit vectors of one shard, as rows: default_rng([seed, shard])
+    # read as (d, b) blocks of `block` exponentials E, the last one shorter; a
+    # sample is accepted when E_0 >= t sum(E), and the m accepted samples of a
+    # block take the phases pi (2U - 1) of z_1 ... z_{d-1} from a (d-1, m) draw
+    # of default_rng([seed, shard, 1])
+    moduli = np.random.default_rng([seed, shard])
+    phases = np.random.default_rng([seed, shard, 1])
+    rows = []
+    for lo in range(0, n, block):
+        e = moduli.standard_exponential((d, min(block, n - lo)))
+        e = e[:, e[0] >= t * e.sum(axis=0)]
+        theta = np.pi * (2.0 * phases.random((d - 1, e.shape[1])) - 1.0)
+        theta = np.vstack([np.zeros(e.shape[1]), theta])
+        rows.append((np.sqrt(e / e.sum(axis=0)) * np.exp(1j * theta)).T)
+    return np.concatenate(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,18 +240,24 @@ def _stream_samples(d, seed, shard, n, block):
     seed=st.integers(0, 2**32 - 1),
     shard=st.integers(0, 20),
     block=st.integers(1, 4000),
+    rotate=st.booleans(),
 )
-def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block):
-    # the shard input is the unnormalized planes of the shard's stream,
-    # streamed in blocks through one buffer
+def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block, rotate):
+    # the shard input is the exponentials of the shard's stream, streamed in
+    # blocks through one buffer, and its phase stream; a rotation U maps each
+    # accepted sample z to U z
     sampler = HaarSampler(d=d, seed=seed)
-    z = _stream_samples(d, seed, shard, n, block)
-    phi = sampler.sample_array(1, shard=shard + 1)[0]
-    zh = z[(np.abs(z @ phi.conj()) ** 2) >= t]
-    proj = np.einsum("ni,nj->nij", zh, zh.conj())
+    z = _stream_samples(d, t, seed, shard, n, block)
+    rot = None
+    if rotate:
+        u = random_unitary(d, np.random.default_rng([seed, shard, 2]))
+        z = z @ u.T
+        rot = np.array([[u.real, -u.imag], [u.imag, u.real]])
+    proj = np.einsum("ni,nj->nij", z, z.conj())
     want = (d * proj.sum(axis=0), d * d * (proj.real**2).sum(axis=0),
             d * d * (proj.imag**2).sum(axis=0))
-    sums = _block_sums(lambda g: _accumulate_effect(d, t, phi, g), sampler, n, shard, block)
+    sums = _block_sums(lambda e, phases: _accumulate_effect(d, t, rot, e, phases), sampler, n,
+                       shard, block)
     for got, ref in zip(sums, want):
         assert got.shape == (d, d)
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
@@ -263,9 +278,8 @@ def test_accumulate_effect_matches_outer_products(d, t, n, seed, shard, block):
 )
 def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
     sampler = HaarSampler(d=d, seed=seed)
-    overlap = np.abs(_stream_samples(d, seed, shard, n, block)[:, 0]) ** 2
-    xa = d * overlap[overlap >= t]
-    s_a, s_a2, s_t = _block_sums(lambda g: _accumulate_moments(d, t, g), sampler, n, shard,
+    xa = d * np.abs(_stream_samples(d, t, seed, shard, n, block)[:, 0]) ** 2
+    s_a, s_a2, s_t = _block_sums(lambda e, _: _accumulate_moments(d, t, e), sampler, n, shard,
                                  block)
     assert s_t == d * xa.size
     assert abs(s_a - xa.sum()) <= 1e-12 * max(1.0, xa.sum())
@@ -274,32 +288,37 @@ def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
 
 @pytest.mark.parametrize("d", [3, 40])
 def test_shards_draw_the_sampler_streams(d):
-    # shard k's blocks, flattened in order, are the first 2·d·m numbers of
-    # default_rng([seed, k]); at d = 40 the _BLOCK_ROWS floor sets the block
+    # shard k's blocks of exponentials, flattened in order, are the first d·m
+    # numbers of default_rng([seed, k]), and each comes with the phase
+    # generator default_rng([seed, k, 1]); at d = 40 the _BLOCK_ROWS floor
+    # sets the block
     sampler = HaarSampler(d=d, seed=4)
     n = 2 * _CHUNK + 3
     rows = max(_BLOCK // d, _BLOCK_ROWS)
     drawn = []
 
-    def keep(g):
-        drawn.append((g.shape, hashlib.sha256(g).hexdigest()))  # the next block overwrites g
+    def keep(e, phases):
+        # the next block overwrites e; nothing reads the phases here
+        drawn.append((e.shape, hashlib.sha256(e).hexdigest(), phases.bit_generator.state))
         return (0,)
 
     _run_shards(sampler, n, 1, keep)  # one worker runs the shards and blocks in order
-    assert all(shape[:2] == (2, d) for shape, _ in drawn)  # the sample index is last
-    assert max(shape[2] for shape, _ in drawn) == rows
-    assert sum(shape[2] for shape, _ in drawn) == n
+    assert all(shape[0] == d for shape, _, _ in drawn)  # the sample index is last
+    assert max(shape[1] for shape, _, _ in drawn) == rows
+    assert sum(shape[1] for shape, _, _ in drawn) == n
     base, extra = divmod(n, 3)
     short = 0
     for k in range(3):
-        stream = np.random.default_rng([4, k]).standard_normal(2 * d * (base + (k < extra)))
+        stream = np.random.default_rng([4, k]).standard_exponential(d * (base + (k < extra)))
+        phases = np.random.default_rng([4, k, 1]).bit_generator.state
         at = 0
         while at < stream.size:
-            shape, digest = drawn.pop(0)
-            assert digest == hashlib.sha256(stream[at:at + 2 * d * shape[2]]).hexdigest()
-            at += 2 * d * shape[2]
+            shape, digest, state = drawn.pop(0)
+            assert digest == hashlib.sha256(stream[at:at + d * shape[1]]).hexdigest()
+            assert state == phases
+            at += d * shape[1]
         assert at == stream.size
-        short += shape[2] < rows
+        short += shape[1] < rows
     assert not drawn
     assert short == 3  # no shard is a multiple of the block, so each ends on a short block
 
@@ -308,7 +327,7 @@ def test_shards_draw_the_sampler_streams(d):
 def test_mc_memory_is_a_few_blocks(d, t):
     # one worker's temporaries are sized by the block, not the shard
     n = 200_000
-    bound = 3 * (8 * 2 * d * max(_BLOCK // d, _BLOCK_ROWS))
+    bound = 4 * (8 * d * max(_BLOCK // d, _BLOCK_ROWS))
     for run in (lambda: mc_effect(d, t, _basis_state(d), n, seed=1, workers=1),
                 lambda: mc_response_moments(d, t, n, seed=1, workers=1)):
         tracemalloc.start()
@@ -318,6 +337,55 @@ def test_mc_memory_is_a_few_blocks(d, t):
         finally:
             tracemalloc.stop()
         assert peak < bound
+
+
+def _stream_blocks(d, t, n, seed, draw):
+    # draw(e, phases) on each block of n samples of one worker, in order
+    drawn = []
+
+    def keep(e, phases):
+        drawn.append(draw(e, phases))
+        return (0,)
+
+    _run_shards(HaarSampler(d=d, seed=seed), n, 1, keep)
+    return np.concatenate(drawn, axis=-1)
+
+
+def test_stream_overlap_matches_closed_form_cdf():
+    # E_0 / sum(E) is |<0|z>|^2 of a Haar state, whose CDF is 1 - (1-s)^(d-1)
+    from scipy.stats import kstest
+
+    for d in (2, 4):
+        overlaps = _stream_blocks(d, 0.0, 50_000, 30 + d, lambda e, _: e[0] / e.sum(axis=0))
+        stat = kstest(overlaps, lambda s: 1.0 - (1.0 - s) ** (d - 1)).statistic
+        assert stat < 0.01, (d, stat)
+
+
+@pytest.mark.parametrize("d, t", [(2, 0.0), (5, 0.3)])
+def test_stream_phases_are_uniform(d, t):
+    # z_0 is real, so z_0 z_j* carries the phase of z_j: its mean and that of
+    # its square vanish when the phase is uniform
+    def products(e, phases):
+        x, y = _accepted_states(t, e, phases)
+        return x[0] * (x[1:] - 1j * y[1:])
+
+    q = _stream_blocks(d, t, 200_000, 17, products)
+    for sample in (q, q**2):
+        for part in (sample.real, sample.imag):
+            mean, se = part.mean(axis=1), part.std(axis=1) / np.sqrt(part.shape[1])
+            assert np.all(np.abs(mean) < 4 * se), (mean, se)
+
+
+def test_effect_and_moments_accept_the_same_samples():
+    # both estimators read the moduli of one stream, whatever the target
+    d, t, n = 4, 0.3, 150_000
+    mom = mc_response_moments(d, t, n, seed=12, workers=2)
+    u = random_unitary(d, np.random.default_rng(12))
+    for phi in (_basis_state(d), PureState(u[:, 0], (d,))):
+        est = mc_effect(d, t, phi, n, seed=12, workers=2)
+        aligned = (phi.vec.conj() @ est.estimate @ phi.vec).real
+        assert abs(np.trace(est.estimate).real - mom.trace) <= 1e-12 * mom.trace
+        assert abs(aligned - mom.aligned) <= 1e-12 * mom.aligned
 
 
 MC_PINS = json.loads((Path(__file__).parent / "mc_pins.json").read_text())
@@ -411,6 +479,14 @@ def test_mc_effect_rotated_target():
     phi = PureState(u[:, 0], (3,))
     est = mc_effect(3, 0.5, phi, 200_000, seed=11, workers=2)
     assert est.max_sigma_deviation(analytic_effect(3, 0.5, phi)) < 4.0
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 6), t=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_mc_effect_matches_analytic_for_random_targets(d, t, seed):
+    phi = PureState(random_unitary(d, np.random.default_rng(seed))[:, 0], (d,))
+    est = mc_effect(d, t, phi, 20_000, seed=seed, workers=2)
+    assert est.max_sigma_deviation(analytic_effect(d, t, phi)) < 5.0
 
 
 # ---------------------------------------------------------------------------

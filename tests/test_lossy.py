@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steerlab.linalg import frobenius, is_psd
@@ -243,6 +243,7 @@ def test_coarse_grain_requires_partition():
 @settings(max_examples=80, deadline=None)
 @given(d=st.integers(1, 5), n=st.integers(1, 6), eta=st.floats(0.0, 1.0),
        p=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(d=1, n=1, eta=0.0, p=0.0, seed=42386)  # an ill-conditioned Gram matrix
 def test_decomposition_identity_on_random_povms(d, n, eta, p, seed):
     # Appendix C: the Kraus-sum image of each effect equals the noisified
     # reduced effect plus its vacuum response times the no-click effect
