@@ -141,17 +141,15 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteParent:
-    """Finite parent POVM on d levels: one (n, d, d) stack of effects,
-    optionally built from weighted pure-state atoms.
+    """Finite parent POVM on d levels: one (n, d, d) stack of effects.
 
-    For Haar discretizations, ``states`` holds the sampled atoms and
-    ``seed`` the seed they were drawn with. Parents given directly by their
-    effects (for example the parent effects of an explicit model) leave the
-    atom fields empty.
+    For Haar discretizations, ``seed`` is the seed the atoms were drawn
+    with: ``HaarSampler(d, seed).sample_array(n_atoms)`` draws them again.
+    Parents given directly by their effects (for example the parent effects
+    of an explicit model) leave it empty.
     """
 
     effects: np.ndarray
-    states: np.ndarray | None = None
     seed: int | None = None
 
     def __post_init__(self):
@@ -160,12 +158,6 @@ class DiscreteParent:
                              f"got shape {np.shape(self.effects)}")
         object.__setattr__(self, "effects", psd_stack(self.effects, range(len(self.effects)),
                                                       "parent effect"))
-        if self.states is not None:
-            states = np.asarray(self.states, dtype=complex)
-            if states.shape != (self.n_atoms, self.d):
-                raise ValueError(f"parent states must have shape (n_atoms, d) = "
-                                 f"{(self.n_atoms, self.d)}, got {states.shape}")
-            object.__setattr__(self, "states", states)
         if self.seed is not None:
             object.__setattr__(self, "seed", check_int("seed", self.seed, 0))
 
@@ -199,7 +191,7 @@ def parent_from_states(states: np.ndarray, d: int, seed: int | None = None) -> D
     corrected = (corrected + dagger(corrected)) / 2.0
     # absorb the final roundoff in the sum into the last atom
     corrected[-1] += np.eye(d) - corrected.sum(axis=0)
-    return DiscreteParent(corrected, states, seed)
+    return DiscreteParent(corrected, seed)
 
 
 def discretize_parent(d: int, n_atoms: int, seed: int = 0) -> DiscreteParent:
@@ -504,7 +496,7 @@ def verify_certificate(cert: JmCertificate, targets: list[Povm]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Bridges from the explicit covariant model
+# The bridge from the explicit covariant model
 # ---------------------------------------------------------------------------
 
 
@@ -517,19 +509,3 @@ def exact_certificate(model: ResponseFunctionModel) -> JmCertificate:
     """
     return _certificate(DiscreteParent(model.parent_effects()), [model.relabelling()],
                         [noisify_povm(model.target, model.params)], DEFAULT_TOL)
-
-
-def response_conditionals(
-    model: ResponseFunctionModel, parent: DiscreteParent
-) -> np.ndarray:
-    """Evaluate the model's response probabilities at a parent's atom states.
-
-    Gives a hand-built conditional table for the discretized parent; its
-    reconstruction deviates from the target only by the parent's
-    discretization (Monte Carlo) error.
-    """
-    if parent.states is None:
-        raise ValueError("parent has no atom states to evaluate the response on")
-    if parent.d != model.d:
-        raise ValueError("model and parent dimensions differ")
-    return model.response_probabilities(parent.states)

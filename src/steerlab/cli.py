@@ -183,7 +183,7 @@ def _cmd_lemma1_roundtrip(args) -> int:
     """
     if not 0.0 < args.eta <= 1.0:  # the filter divides by eta
         raise ValueError(f"eta must lie in (0, 1], got {args.eta}")
-    rng = rand.rng_from(args.seed)
+    rng = np.random.default_rng(args.seed)
     d = args.d
     entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES
     normals_per_trial = 2 * d**4 + entries * 2 * d * d
@@ -214,7 +214,7 @@ def _cmd_appendix_c_check(args) -> int:
     draw them, into a layout padded to d+2 outcomes; the trials with the
     same outcome count then run as one stack.
     """
-    rng = rand.rng_from([args.d, args.trials])
+    rng = np.random.default_rng([args.d, args.trials])
     params = lossy.NoiseParams(d=args.d, eta=args.eta, p=args.p)
     side, most = args.d + 1, args.d + 2
     worst = 0.0

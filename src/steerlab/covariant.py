@@ -87,13 +87,13 @@ class HaarSampler:
             rng.standard_exponential(out=e)
             yield e, phases
 
-    def sample_array(self, n: int, shard: int = 0) -> np.ndarray:
-        """(n, d) array of unit vectors; ``shard`` selects an independent
-        stream, drawn as (2, n, d) normals: the real plane, then the imaginary."""
+    def sample_array(self, n: int) -> np.ndarray:
+        """(n, d) array of unit vectors from stream ``default_rng([seed, 0])``,
+        drawn as (2, n, d) normals: the real plane, then the imaginary."""
         check_int("sample count n", n, 1)
         if self.d == 1:
             return np.ones((n, 1), dtype=complex)
-        re, im = self._rng(shard).standard_normal((2, n, self.d))
+        re, im = self._rng(0).standard_normal((2, n, self.d))
         z = np.empty(re.shape, dtype=complex)
         z.real, z.imag = re, im
         return z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -384,21 +384,8 @@ def analytic_effect(d: int, t: float, phi: PureState) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Analytic simulation of rank-one POVMs and the joint-measurability model
+# The joint-measurability model
 # ---------------------------------------------------------------------------
-
-
-def simulate_rank1_povm(targets: list[tuple[float, np.ndarray]], t: float) -> Povm:
-    """Analytic POVM produced by simulating a rank-one target POVM.
-
-    ``targets`` lists (weight, vector) pairs whose effects ``weight |v><v|``
-    resolve the identity. This is :class:`ResponseFunctionModel` at the exact
-    transmission ``(1-t)^(d-1)``: effect a comes out as ``(alpha_a/d) *
-    (aligned |phi_a><phi_a| + orthogonal (I-|phi_a><phi_a|)/(d-1))`` and the
-    leftover probability becomes a no-click effect.
-    """
-    povm = Povm([alpha * np.outer(vec, np.conj(vec)) for alpha, vec in targets])
-    return ResponseFunctionModel(povm, noise_params_from_threshold(povm.dim, t)).reconstruct_povm()
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,11 +440,6 @@ class ResponseFunctionModel:
         exact_eta = eta_unsteerable_bound(self.d, self.t)
         return 0.0 if exact_eta == 0.0 else min(max(1.0 - self.params.eta / exact_eta, 0.0), 1.0)
 
-    @property
-    def sampling_dist(self) -> np.ndarray:
-        """Distribution from which the output proposal is drawn."""
-        return self._alphas / self.d
-
     def parent_effects(self) -> np.ndarray:
         """The parent POVM: the simulated effect of each rank-one piece, then
         the never-accepted remainder ``I - sum``, as an (n_pieces + 1, d, d) array."""
@@ -482,13 +464,3 @@ class ResponseFunctionModel:
         """The relabelled parent: one effect per target outcome, then no-click."""
         effects = np.einsum("an,nij->aij", self.relabelling(), self.parent_effects())
         return Povm(effects, self.target.labels + (NO_CLICK,))
-
-    def response_probabilities(self, states: np.ndarray) -> np.ndarray:
-        """Outcome probabilities of the model at given parent outcomes.
-
-        ``states`` is an (n, d) array of unit vectors; returns an array of
-        shape (target outcomes + 1, n) whose final row is the no-click outcome.
-        """
-        states = np.asarray(states, dtype=complex)
-        hits = self.sampling_dist[:, None] * (np.abs(self._vecs.conj() @ states.T) ** 2 >= self.t)
-        return self.relabelling() @ np.vstack([hits, 1.0 - hits.sum(axis=0)])

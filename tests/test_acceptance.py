@@ -32,23 +32,23 @@ from steerlab.certifier import (
 )
 from steerlab.covariant import (
     HaarSampler,
+    ResponseFunctionModel,
     aligned_weight,
     effect_trace,
     mc_response_moments,
     noise_params_from_threshold,
-    simulate_rank1_povm,
 )
 from steerlab.linalg import frobenius
 from steerlab.lossy import NoiseParams, noisify_povm, reduce_through_loss_dual
 from steerlab.objects import (
-    Povm,
     apply_channel,
     lossy_noisy_channel,
     mub_pair,
     one_way_state,
     phi_plus,
 )
-from steerlab.rand import random_density, random_povm, random_rank1_targets
+
+from corpus import random_density, random_povm, random_rank1_povm
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -56,17 +56,18 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_simulation_identity():
-    # simulate_rank1_povm(targets, t) == noisify(targets, (1-t)^(d-1), t)
+    # the model of a rank-one target at transmission (1-t)^(d-1), threshold t,
+    # equals noisify(target, (1-t)^(d-1), t)
     start = time.monotonic()
     rng = np.random.default_rng(101)
     worst = 0.0
     for d in range(2, 7):
         for _ in range(50):
-            targets = random_rank1_targets(d, d + int(rng.integers(0, 3)), rng)
+            target = random_rank1_povm(d, d + int(rng.integers(0, 3)), rng)
             t = float(rng.random())
-            sim = simulate_rank1_povm(targets, t)
-            ideal = Povm([a * np.outer(v, v.conj()) for a, v in targets])
-            noisy = noisify_povm(ideal, noise_params_from_threshold(d, t))
+            params = noise_params_from_threshold(d, t)
+            sim = ResponseFunctionModel(target, params).reconstruct_povm()
+            noisy = noisify_povm(target, params)
             dev = max(
                 frobenius(sim.effect(lab) - noisy.effect(lab)) for lab in noisy.labels
             )

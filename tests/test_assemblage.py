@@ -18,7 +18,8 @@ from steerlab.assemblage import (
 )
 from steerlab.linalg import frobenius, tensor
 from steerlab.objects import DensityOperator, Povm, mub_pair, one_way_state, phi_plus
-from steerlab.rand import random_density, random_povm
+
+from corpus import random_density, random_povm
 
 
 def _random_assemblage(d, n_settings, n_outcomes, rng):

@@ -19,14 +19,14 @@ from steerlab.certifier import (
     exact_certificate,
     lp_feasibility,
     parent_from_states,
-    response_conditionals,
     verify_certificate,
 )
-from steerlab.covariant import ResponseFunctionModel
+from steerlab.covariant import HaarSampler, ResponseFunctionModel
 from steerlab.linalg import frobenius, is_psd
 from steerlab.lossy import NoiseParams, noisify_povm
 from steerlab.objects import Povm, mub_pair
-from steerlab.rand import random_povm
+
+from corpus import random_povm, threshold_responses
 
 
 def _noisified_mubs(d, eta, p):
@@ -50,8 +50,6 @@ def test_discretize_parent_needs_enough_atoms():
 def test_raw_sum_converges_to_identity():
     # with many atoms the correction becomes trivial
     d, n = 2, 1_000_000
-    from steerlab.covariant import HaarSampler
-
     states = HaarSampler(d=d, seed=1).sample_array(n)
     raw_sum = (d / n) * (states.T @ states.conj())
     assert frobenius(raw_sum - np.eye(d)) < 5e-3
@@ -86,14 +84,6 @@ def test_parent_refuses_a_batched_stack():
     with pytest.raises(ValueError, match="one \\(n, d, d\\) stack"):
         DiscreteParent(np.stack([effects, effects]))
     assert DiscreteParent(effects).d == 2
-
-
-def test_parent_refuses_states_that_do_not_match_its_effects():
-    effects = np.stack([np.eye(2) / 2] * 2)
-    with pytest.raises(ValueError, match=r"shape \(n_atoms, d\) = \(2, 2\), got \(5, 3\)"):
-        DiscreteParent(effects, states=np.ones((5, 3)))
-    parent = DiscreteParent(effects, states=np.eye(2))
-    assert parent.states.dtype == complex and np.array_equal(parent.states, np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +613,7 @@ def test_exact_certificate_from_model():
         target = noisify_povm(m, params)
         assert cert.residual < 1e-10
         assert verify_certificate(cert, [target]) < 1e-10
-        assert cert.parent.states is None  # direct-effect parent
+        assert cert.parent.seed is None  # direct-effect parent
 
 
 def test_response_conditionals_mc_error():
@@ -634,7 +624,10 @@ def test_response_conditionals_mc_error():
     target = noisify_povm(mub_pair(d)[0], params)
     model = ResponseFunctionModel(mub_pair(d)[0], params)
     parent = discretize_parent(d, 3000, seed=13)
-    table = response_conditionals(model, parent)
+    # the parent keeps its seed, from which its atoms are drawn again
+    atoms = HaarSampler(d, parent.seed).sample_array(parent.n_atoms)
+    assert np.array_equal(parent_from_states(atoms, d, parent.seed).effects, parent.effects)
+    table = threshold_responses(model, atoms)
     assert table.shape == (3, 3000)
     assert np.max(np.abs(table.sum(axis=0) - 1.0)) < 1e-12
     hand_built = JmCertificate(
@@ -647,16 +640,6 @@ def test_response_conditionals_mc_error():
     assert 0.0 < hand_residual < 0.1  # Monte Carlo error scale
     lp_residual = lp_feasibility([target], parent, tol=1e-4).residual
     assert lp_residual <= hand_residual
-
-
-def test_response_conditionals_requires_atom_states():
-    rng = np.random.default_rng(14)
-    m = random_povm(2, 2, rng)
-    params = NoiseParams(d=2, eta=0.25, p=0.5)
-    model = ResponseFunctionModel(m, params)
-    cert = exact_certificate(model)
-    with pytest.raises(ValueError):
-        response_conditionals(model, cert.parent)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from steerlab.cli import main
 from steerlab.lossy import NoiseParams, noisify_povm, reduce_through_loss_dual
 from steerlab.objects import mub_pair
 
+from corpus import random_density, random_povm
+
 
 def _run(capsys, *argv):
     code = main(list(argv))
@@ -368,7 +370,7 @@ def test_lemma1_roundtrip_checks_eta_before_drawing(capsys, monkeypatch, eta):
     def no_draw(seed):
         raise AssertionError("drew trials for an invalid --eta")
 
-    monkeypatch.setattr(rand, "rng_from", no_draw)
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
     code = main(["lemma1-roundtrip", "--d", "2", "--eta", eta, "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
@@ -591,22 +593,22 @@ def test_output_is_compact_json(tmp_path, capsys):
 
 def _appendix_c_per_trial(d, eta, p, trials):
     """``appendixC-check`` one trial at a time through the per-object API."""
-    rng = rand.rng_from([d, trials])
+    rng = np.random.default_rng([d, trials])
     params = NoiseParams(d=d, eta=eta, p=p)
     worst = 0.0
     for k in range(trials):
-        m_prime = rand.random_povm(d + 1, 2 + k % (d + 1), rng)
+        m_prime = random_povm(d + 1, 2 + k % (d + 1), rng)
         worst = max(worst, reduce_through_loss_dual(m_prime, params).identity_residual)
     return worst
 
 
 def _lemma1_per_trial(d, eta, seed):
     """``lemma1-roundtrip`` one trial at a time through the per-object API."""
-    rng = rand.rng_from(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(50):
-        rho = rand.random_density(d * d, rng, dims=(d, d))
-        povms = [rand.random_povm(d, 2, rng) for _ in range(2)]
+        rho = random_density(d * d, rng, dims=(d, d))
+        povms = [random_povm(d, 2, rng) for _ in range(2)]
         sigma = steer(rho, povms, measured_side=0)
         recovered = filter_loss(apply_loss_to_assemblage(sigma, eta), eta)
         for x in range(sigma.n_settings):

@@ -32,12 +32,12 @@ from steerlab.covariant import (
     mc_response_moments,
     noise_params_from_threshold,
     orthogonal_weight,
-    simulate_rank1_povm,
 )
 from steerlab.linalg import dagger, frobenius
 from steerlab.lossy import NoiseParams, noisify_povm
 from steerlab.objects import NO_CLICK, Povm, PureState, mub_pair
-from steerlab.rand import random_povm, random_rank1_targets, random_unitary
+
+from corpus import random_povm, random_rank1_povm, random_unitary, threshold_responses
 
 
 def test_sampler_validation():
@@ -494,19 +494,25 @@ def test_mc_effect_matches_analytic_for_random_targets(d, t, seed):
 # ---------------------------------------------------------------------------
 
 
+def _simulate(target: Povm, t: float) -> Povm:
+    """The model at the exact transmission (1-t)^(d-1) of threshold t."""
+    params = noise_params_from_threshold(target.dim, t)
+    return ResponseFunctionModel(target, params).reconstruct_povm()
+
+
 def test_simulate_t0_reproduces_sampling_dist():
     rng = np.random.default_rng(12)
-    targets = random_rank1_targets(3, 5, rng)
-    out = simulate_rank1_povm(targets, 0.0)
-    for label, (alpha, _) in zip(range(5), targets):
+    target = random_rank1_povm(3, 5, rng)
+    out = _simulate(target, 0.0)
+    for label in range(5):
+        alpha = np.trace(target.effect(label)).real
         assert frobenius(out.effect(label) - (alpha / 3) * np.eye(3)) < 1e-12
     assert frobenius(out.effect(NO_CLICK)) < 1e-12
 
 
 def test_simulate_t1_all_no_click():
     rng = np.random.default_rng(13)
-    targets = random_rank1_targets(3, 4, rng)
-    out = simulate_rank1_povm(targets, 1.0)
+    out = _simulate(random_rank1_povm(3, 4, rng), 1.0)
     for label in range(4):
         assert frobenius(out.effect(label)) < 1e-15
     assert frobenius(out.effect(NO_CLICK) - np.eye(3)) < 1e-15
@@ -516,12 +522,10 @@ def test_simulate_equals_noisify():
     rng = np.random.default_rng(14)
     for d in range(2, 7):
         for _ in range(5):
-            targets = random_rank1_targets(d, d + int(rng.integers(0, 3)), rng)
+            target = random_rank1_povm(d, d + int(rng.integers(0, 3)), rng)
             t = float(rng.random())
-            sim = simulate_rank1_povm(targets, t)
-            params = noise_params_from_threshold(d, t)
-            ideal = Povm([a * np.outer(v, v.conj()) for a, v in targets])
-            noisy = noisify_povm(ideal, params)
+            sim = _simulate(target, t)
+            noisy = noisify_povm(target, noise_params_from_threshold(d, t))
             dev = max(
                 frobenius(sim.effect(lab) - noisy.effect(lab)) for lab in noisy.labels
             )
@@ -529,18 +533,16 @@ def test_simulate_equals_noisify():
 
 
 def test_simulate_rejects_non_resolution():
-    bad = [(1.0, np.array([1.0, 0.0], dtype=complex))]
     with pytest.raises(ValueError):
-        simulate_rank1_povm(bad, 0.5)
+        _simulate(Povm([np.diag([1.0, 0.0])]), 0.5)
 
 
 def test_simulation_unitarily_covariant():
     rng = np.random.default_rng(15)
-    targets = random_rank1_targets(3, 4, rng)
+    target = random_rank1_povm(3, 4, rng)
     u = random_unitary(3, rng)
-    rotated = [(a, u @ v) for a, v in targets]
-    sim = simulate_rank1_povm(targets, 0.6)
-    sim_rot = simulate_rank1_povm(rotated, 0.6)
+    sim = _simulate(target, 0.6)
+    sim_rot = _simulate(Povm(u @ target.effects @ dagger(u)), 0.6)
     for label in list(range(4)) + [NO_CLICK]:
         assert frobenius(sim_rot.effect(label) - u @ sim.effect(label) @ dagger(u)) < 1e-12
 
@@ -612,16 +614,6 @@ def test_build_jm_model_refuses_where_unsteerability_is_uncertified():
         assert model.vacuum_mix == 0.0
 
 
-def test_build_jm_model_sampling_dist():
-    rng = np.random.default_rng(18)
-    m = random_povm(2, 3, rng)
-    params = NoiseParams(d=2, eta=0.3, p=0.5)
-    model = ResponseFunctionModel(m, params)
-    dist = model.sampling_dist
-    assert abs(dist.sum() - 1.0) < 1e-10
-    assert np.all(dist >= 0)
-
-
 def test_model_validation():
     # the model is its target and noise pair; the constructor refuses every
     # pair for which there is no covariant model
@@ -645,7 +637,7 @@ def test_response_probabilities_normalized():
     params = NoiseParams(d=3, eta=0.2, p=0.4)
     model = ResponseFunctionModel(m, params)
     z = HaarSampler(d=3, seed=20).sample_array(500)
-    probs = model.response_probabilities(z)
+    probs = threshold_responses(model, z)
     assert probs.shape == (4, 500)
     assert np.all(probs >= -1e-12)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) < 1e-12
@@ -681,7 +673,7 @@ def test_model_is_its_parent_relabelled(d, labels, p, scale, seed):
     assert np.max(np.linalg.norm(rebuilt.effects - want.effects, axis=(1, 2))) <= bound
     assert exact_certificate(model).residual <= bound
 
-    probs = model.response_probabilities(HaarSampler(d=d, seed=seed).sample_array(200))
+    probs = threshold_responses(model, HaarSampler(d=d, seed=seed).sample_array(200))
     assert probs.shape == (len(labels) + 1, 200)
     assert np.all(probs >= -1e-12)
     assert np.max(np.abs(probs.sum(axis=0) - 1.0)) <= 1e-12

@@ -41,7 +41,8 @@ from steerlab.objects import (
     one_way_state,
     phi_plus,
 )
-from steerlab.rand import random_density, random_povm, random_rank1_targets, random_unitary
+
+from corpus import random_povm, random_unitary
 
 
 def _rand_complex(rng, rows, cols):
@@ -450,13 +451,6 @@ _INT_ARGUMENTS = {
     "discretize_parent-d": ("dimension d", 1, 2, lambda v: discretize_parent(v, 10)),
     "discretize_parent-n_atoms": ("atom count n_atoms", 4, 10,
                                   lambda v: discretize_parent(2, v)),
-    "random_unitary-d": ("dimension d", 1, 2, lambda v: random_unitary(v, 0)),
-    "random_density-d": ("dimension d", 1, 2, lambda v: random_density(v, 0)),
-    "random_povm-d": ("dimension d", 1, 2, lambda v: random_povm(v, 2, 0)),
-    "random_povm-n_outcomes": ("outcome count n_outcomes", 1, 2, lambda v: random_povm(2, v, 0)),
-    "random_rank1_targets-d": ("dimension d", 1, 2, lambda v: random_rank1_targets(v, 3, 0)),
-    "random_rank1_targets-n_outcomes": ("outcome count n_outcomes", 1, 3,
-                                        lambda v: random_rank1_targets(1, v, 0)),
     "Povm-document-dim": ("POVM document dim", 1, 2, lambda v: Povm.from_document(
         dict(mub_pair(2)[0].to_document(), dim=v))),
     "DensityOperator-document-dims": (

@@ -13,8 +13,8 @@ from steerlab.lossy import (
     reduce_through_loss_dual,
 )
 from steerlab.objects import NO_CLICK, Povm, lossy_noisy_channel, mub_pair
-from steerlab.rand import random_povm
 
+from corpus import random_povm
 from kraus_oracle import KrausChannel
 
 

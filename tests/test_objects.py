@@ -26,8 +26,8 @@ from steerlab.objects import (
     one_way_state,
     phi_plus,
 )
-from steerlab.rand import random_density, random_povm, random_unitary
 
+from corpus import random_density, random_povm, random_unitary
 from kraus_oracle import KrausChannel, choi_matrix, kraus_closure_residual
 
 

@@ -16,8 +16,8 @@ from steerlab.objects import (
     mub_pair,
     one_way_state,
 )
-from steerlab.rand import random_povm
 
+from corpus import random_povm
 from test_lossy import embed_with_vacuum
 
 
