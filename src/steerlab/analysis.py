@@ -78,32 +78,6 @@ def _region_code(d: int, eta, p):
     return 2 * certified_d_steerable(d, eta, p) + certified_unsteerable(d, eta, p)
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Certification thresholds for one dimension d >= 2."""
-
-    d: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", check_int("dimension d", self.d, 2))
-
-    @property
-    def p_all_meas(self) -> float:
-        return p_threshold_all(self.d)
-
-    @property
-    def p_two_mubs(self) -> float:
-        return p_threshold_two_mubs(self.d)
-
-    def to_document(self) -> dict:
-        return {
-            "d": self.d,
-            "p_all_meas": self.p_all_meas,
-            "p_two_mubs": self.p_two_mubs,
-            "eta_bound_formula": "(1-p)^(d-1)",
-        }
-
-
 def classify(d: int, eta: float, p: float) -> RegionLabel:
     """Apply both sufficient conditions to one parameter point.
 

@@ -189,18 +189,24 @@ def steer(
     return Assemblage._from_checked(entries, counts, range(len(measurements)))
 
 
-def _check_eta(eta: float) -> None:
+def check_eta(eta: float) -> None:
+    """Refuse by name a transmission outside [0, 1] or below the smallest
+    normal float, 0 included: the loss filter divides by it, and numpy's
+    complex division by a subnormal float overflows."""
     check_unit("transmission eta", eta)
-    if eta == 0.0:
-        raise ValueError(f"transmission eta must be > 0, got {eta}")
+    tiny = np.finfo(float).tiny
+    if eta < tiny:
+        raise ValueError(f"transmission eta must be at least {tiny} "
+                         f"(the smallest normal float), got {eta}")
 
 
 def lossy_entries(entries, eta: float, counts) -> np.ndarray:
     """Checked (..., N, d+1, d+1) arrays of assemblage entries, laid out as
     in :func:`check_entries`, from (..., N, d, d) ones sent through the
     transmission-eta loss channel, the vacuum as the last index. Requires
-    eta > 0 so that :func:`filter_entries` can invert it."""
-    _check_eta(eta)
+    an eta that :func:`check_eta` accepts, so that :func:`filter_entries`
+    can invert it."""
+    check_eta(eta)
     return check_entries(Loss(eta, entries.shape[-1]).apply_to_matrix(entries), counts)
 
 
@@ -226,7 +232,7 @@ def filter_entries(entries, eta: float, counts) -> np.ndarray:
     checked as :func:`check_entries` does. Errors locate an entry of a
     stack as :func:`~steerlab.linalg.locate` does.
     """
-    _check_eta(eta)
+    check_eta(eta)
     d = check_int("lossy assemblage dimension", entries.shape[-1], 2) - 1
     coherence = np.maximum(np.abs(entries[..., :d, d]).max(axis=-1),
                            np.abs(entries[..., d, :d]).max(axis=-1))

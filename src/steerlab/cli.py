@@ -42,8 +42,9 @@ def _emit(doc, path: str | None) -> None:
 
 
 def _cmd_thresholds(args) -> int:
-    report = analysis.ThresholdReport(args.d)
-    _emit(report.to_document(), None)
+    _emit({"d": args.d, "p_all_meas": analysis.p_threshold_all(args.d),
+           "p_two_mubs": analysis.p_threshold_two_mubs(args.d),
+           "eta_bound_formula": "(1-p)^(d-1)"}, None)
     return 0
 
 
@@ -181,8 +182,7 @@ def _cmd_lemma1_roundtrip(args) -> int:
     block run as one stack, drawing their normals in one call, in the
     order the per-trial objects would draw them.
     """
-    if not 0.0 < args.eta <= 1.0:  # the filter divides by eta
-        raise ValueError(f"eta must lie in (0, 1], got {args.eta}")
+    assemblage.check_eta(args.eta)
     rng = np.random.default_rng(args.seed)
     d = args.d
     entries = _LEMMA1_SETTINGS * _LEMMA1_OUTCOMES

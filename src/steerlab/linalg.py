@@ -104,11 +104,6 @@ def frobenius_each(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag))
 
 
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices; dimensions multiply."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def partial_trace(m: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
     """Trace out one factor of a bipartite operator.
 

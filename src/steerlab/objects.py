@@ -23,7 +23,6 @@ from .linalg import (
     matrix_to_entries,
     partial_trace,
     psd_stack,
-    tensor,
 )
 
 #: Reserved outcome label for the no-click / vacuum outcome.
@@ -402,8 +401,7 @@ def phi_plus(d: int) -> PureState:
     """Maximally entangled two-qudit state (1/sqrt(d)) sum_k |k,k>."""
     d = check_int("dimension d", d, 2)
     vec = np.zeros(d * d, dtype=complex)
-    for k in range(d):
-        vec[k * d + k] = 1.0
+    vec[:: d + 1] = 1.0
     return PureState(vec / np.sqrt(d), (d, d))
 
 
@@ -412,26 +410,18 @@ def one_way_state(d: int, eta: float, p: float) -> DensityOperator:
 
     Equals ``eta*p * Phi+ + eta*(1-p) * (I (x) I)/d^2 + (1-eta) * (I/d) (x) |ø><ø|``
     with the d-dimensional second factor embedded as the first d levels of
-    the enlarged (d+1)-dimensional space.
+    the enlarged (d+1)-dimensional space. The terms are written by index into
+    a (d, d+1, d, d+1) array; the noise adds to Phi+ on its diagonal.
     """
     d = check_int("dimension d", d, 2)
     check_unit("eta", eta)
     check_unit("p", p)
-    db = d + 1
-    mat = np.zeros((d * db, d * db), dtype=complex)
-    # maximally entangled block
-    for k in range(d):
-        for l in range(d):
-            mat[k * db + k, l * db + l] += eta * p / d
-    # white noise on the signal block
-    block = np.zeros((db, db), dtype=complex)
-    block[:d, :d] = np.eye(d)
-    mat += eta * (1.0 - p) / d**2 * tensor(np.eye(d), block)
-    # vacuum component
-    vac = np.zeros((db, db), dtype=complex)
-    vac[d, d] = 1.0
-    mat += (1.0 - eta) / d * tensor(np.eye(d), vac)
-    return DensityOperator(mat, (d, db))
+    k, j = np.arange(d)[:, None], np.arange(d)
+    mat = np.zeros((d, d + 1, d, d + 1), dtype=complex)
+    mat[k, k, j, j] = eta * p / d  # Phi+: |kk><jj|/d
+    mat[k, j, k, j] += eta * (1.0 - p) / d**2  # white noise on the signal levels
+    mat[j, d, j, d] = (1.0 - eta) / d  # the vacuum
+    return DensityOperator(mat.reshape(d * (d + 1), d * (d + 1)), (d, d + 1))
 
 
 def mub_pair(d: int) -> tuple[Povm, Povm]:

@@ -1,3 +1,4 @@
+import json
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from steerlab.analysis import (
     RegionLabel,
-    ThresholdReport,
     classify,
     eta_grid,
     eta_unsteerable_bound,
@@ -14,6 +14,7 @@ from steerlab.analysis import (
     phase_diagram,
     phase_diagram_csv,
 )
+from steerlab.cli import main
 
 
 def _decimal_p_all(d: int) -> Decimal:
@@ -80,12 +81,13 @@ def test_eta_bound_decreasing():
         assert np.all(np.diff(vals) < 0)
 
 
-def test_threshold_report_document():
-    report = ThresholdReport(3)
-    doc = report.to_document()
+def test_thresholds_document(capsys):
+    assert main(["thresholds", "--d", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
     assert doc["d"] == 3
     assert abs(doc["p_all_meas"] - P_ALL_FROZEN[3]) < 1e-12
-    assert abs(eta_unsteerable_bound(report.d, 0.5) - 0.25) < 1e-15
+    assert abs(doc["p_two_mubs"] - P_MUBS_FROZEN[3]) < 1e-12
+    assert doc["eta_bound_formula"] == "(1-p)^(d-1)"
 
 
 # ---------------------------------------------------------------------------

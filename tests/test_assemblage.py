@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -16,7 +17,7 @@ from steerlab.assemblage import (
     steer,
     steer_entries,
 )
-from steerlab.linalg import frobenius, tensor
+from steerlab.linalg import frobenius
 from steerlab.objects import DensityOperator, Povm, mub_pair, one_way_state, phi_plus
 
 from corpus import random_density, random_povm
@@ -40,7 +41,7 @@ def test_steer_product_state_gives_scaled_marginal():
     rng = np.random.default_rng(0)
     rho_a = random_density(2, rng)
     rho_b = random_density(2, rng)
-    rho = DensityOperator(tensor(rho_a.mat, rho_b.mat), (2, 2))
+    rho = DensityOperator(np.kron(rho_a.mat, rho_b.mat), (2, 2))
     povm = random_povm(2, 3, rng)
     sigma = steer(rho, [povm], measured_side=1)
     for a, effect in enumerate(povm.effects):
@@ -124,6 +125,20 @@ def test_apply_loss_rejects_eta_zero():
         filter_loss(apply_loss_to_assemblage(sigma, 0.5), 0.0)
 
 
+def test_loss_filter_refuses_a_subnormal_eta_by_name():
+    # numpy's complex division by a subnormal float overflows, so the filter
+    # takes no transmission below the smallest normal float
+    sigma = _random_assemblage(2, 2, 2, np.random.default_rng(4))
+    message = ("transmission eta must be at least 2.2250738585072014e-308 "
+               "(the smallest normal float), got 1e-320")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        apply_loss_to_assemblage(sigma, 1e-320)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        filter_loss(apply_loss_to_assemblage(sigma, 0.5), 1e-320)
+    assert filter_loss(apply_loss_to_assemblage(sigma, np.finfo(float).tiny),
+                       np.finfo(float).tiny).dim == 2
+
+
 def test_loss_roundtrip():
     rng = np.random.default_rng(5)
     for eta in (0.05, 0.3, 0.7, 1.0):
@@ -171,7 +186,7 @@ def test_lhs_residual_product_state():
     rng = np.random.default_rng(7)
     rho_a = random_density(2, rng)
     rho_b = random_density(2, rng)
-    rho = DensityOperator(tensor(rho_a.mat, rho_b.mat), (2, 2))
+    rho = DensityOperator(np.kron(rho_a.mat, rho_b.mat), (2, 2))
     povms = [random_povm(2, 2, rng) for _ in range(2)]
     sigma = steer(rho, povms, measured_side=1)
     probs = [

@@ -365,8 +365,12 @@ def test_jm_certify_refuses_non_finite_targets_without_warning(tmp_path):
     assert proc.stderr.startswith("error: ") and "Warning" not in proc.stderr
 
 
-@pytest.mark.parametrize("eta", ["0", "nan", "1.5"])
+@pytest.mark.parametrize("eta", ["0", "1e-320", "nan", "1.5"])
 def test_lemma1_roundtrip_checks_eta_before_drawing(capsys, monkeypatch, eta):
+    # the command refuses --eta with the loss filter's own check and message
+    with pytest.raises(ValueError) as refused:
+        assemblage.check_eta(float(eta))
+
     def no_draw(seed):
         raise AssertionError("drew trials for an invalid --eta")
 
@@ -374,7 +378,8 @@ def test_lemma1_roundtrip_checks_eta_before_drawing(capsys, monkeypatch, eta):
     code = main(["lemma1-roundtrip", "--d", "2", "--eta", eta, "--seed", "7"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == f"error: eta must lie in (0, 1], got {float(eta)}\n"
+    assert captured.err == f"error: {refused.value}\n"
+    assert captured.err.endswith(f", got {float(eta)}\n")
 
 
 def test_lemma1_roundtrip_command(capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steerlab.analysis import (
-    ThresholdReport,
     classify,
     eta_unsteerable_bound,
     p_threshold_all,
@@ -28,7 +27,6 @@ from steerlab.linalg import (
     is_psd,
     partial_trace,
     psd_stack,
-    tensor,
 )
 from steerlab.lossy import NoiseParams
 from steerlab.objects import (
@@ -47,35 +45,6 @@ from corpus import random_povm, random_unitary
 
 def _rand_complex(rng, rows, cols):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-
-
-def test_tensor_identities():
-    assert np.allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-    out = tensor(np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-    assert np.allclose(out, np.diag([0.0, 1.0, 0.0, 0.0]))
-
-
-def test_tensor_matches_elementwise_loop():
-    rng = np.random.default_rng(0)
-    a = _rand_complex(rng, 2, 2)
-    b = _rand_complex(rng, 2, 2)
-    out = tensor(a, b)
-    # brute-force oracle: entry (i*2+k, j*2+l) = a[i,j] * b[k,l]
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    assert abs(out[i * 2 + k, j * 2 + l] - a[i, j] * b[k, l]) < 1e-14
-
-
-def test_tensor_associative_and_bilinear():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        a, b, c = (_rand_complex(rng, 2, 2) for _ in range(3))
-        assert frobenius(tensor(tensor(a, b), c) - tensor(a, tensor(b, c))) < 1e-12
-        x, y = rng.standard_normal(2)
-        assert frobenius(tensor(x * a + y * b, c) - x * tensor(a, c) - y * tensor(b, c)) < 1e-12
-        assert frobenius(tensor(c, x * a + y * b) - x * tensor(c, a) - y * tensor(c, b)) < 1e-12
 
 
 def test_partial_trace_product_state():
@@ -118,7 +87,7 @@ def test_partial_trace_of_tensor():
     for _ in range(10):
         a = _rand_complex(rng, 3, 3)
         b = _rand_complex(rng, 2, 2)
-        out = partial_trace(tensor(a, b), (3, 2), keep=0)
+        out = partial_trace(np.kron(a, b), (3, 2), keep=0)
         assert frobenius(out - np.trace(b) * a) < 1e-12
 
 
@@ -435,7 +404,6 @@ _INT_ARGUMENTS = {
     "p_threshold_all-d": ("dimension d", 2, 3, p_threshold_all),
     "p_threshold_two_mubs-d": ("dimension d", 2, 3, p_threshold_two_mubs),
     "eta_unsteerable_bound-d": ("dimension d", 2, 3, lambda v: eta_unsteerable_bound(v, 0.5)),
-    "ThresholdReport-d": ("dimension d", 2, 3, ThresholdReport),
     "phase_diagram-d": ("dimension d", 2, 3, lambda v: phase_diagram(v, 10)),
     "phase_diagram-grid_n": ("grid_n", 2, 10, lambda v: phase_diagram(3, v)),
     "partial_trace-dims": ("subsystem dimension", 1, 2,
@@ -509,9 +477,7 @@ def test_arguments_are_refused_by_name(call, value, message):
 
 
 def test_documents_from_numpy_integers_are_json():
-    report = ThresholdReport(np.int64(3)).to_document()
     parent = discretize_parent(2, 10, seed=np.int64(3))
     cert = JmCertificate(parent, (np.full((2, 10), 0.5),), residual=0.0, tol=1e-4)
-    assert json.loads(json.dumps(report))["d"] == 3
     assert json.loads(json.dumps(cert.to_document()))["seed"] == 3
     assert type(NoiseParams(np.int8(2), 0.5, 0.5).d) is int

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from steerlab.assemblage import steer
 from steerlab.certifier import discretize_parent, exact_certificate
 from steerlab.covariant import ResponseFunctionModel, mc_effect
-from steerlab.linalg import frobenius, is_psd, matrix_to_entries, tensor
+from steerlab.linalg import frobenius, is_psd, matrix_to_entries
 from steerlab.lossy import NoiseParams, reduce_through_loss_dual
 from steerlab.objects import (
     NO_CLICK,
@@ -51,7 +51,7 @@ def test_phi_plus_transpose_trick():
     for d in (2, 3, 4):
         psi = phi_plus(d)
         u = random_unitary(d, rng)
-        rotated = tensor(u, u.conj()) @ psi.vec
+        rotated = np.kron(u, u.conj()) @ psi.vec
         assert abs(np.vdot(psi.vec, rotated) - 1.0) < 1e-12
 
 
@@ -373,7 +373,7 @@ def test_channels_map_stacks(kind, d, lead, eta, p, out_dim, seed):
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     # Choi matrix against its defining sum over matrix units
     units = np.eye(d * d).reshape(d, d, d, d)
-    choi = sum(tensor(units[i, j], chan.apply_to_matrix(units[i, j]))
+    choi = sum(np.kron(units[i, j], chan.apply_to_matrix(units[i, j]))
                for i in range(d) for j in range(d))
     assert np.max(np.abs(choi_matrix(chan) - choi)) < 1e-12
 
@@ -403,7 +403,7 @@ def test_one_way_state_extremes():
     rho0 = one_way_state(2, 0.0, 0.3)
     vac = np.zeros((3, 3))
     vac[2, 2] = 1.0
-    assert frobenius(rho0.mat - tensor(np.eye(2) / 2, vac)) < 1e-14
+    assert frobenius(rho0.mat - np.kron(np.eye(2) / 2, vac)) < 1e-14
 
 
 def test_one_way_state_reduced_states():
@@ -422,6 +422,28 @@ def test_one_way_state_equals_channel_path():
                     lossy_noisy_channel(d, eta, p), phi_plus(d).to_density(), 1
                 )
                 assert np.max(np.abs(direct.mat - chained.mat)) < 1e-12
+
+
+def _one_way_state_by_kron(d, eta, p):
+    """The family member built term by term, with a loop and two Kronecker products."""
+    db = d + 1
+    mat = np.zeros((d * db, d * db), dtype=complex)
+    for k in range(d):
+        for l in range(d):
+            mat[k * db + k, l * db + l] += eta * p / d
+    block = np.zeros((db, db), dtype=complex)
+    block[:d, :d] = np.eye(d)
+    mat += eta * (1.0 - p) / d**2 * np.kron(np.eye(d, dtype=complex), block)
+    vac = np.zeros((db, db), dtype=complex)
+    vac[d, d] = 1.0
+    mat += (1.0 - eta) / d * np.kron(np.eye(d, dtype=complex), vac)
+    return mat
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 16), eta=st.floats(0.0, 1.0), p=st.floats(0.0, 1.0))
+def test_one_way_state_is_its_kron_construction_bit_for_bit(d, eta, p):
+    assert np.array_equal(one_way_state(d, eta, p).mat, _one_way_state_by_kron(d, eta, p))
 
 
 def test_one_way_state_grid_validity():
