@@ -7,9 +7,10 @@ the covariant parent), feasibility of the resulting linear program is a
 *sufficient* criterion only; failure at tolerance is never proof of
 incompatibility.
 
-HiGHS's dual simplex solves the LP with no output and presolve off (see
-:func:`linprog`); the model goes over as arrays in one call. Only scipy's
-vendored HiGHS extension loads, never ``scipy.optimize`` or ``scipy.sparse``.
+HiGHS's dual simplex solves the LP with no output, presolve off, scaling
+off and a primal feasibility tolerance of 1e-9 (see :func:`linprog`); the
+model goes over as arrays in one call. Only scipy's vendored HiGHS
+extension loads, never ``scipy.optimize`` or ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -85,12 +86,24 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
 
     The matrices are :func:`_csc` records with the same columns. The rows
     ``A_ub`` over ``A_eq`` go to HiGHS as one column-wise model in one array
-    ``passModel`` call; its dual simplex solves them with presolve off and no
-    output, as ``scipy.optimize.linprog(method="highs", options={"presolve":
-    False})`` does. Presolve removed nothing from JM LPs of targets with more
-    than two outcomes yet took a third of each solve; where it does reduce an
-    LP, the vertex can differ while the optimum does not. A solution that
-    misses a bound or a row by more than ``10 sqrt(1e-9)`` is not accepted.
+    ``passModel`` call; its dual simplex solves them with no output, as
+    ``scipy.optimize.linprog(method="highs")`` does with the options
+    ``presolve=False``, ``simplex_scale_strategy=0`` and
+    ``primal_feasibility_tolerance=1e-9``. Presolve removed nothing from JM
+    LPs of targets with more than two outcomes yet took a third of each
+    solve; where it does reduce an LP, the vertex can differ while the
+    optimum does not.
+
+    Scaling is off because HiGHS's default equilibration scaling makes its
+    dual simplex take many more iterations on JM LPs: 2,606 against 2,103
+    over the benchmark's twelve LPs, 2,638 against 786 at d=3 with 1,000
+    atoms, and 32,958 against 1,517 (about 50 s against 1 s on two vCPUs) at
+    d=7 with 2,000 atoms. The optimum agrees within HiGHS's dual tolerance
+    of 1e-7; the vertex can differ. The primal feasibility tolerance is
+    1e-9, not HiGHS's 1e-7, to keep feasible certificates at round-off:
+    unscaled at 1e-7, a conditional of a benchmark certificate ended 5e-8
+    outside its bound and its residual read 7.7e-8. A solution that misses
+    a bound or a row by more than ``10 sqrt(1e-9)`` is not accepted.
 
     Raises
     ------
@@ -115,6 +128,8 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
     options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
     options.log_to_console = options.output_flag = False
     options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_scale_strategy = 0
+    options.primal_feasibility_tolerance = 1e-9
 
     highs = h._Highs()
     for step, args in ((highs.passOptions, (options,)), (highs.passModel, model),

@@ -188,9 +188,14 @@ def _csc_array(mat):
 
 def _scipy_linprog(c, *, A_ub, A_eq, **kwargs):
     """The LP solved by ``scipy.optimize.linprog(method="highs")`` with presolve
-    off: the oracle that :func:`certifier.linprog` reproduces."""
-    return optimize.linprog(c, A_ub=_csc_array(A_ub), A_eq=_csc_array(A_eq), method="highs",
-                            options={"presolve": False}, **kwargs)
+    and scaling off and a primal tolerance of 1e-9: the oracle that
+    :func:`certifier.linprog` reproduces. scipy does not know the scaling
+    option and hands it to HiGHS with a warning."""
+    options = {"presolve": False, "simplex_scale_strategy": 0,
+               "primal_feasibility_tolerance": 1e-9}
+    with pytest.warns(optimize.OptimizeWarning, match="passed to HiGHS verbatim"):
+        return optimize.linprog(c, A_ub=_csc_array(A_ub), A_eq=_csc_array(A_eq),
+                                method="highs", options=options, **kwargs)
 
 
 @settings(max_examples=40, deadline=None)
@@ -492,36 +497,76 @@ def test_slack_outcomes_start_near_the_threshold_response(d, eta, p, atoms):
 
 
 #: sha256 of ``jm-certify ... --tol 1e-4 --emit-conditionals`` stdout for each
-#: benchmark instance, one digest per parent of ``_BENCH_PARENT_SEEDS``.
+#: benchmark instance, one digest per parent of ``_BENCH_PARENT_SEEDS``, and the
+#: status every parent of the instance reaches.
 _BENCH_DIGESTS = {
-    (2, 0.5, 0.5, 500): (
-        "22f7d7405c6ce356234cd857838176621bdfc2ef64e790ab5a92a314ec1e7f0a",
-        "e79e3546346f8e7021aee3324fec91bafe99554cb8ea4123c940a3a5942cf2e3",
-        "138ac1b813ce6f1f811b5f5dbd84a2c7cef07323be795404d4c11841658c2b2c",
-        "195377893507ca27d45ebb2c582b8054e6269f2fcf36e1e943c15f02ed110174"),
-    (2, 0.9, 0.9, 500): (
-        "bf4701b681b6cbd891805f355359e60ec721babddd3226ec1f610fff118aba6e",
-        "d7d3d2b8516f978b049aeba14d7771077a1feb0f6461e83a27cf73d67deb7c4c",
-        "a310f64cb7fed1a6a2ddb412faf6a06cdbabbe1792073ee733d52908d2ffc9ee",
-        "8855e54feb6a914c09c1eb7f0abae214f58c6451b497ee381fbe763c6f9ab4c4"),
-    (3, 0.25, 0.5, 300): (
-        "a2363936907e56ace4a9e45f4585e8ec7432f2d8dc7384025f468d68c5876e5e",
-        "e2d7153cd043f432176eace7e2cad768b0463c3e97844936aa68eaa0270a4740",
-        "5ed93ef4787750a1e9ada43fe68b4684a8af6d3e0f1a6d02f2dcf909ade39543",
-        "c2fd01e7c519c95a219e48a172ba9e921bb405f744d81b73ba7f87f215e3ac0d"),
+    (2, 0.5, 0.5, 500): (FEASIBLE, (
+        "c770a5e4f645907d8831b8d668186c8e1eb33d2a178ff3c6519f3bd437027d62",
+        "e5bbed32c08c98ab3650c18b06d72f5126a9ed0a93dca0d83d66691a91c28f4a",
+        "c5a5ee18c1d421357e44f82314cef2f69cd040578de61cd134b3e2e146bcef87",
+        "66d2f199775ee0ecbc87a4ab88595f3126e3c3d1615977630808c6ae69d1d559")),
+    (2, 0.9, 0.9, 500): (INFEASIBLE_AT_TOLERANCE, (
+        "f2f5d05aff27a0d9b823f1826760176a92d9f54692cd6f4c2f706ea5625b1437",
+        "d2299cf53260a4daa35af7a4871ede4ccd6a935c937af42996832a29a04b467a",
+        "84cfc8d26ffeb46447e65d260122359757954b0e4e85dc2139dbd05ee6569723",
+        "0be69f370c3ec9c78ca72f463be292ab92d9892444db821485420671f30d1ca8")),
+    (3, 0.25, 0.5, 300): (FEASIBLE, (
+        "d43075debd6f924e17452c8ef35be8fbc93b68ff928f049ec758478d1579582d",
+        "12ef94e7dfe5866caaf2f550412a40f80234e0d1d9591daf45e28a91738ba888",
+        "b1359999d80d66e7587d82b97c0f922391770e0393e864233a3d5eeb0c69a718",
+        "4a7909815ad22129630beb2e283bb321902cab59178a3c7eacb17a5bc26690c5")),
 }
 
 
 @pytest.mark.parametrize("d, eta, p, atoms", _BENCH_INSTANCES)
 def test_benchmark_certificates_keep_their_vertex(d, eta, p, atoms, capsys):
     # the printed conditionals are the LP's optimal vertex: a change of solver
-    # options or of how the model reaches HiGHS that moves the vertex fails here
-    for seed, digest in zip(_BENCH_PARENT_SEEDS, _BENCH_DIGESTS[d, eta, p, atoms]):
+    # options or of how the model reaches HiGHS that moves the vertex fails here.
+    # The vertex may move on purpose; the status and a round-off residual may not
+    status, digests = _BENCH_DIGESTS[d, eta, p, atoms]
+    for seed, digest in zip(_BENCH_PARENT_SEEDS, digests):
         code = cli.main(["jm-certify", "--d", str(d), "--eta", str(eta), "--p", str(p),
                          "--atoms", str(atoms), "--targets", "builtin:mubs", "--tol", "1e-4",
                          "--seed", str(seed), "--emit-conditionals"])
         assert code == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["status"] == status
+        assert doc["verified_residual"] == doc["residual"]
+        if status == FEASIBLE:
+            assert doc["residual"] <= 1e-12
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_unscaled_simplex_does_not_stall():
+    # with HiGHS's default equilibration scaling this LP took 2,638 dual
+    # simplex iterations; unscaled it takes 786
+    lp = _captured_lp(_noisified_mubs(3, 0.9, 0.9), discretize_parent(3, 1000, seed=0))
+    assert certifier.linprog(**lp).nit < 1500
+
+
+def _reference_optimum(lp) -> float:
+    """The LP's optimum from scipy's HiGHS with both feasibility tolerances at 1e-10."""
+    res = optimize.linprog(lp["c"], A_ub=_csc_array(lp["A_ub"]), b_ub=lp["b_ub"],
+                           A_eq=_csc_array(lp["A_eq"]), b_eq=lp["b_eq"], bounds=lp["bounds"],
+                           method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                                    "dual_feasibility_tolerance": 1e-10})
+    assert res.success
+    return res.fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_JM_LP_DRAWS)
+def test_linprog_reaches_the_reference_optimum(d, n_atoms, shapes, eta, p, seed):
+    lp = _captured_lp(*_jm_lp_instance(d, n_atoms, shapes, eta, p, seed))
+    assert abs(certifier.linprog(**lp).fun - _reference_optimum(lp)) <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("d, eta, p, atoms", _BENCH_INSTANCES)
+def test_benchmark_lps_reach_the_reference_optimum(d, eta, p, atoms):
+    for seed in _BENCH_PARENT_SEEDS:
+        lp = _captured_lp(_noisified_mubs(d, eta, p), discretize_parent(d, atoms, seed=int(seed)))
+        assert abs(certifier.linprog(**lp).fun - _reference_optimum(lp)) <= DEFAULT_TOL
 
 
 def test_slack_outcomes_lightest_outcome_chooses_first():
