@@ -72,6 +72,21 @@ def _highspy():
     raise SolverFailure(f"scipy's HiGHS extension _core is not in {folder}")
 
 
+@functools.cache
+def _highs_options():
+    """The options of every :func:`linprog` solve, built once on the first
+    LP; ``passOptions`` copies them into each solver."""
+    h = _highspy()
+    options = h.HighsOptions()
+    options.presolve = "off"
+    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = options.output_flag = False
+    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_scale_strategy = 0
+    options.primal_feasibility_tolerance = 1e-9
+    return options
+
+
 class LpSolution(NamedTuple):
     """An optimal vertex: ``x``, objective ``fun`` and simplex iterations ``nit``."""
 
@@ -123,16 +138,9 @@ def linprog(c, *, A_ub, b_ub, A_eq, b_eq, bounds) -> LpSolution:
              h.ObjSense.kMinimize, 0.0, c, *np.ascontiguousarray(bounds.T),
              np.append(np.full(n_ub, -np.inf), b_eq), np.append(b_ub, b_eq),
              start[:-1], index, value, np.zeros(n_cols, np.int32))
-    options = h.HighsOptions()
-    options.presolve = "off"
-    options.highs_debug_level = h.HighsDebugLevel.kHighsDebugLevelNone
-    options.log_to_console = options.output_flag = False
-    options.simplex_strategy = h.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.simplex_scale_strategy = 0
-    options.primal_feasibility_tolerance = 1e-9
 
     highs = h._Highs()
-    for step, args in ((highs.passOptions, (options,)), (highs.passModel, model),
+    for step, args in ((highs.passOptions, (_highs_options(),)), (highs.passModel, model),
                        (highs.run, ())):
         if step(*args) == h.HighsStatus.kError:
             raise SolverFailure(f"HiGHS {step.__name__} failed with model status "

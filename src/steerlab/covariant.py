@@ -11,15 +11,18 @@ The Monte Carlo estimators draw each Haar sample in polar form. The squared
 moduli of a standard complex Gaussian vector are independent standard
 exponentials E_i and its phases are uniform and independent of them, so
 the unit vector with ``|z_i|^2 = E_i / sum(E)`` and uniform phases is Haar.
-The samples are split into shards of at most ``_CHUNK``, and each shard
-streams through its accumulator in (d, b) blocks of exponentials, sample
-index last, each drawn straight into one per-worker buffer: shard k's
-blocks, flattened in order, are the first d·m numbers of
+The exponentials are drawn by inversion, as ``L = log(1 - U) = -E <= 0``
+of uniforms U, and ``|z_i|^2 = L_i / sum(L)``. The samples are split into
+shards of at most ``_CHUNK``, and each shard streams through its
+accumulator in (d, b) blocks of these logarithms, sample index last, each
+drawn straight into one per-worker buffer: shard k's blocks, flattened in
+order, are ``log(1 - U)`` of the first d·m uniforms of
 ``default_rng([seed, k])``. A sample is accepted when ``E_0 >= t sum(E)``,
-and only the accepted samples of a block draw their d-1 relative phases,
-as a (d-1, m) block of uniforms from ``default_rng([seed, k, 1])``. A
-worker holds one block plus its temporaries; the block size fixes the
-estimates, and the worker count does not.
+that is ``L_0 <= t sum(L)``, and only the accepted samples of a block draw
+their d-1 relative phases, as a (d-1, m) block of uniforms from
+``default_rng([seed, k, 1])``. A worker holds one block plus its
+temporaries; the block size fixes the estimates, and the worker count does
+not.
 """
 
 from __future__ import annotations
@@ -39,12 +42,14 @@ from .objects import NO_CLICK, Povm, PureState
 
 #: Per-chunk sample count for memory-bounded accumulation.
 _CHUNK = 1 << 16
-#: A shard is accumulated in (d, b) blocks of exponentials, sample index last,
-#: of b = max(_BLOCK // d, _BLOCK_ROWS) samples, each filled by one draw:
-#: _BLOCK numbers bound a block's memory, and _BLOCK_ROWS bounds the numpy
-#: calls per sample at large d. The block size fixes which exponentials form
-#: a sample and which phases it gets, so it fixes the Monte Carlo estimates.
-_BLOCK = 1 << 16
+#: A shard is accumulated in (d, b) blocks of log-moduli ``log(1 - U)``,
+#: sample index last, of b = max(_BLOCK // d, _BLOCK_ROWS) samples, each
+#: filled by one draw: _BLOCK numbers (768 KiB) bound a block's memory, and
+#: _BLOCK_ROWS bounds the numpy calls per sample above d = 24. A larger block
+#: makes fewer numpy calls per sample and holds more memory per worker. The
+#: block size fixes which uniforms form a sample and which phases it gets, so
+#: it fixes the Monte Carlo estimates.
+_BLOCK = 3 << 15
 _BLOCK_ROWS = 1 << 12
 
 
@@ -74,17 +79,22 @@ class HaarSampler:
 
     def _blocks(self, shard: int, m: int, buf: np.ndarray):
         """The squared moduli of ``m`` samples of stream ``shard``, up to
-        normalization, as (d, b) blocks of standard exponentials, sample index
+        normalization, as (d, b) blocks of ``L = log(1 - U)``, sample index
         last, of ``b = len(buf) // d`` samples, the last one shorter: each is a
         C-contiguous view at the start of the flat ``buf``, filled by one draw
-        and overwritten by the next. Flattened in order, the blocks are the
-        first d·m numbers of ``default_rng([seed, shard])``. Each block comes
-        with the shard's phase generator ``default_rng([seed, shard, 1])``."""
+        and overwritten by the next. ``-L`` is a standard exponential by
+        inversion, and ``L`` is finite and ``<= 0`` for every U in [0, 1), so
+        ``L_i / sum(L) = E_i / sum(E)``. Flattened in order, the blocks are
+        ``log(1 - U)`` of the first d·m uniforms of ``default_rng([seed,
+        shard])``. Each block comes with the shard's phase generator
+        ``default_rng([seed, shard, 1])``."""
         rng, phases = self._rng(shard), self._rng(shard, 1)
         rows = len(buf) // self.d
         for lo in range(0, m, rows):
             e = buf[:self.d * min(rows, m - lo)].reshape(self.d, -1)
-            rng.standard_exponential(out=e)
+            rng.random(out=e)
+            np.subtract(1.0, e, out=e)
+            np.log(e, out=e)
             yield e, phases
 
     def sample_array(self, n: int) -> np.ndarray:
@@ -178,7 +188,7 @@ class EffectEstimate:
 
 
 def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -> list:
-    """Sums of ``accumulate(e, phases)`` over the blocks ``e`` of exponentials
+    """Sums of ``accumulate(e, phases)`` over the blocks ``e`` of log-moduli
     of ``n`` Haar samples, drawn in shards and streamed in blocks, each with
     its shard's phase generator.
 
@@ -186,10 +196,11 @@ def _run_shards(sampler: HaarSampler, n: int, workers: int | None, accumulate) -
     by at most one, and worker w runs shards w, w + workers, ... Shard k of
     m samples streams through ``accumulate`` in (d, b) blocks, sample index
     last, of ``b = max(_BLOCK // d, _BLOCK_ROWS)`` (see
-    :meth:`HaarSampler._blocks`): its blocks, flattened in order, are the first
-    d·m numbers of ``default_rng([seed, k])``, the moduli. An accumulator
-    that needs phases draws them for the accepted samples only, block after
-    block, from ``default_rng([seed, k, 1])`` (see :func:`_accepted_states`).
+    :meth:`HaarSampler._blocks`): its blocks, flattened in order, are
+    ``log(1 - U)`` of the first d·m uniforms of ``default_rng([seed, k])``,
+    the moduli. An accumulator that needs phases draws them for the accepted
+    samples only, block after block, from ``default_rng([seed, k, 1])`` (see
+    :func:`_accepted_states`).
     So the block size fixes which numbers form a sample. A worker allocates
     one flat block buffer once and reuses it for each of its shards, so its
     memory is one block plus that block's temporaries. The block sums are
@@ -222,10 +233,12 @@ def _add(sums, part):
 
 
 def _accepted(t, e):
-    """Mask of the samples of the (d, b) block ``e`` of exponentials that the
-    threshold accepts, ``E_0 >= t sum(E)``, and the accepted ``sum(E)``."""
+    """Mask of the samples of the (d, b) block ``e`` of log-moduli
+    ``L = -E <= 0`` that the threshold accepts, ``E_0 >= t sum(E)``, tested
+    with the sign flipped as ``L_0 <= t sum(L)``, and the accepted
+    ``sum(L)``, which is ``<= 0``: ratios ``L_i / sum(L)`` are ``E_i / sum(E)``."""
     norm = e.sum(axis=0)
-    hit = e[0] >= t * norm
+    hit = e[0] <= t * norm
     return hit, np.compress(hit, norm)
 
 
@@ -271,10 +284,10 @@ def mc_response_moments(
 
 def _accepted_states(t, e, phases):
     """(2, d, m) planes x, y of the m samples of the (d, b) block ``e`` of
-    exponentials that the threshold accepts (see :func:`_accepted`), sample
-    index last: ``|z_i| = sqrt(E_i / sum(E))``, z_0 real, and z_i for i >= 1
-    with the phase ``theta = pi (2U - 1)``, U read from a (d-1, m) draw of
-    ``phases``. cos and sin come from ``tau = tan(theta / 2)`` as
+    log-moduli that the threshold accepts (see :func:`_accepted`), sample
+    index last: ``|z_i| = sqrt(L_i / sum(L)) = sqrt(E_i / sum(E))``, z_0
+    real, and z_i for i >= 1 with the phase ``theta = pi (2U - 1)``, U read
+    from a (d-1, m) draw of ``phases``. cos and sin come from ``tau = tan(theta / 2)`` as
     ``((1 - tau^2), 2 tau) / (1 + tau^2)``: one tangent is cheaper than both."""
     hit, norm = _accepted(t, e)
     zt = np.empty((2, len(e), len(norm)))

@@ -21,6 +21,7 @@ from steerlab.covariant import (
     EffectEstimate,
     HaarSampler,
     ResponseFunctionModel,
+    _accepted,
     _accepted_states,
     _accumulate_effect,
     _accumulate_moments,
@@ -215,17 +216,18 @@ def _block_sums(accumulate, sampler, n, shard, block):
 
 
 def _stream_samples(d, t, seed, shard, n, block):
-    # the accepted unit vectors of one shard, as rows: default_rng([seed, shard])
-    # read as (d, b) blocks of `block` exponentials E, the last one shorter; a
-    # sample is accepted when E_0 >= t sum(E), and the m accepted samples of a
-    # block take the phases pi (2U - 1) of z_1 ... z_{d-1} from a (d-1, m) draw
-    # of default_rng([seed, shard, 1])
+    # the accepted unit vectors of one shard, as rows: the uniforms U of
+    # default_rng([seed, shard]) read as (d, b) blocks of `block` samples of
+    # L = log(1 - U) = -E, the last one shorter; a sample is accepted when
+    # L_0 <= t sum(L), and the m accepted samples of a block take the phases
+    # pi (2U - 1) of z_1 ... z_{d-1} from a (d-1, m) draw of
+    # default_rng([seed, shard, 1])
     moduli = np.random.default_rng([seed, shard])
     phases = np.random.default_rng([seed, shard, 1])
     rows = []
     for lo in range(0, n, block):
-        e = moduli.standard_exponential((d, min(block, n - lo)))
-        e = e[:, e[0] >= t * e.sum(axis=0)]
+        e = np.log(1.0 - moduli.random((d, min(block, n - lo))))
+        e = e[:, e[0] <= t * e.sum(axis=0)]
         theta = np.pi * (2.0 * phases.random((d - 1, e.shape[1])) - 1.0)
         theta = np.vstack([np.zeros(e.shape[1]), theta])
         rows.append((np.sqrt(e / e.sum(axis=0)) * np.exp(1j * theta)).T)
@@ -288,8 +290,8 @@ def test_accumulate_moments_matches_overlaps(d, t, n, seed, shard, block):
 
 @pytest.mark.parametrize("d", [3, 40])
 def test_shards_draw_the_sampler_streams(d):
-    # shard k's blocks of exponentials, flattened in order, are the first d·m
-    # numbers of default_rng([seed, k]), and each comes with the phase
+    # shard k's blocks, flattened in order, are log(1 - U) of the first d·m
+    # uniforms of default_rng([seed, k]), and each comes with the phase
     # generator default_rng([seed, k, 1]); at d = 40 the _BLOCK_ROWS floor
     # sets the block
     sampler = HaarSampler(d=d, seed=4)
@@ -309,7 +311,7 @@ def test_shards_draw_the_sampler_streams(d):
     base, extra = divmod(n, 3)
     short = 0
     for k in range(3):
-        stream = np.random.default_rng([4, k]).standard_exponential(d * (base + (k < extra)))
+        stream = np.log(1.0 - np.random.default_rng([4, k]).random(d * (base + (k < extra))))
         phases = np.random.default_rng([4, k, 1]).bit_generator.state
         at = 0
         while at < stream.size:
@@ -349,6 +351,37 @@ def _stream_blocks(d, t, n, seed, draw):
 
     _run_shards(HaarSampler(d=d, seed=seed), n, 1, keep)
     return np.concatenate(drawn, axis=-1)
+
+
+def test_blocks_are_finite_at_the_ends_of_the_uniforms(monkeypatch):
+    # random() returns doubles in [0, 1), so a block holds log(1 - U) between
+    # log(2**-53) = -53 ln 2 and log(1) = 0; the sample (0, -53 ln 2) has
+    # |z_0|^2 = 0 and (-53 ln 2, 0) has |z_0|^2 = 1
+    class Ends:
+        def random(self, out):
+            out[...] = [[0.0, 1.0 - 2.0**-53], [1.0 - 2.0**-53, 0.0]]
+
+    monkeypatch.setattr(HaarSampler, "_rng", lambda self, *stream: Ends())
+    [(e, _)] = HaarSampler(d=2)._blocks(0, 2, np.empty(4))
+    low = -53.0 * np.log(2.0)
+    assert np.all(np.isfinite(e)) and e[0, 0] == 0.0 and e[1, 1] == 0.0
+    assert abs(e[0, 1] - low) <= 1e-15 * -low and e[1, 0] == e[0, 1]
+    for t in (0.0, 0.5, 1.0):
+        hit, norm = _accepted(t, e)
+        assert hit.tolist() == [t == 0.0, True]
+        assert np.array_equal(norm, np.full(hit.sum(), e[0, 1]))
+        s_a, s_a2, s_t = _accumulate_moments(2, t, e)
+        assert (s_a, s_a2, s_t) == (2.0, 4.0, 2.0 * hit.sum())
+
+
+def test_block_logarithms_are_exponential():
+    # -L = -log(1 - U) over the 50,000 numbers of one shard is Exp(1)
+    from scipy.stats import kstest
+
+    neg = -_stream_blocks(2, 0.0, 25_000, 21, lambda e, _: e.copy()).ravel()
+    assert neg.size == 50_000 and np.all(neg >= 0.0)
+    stat = kstest(neg, "expon").statistic
+    assert stat < 0.01, stat
 
 
 def test_stream_overlap_matches_closed_form_cdf():
